@@ -42,9 +42,7 @@ def build_segments(grid_n, density, atoms):
     constant density not containing an atom in their interior.
     """
     h = 1.0 / grid_n
-    events = []  # (position, mass) splitting points
-    for pos, mass in atoms:
-        events.append((pos, mass))
+    events = list(atoms)  # (position, mass) splitting points
     lens: list[float] = []
     qs: list[float] = []
     masses: list[float] = []
@@ -221,6 +219,12 @@ def sq_integrals(d: np.ndarray, t: np.ndarray):
     return icc, ics, iss, ls
 
 
+def seg_sq(y0, dy0, icc, ics, iss):
+    """Integral of y**2 over a segment that starts at state (y0, dy0),
+    given the basis integrals of sq_integrals (same scale convention)."""
+    return y0 * y0 * icc + 2.0 * y0 * dy0 * ics + dy0 * dy0 * iss
+
+
 # ---------------------------------------------------------------------------
 # phase
 
@@ -240,9 +244,9 @@ def phase(lens, qs, masses, lam: float) -> float:
     dy = 1.0
     theta = 0.0
     n = len(lens)
-    lens_l = lens.tolist() if hasattr(lens, "tolist") else lens
-    qs_l = qs.tolist() if hasattr(qs, "tolist") else qs
-    ms_l = masses.tolist() if hasattr(masses, "tolist") else masses
+    lens_l = lens.tolist()
+    qs_l = qs.tolist()
+    ms_l = masses.tolist()
     for i in range(n):
         t = lens_l[i]
         if t > 0.0:
@@ -300,9 +304,9 @@ def propagate(lens, qs, masses, lam: float):
     y_b[0] = y
     dy_arr[0] = dy
     dy_dep[0] = dy
-    lens_l = lens.tolist() if hasattr(lens, "tolist") else lens
-    qs_l = qs.tolist() if hasattr(qs, "tolist") else qs
-    ms_l = masses.tolist() if hasattr(masses, "tolist") else masses
+    lens_l = lens.tolist()
+    qs_l = qs.tolist()
+    ms_l = masses.tolist()
     for i in range(n):
         t = lens_l[i]
         d = qs_l[i] - lam

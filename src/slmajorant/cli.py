@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +72,7 @@ class RunRequest:
 
 
 _REQUEST_KEYS = {"mode", "weight", "gamma", "potential", "direction", "n_max", "alpha"}
-_CONFIG_KEYS = {
-    "grid_n",
-    "tol_eigen",
-    "tol_outer",
-    "tol_res",
-    "max_iter",
-    "damping",
-    "k_atoms",
-    "seed",
-    "pos_tol",
-    "output_dir",
-}
+_CONFIG_KEYS = {f.name for f in fields(SolverConfig)}
 
 
 def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
@@ -393,25 +382,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode:
-        request = RunRequest(
-            mode=args.mode,
-            weight=request.weight,
-            gamma=request.gamma,
-            potential=request.potential,
-            direction=request.direction,
-            n_max=request.n_max,
-            alpha=request.alpha,
-        )
+        request = replace(request, mode=args.mode)
         if request.mode == "perturb" and request.direction is None:
             print("error: mode 'perturb' requires key 'direction'", file=sys.stderr)
             return 2
     if args.output_dir:
-        cfg = SolverConfig(
-            **{
-                **{k: getattr(cfg, k) for k in SolverConfig.__dataclass_fields__},
-                "output_dir": args.output_dir,
-            }
-        )
+        cfg = replace(cfg, output_dir=args.output_dir)
     try:
         status = run(request, cfg)
     except (ParameterError, ValueError) as exc:

@@ -19,7 +19,6 @@ class SolverConfig:
     max_iter: int = 500
     damping: float = 0.5
     k_atoms: int = 1
-    seed: int = 42
     pos_tol: float = 1e-6
     output_dir: Path = field(default_factory=lambda: Path("."))
 

@@ -22,7 +22,6 @@ from .measures import DomainError, ParameterError, Potential, seminorm
 __all__ = [
     "InternalSolverError",
     "EigenPair",
-    "PencilValue",
     "ShootingSolution",
     "prufer_phase",
     "eigenvalue",
@@ -78,19 +77,6 @@ class EigenPair:
         }
 
 
-@dataclass(frozen=True)
-class PencilValue:
-    """Quadratic form of the spectral pencil at (lam, y), decomposed."""
-
-    energy: float    # integral of (y')^2 plus the potential pairing with y^2
-    mass_sq: float   # squared L2 norm of y
-    lam: float
-
-    @property
-    def value(self) -> float:
-        return self.energy - self.lam * self.mass_sq
-
-
 # ---------------------------------------------------------------------------
 # shooting solution: propagate once, evaluate anywhere
 
@@ -104,27 +90,22 @@ class ShootingSolution:
         self.q = q
         self.lam = float(lam)
         lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
-        y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
+        y_b, _, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
         self._xs = np.concatenate(([0.0], np.cumsum(lens)))
         self._xs[-1] = 1.0
         self._qs = qs
         self._lens = lens
         self._y = y_b
-        self._dy_arr = dy_arr
         self._dy_dep = dy_dep
         self._ls = logsc
 
-        d = qs - lam
-        icc, ics, iss, ils = prop.sq_integrals(d, lens)
+        icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
         expo = logsc[:-1] + ils
         self._ref = float(np.max(expo)) if len(expo) else 0.0
-        y0 = y_b[:-1]
-        dy0 = dy_dep[:-1]
-        seg_sq = (y0 * y0 * icc + 2.0 * y0 * dy0 * ics + dy0 * dy0 * iss) * np.exp(
+        seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
             2.0 * (expo - self._ref)
         )
-        self._seg_sq = seg_sq
-        self._cum_sq = np.concatenate(([0.0], np.cumsum(seg_sq)))
+        self._cum_sq = np.concatenate(([0.0], np.cumsum(seg)))
         total = self._cum_sq[-1]
         if not (total > 0.0 and math.isfinite(total)):
             raise InternalSolverError("degenerate shooting solution norm")
@@ -150,16 +131,6 @@ class ShootingSolution:
         scale = np.exp(self._ls[j] + ls - self._ref)
         return raw * scale / self._norm
 
-    def derivatives(self, points, side: str = "right") -> np.ndarray:
-        """Normalized one-sided derivative samples."""
-        x = np.atleast_1d(np.asarray(points, dtype=float))
-        j, t = self._locate(x, side)
-        d = self._qs[j] - self.lam
-        c, s, ls = prop.cs_arrays(d, t)
-        raw = self._y[j] * d * s + self._dy_dep[j] * c
-        scale = np.exp(self._ls[j] + ls - self._ref)
-        return raw * scale / self._norm
-
     def square_mass(self, a: float, b: float) -> float:
         """Integral of the normalized y**2 over [a, b]."""
         acc = self._cum_indefinite(np.asarray([a, b]))
@@ -170,13 +141,18 @@ class ShootingSolution:
         acc = self._cum_indefinite(np.asarray(edges, dtype=float))
         return np.diff(acc)
 
+    def pair(self, v: Potential) -> float:
+        """Pairing of the measure v with the normalized y**2: the cell
+        masses of its density plus each atom's mass times y**2 there."""
+        total = float(np.dot(v.density, self.cell_square_masses(v.edges())))
+        for pos, mass in v.atoms:
+            total += mass * float(self.values([pos])[0]) ** 2
+        return total
+
     def _cum_indefinite(self, x: np.ndarray) -> np.ndarray:
         j, t = self._locate(x, "right")
-        d = self._qs[j] - self.lam
-        icc, ics, iss, ils = prop.sq_integrals(d, t)
-        y0 = self._y[j]
-        dy0 = self._dy_dep[j]
-        part = (y0 * y0 * icc + 2.0 * y0 * dy0 * ics + dy0 * dy0 * iss) * np.exp(
+        icc, ics, iss, ils = prop.sq_integrals(self._qs[j] - self.lam, t)
+        part = prop.seg_sq(self._y[j], self._dy_dep[j], icc, ics, iss) * np.exp(
             2.0 * (self._ls[j] + ils - self._ref)
         )
         return (self._cum_sq[j] + part) / (self._norm**2)
@@ -191,16 +167,29 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
-def prufer_phase(q: Potential, lam: float) -> float:
-    """Continuously unwound Pruefer angle theta(1; lam) of the shooting
-    solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n."""
-    lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
-    return prop.phase(lens, qs, masses, lam)
-
-
 def _phase_fn(q: Potential):
     lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
     return lambda lam: prop.phase(lens, qs, masses, lam)
+
+
+def prufer_phase(q: Potential, lam: float) -> float:
+    """Continuously unwound Pruefer angle theta(1; lam) of the shooting
+    solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n."""
+    return _phase_fn(q)(lam)
+
+
+def _bracket(q: Potential, n: int):
+    """Phase function, its target (n+1)*pi at lambda_n, and the global
+    bracket: the free-particle eigenvalue (a lower bound since q >= 0)
+    and the computable spectral upper bound."""
+    lo = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+    return _phase_fn(q), (n + 1) * PI, lo, upper_bound(q, n)
+
+
+def _root(theta, target: float, lo: float, hi: float, tol: float) -> float:
+    rtol = max(tol, 4.0 * np.finfo(float).eps)
+    return float(brentq(lambda lam: theta(lam) - target, lo, hi,
+                        rtol=rtol, xtol=1e-15))
 
 
 def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
@@ -214,10 +203,7 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
     if not (tol > 0.0):
         raise ParameterError("tolerance must be positive")
-    target = (n + 1) * PI
-    lo = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
-    hi = upper_bound(q, n)
-    theta = _phase_fn(q)
+    theta, target, lo, hi = _bracket(q, n)
     g_lo = theta(lo) - target
     g_hi = theta(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
@@ -229,31 +215,21 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         return lo
     if g_hi == 0.0:
         return hi
-    rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return float(brentq(lambda lam: theta(lam) - target, lo, hi,
-                        rtol=rtol, xtol=1e-15))
+    return _root(theta, target, lo, hi, tol)
 
 
 def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
-    """Eigenvalue solve with a bracket grown around a previous value."""
-    target = (n + 1) * PI
-    lo_glob = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
-    hi_glob = upper_bound(q, n)
-    theta = _phase_fn(q)
+    """Eigenvalue solve with a bracket grown around a previous value; after
+    80 fruitless expansions it falls back to the cold solve."""
+    theta, target, lo_glob, hi_glob = _bracket(q, n)
     w = max(1e-6 * abs(guess), 1e-9)
-    lo = max(guess - w, lo_glob)
-    hi = min(guess + w, hi_glob)
     for _ in range(80):
-        if theta(lo) - target <= 0.0 <= theta(hi) - target:
-            break
-        w *= 4.0
         lo = max(guess - w, lo_glob)
         hi = min(guess + w, hi_glob)
-    else:
-        return eigenvalue(q, n, tol)
-    rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return float(brentq(lambda lam: theta(lam) - target, lo, hi,
-                        rtol=rtol, xtol=1e-15))
+        if theta(lo) - target <= 0.0 <= theta(hi) - target:
+            return _root(theta, target, lo, hi, tol)
+        w *= 4.0
+    return eigenvalue(q, n, tol)
 
 
 def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
@@ -271,16 +247,13 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
         )
     xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
     y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-    d = qs - lam
-    icc, ics, iss, ils = prop.sq_integrals(d, lens)
+    icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
     expo = logsc[:-1] + ils
     ref = float(np.max(expo))
-    y0 = y_b[:-1]
-    dy0 = dy_dep[:-1]
-    seg_sq = (y0 * y0 * icc + 2.0 * y0 * dy0 * ics + dy0 * dy0 * iss) * np.exp(
+    seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
         2.0 * (expo - ref)
     )
-    norm = math.sqrt(float(np.sum(seg_sq)))
+    norm = math.sqrt(float(np.sum(seg)))
     scale = np.exp(logsc - ref) / norm
     return EigenPair(
         n=n,
@@ -350,12 +323,12 @@ def pencil_form(q: Potential, lam: float, y) -> float:
     root-finder accuracy at the eigenvalue.
     """
     if isinstance(y, EigenPair):
-        return _pencil_exact(q, lam, y).value
+        return _pencil_exact(q, lam, y)
     y = _check_grid_samples(q, y)
     return energy_form(q, y, y) - lam * _pl_product_mass(q, y, y)
 
 
-def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> PencilValue:
+def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:
     xs = pair.xs
     lens = np.diff(xs)
     idx = np.minimum((xs[:-1] * q.grid_n).astype(int), q.grid_n - 1)
@@ -366,7 +339,7 @@ def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> PencilValue:
         ils = ils * 0.0
     y0 = pair.ys[:-1]
     dy0 = pair.dys_right[:-1]
-    mass = y0 * y0 * icc + 2.0 * y0 * dy0 * ics + dy0 * dy0 * iss
+    mass = prop.seg_sq(y0, dy0, icc, ics, iss)
     deriv = (
         d * d * y0 * y0 * iss + 2.0 * d * y0 * dy0 * ics + dy0 * dy0 * icc
     )
@@ -376,7 +349,7 @@ def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> PencilValue:
     for pos, m in q.atoms:
         k = int(np.searchsorted(xs, pos))
         atom_term += m * pair.ys[k] ** 2
-    return PencilValue(energy=energy + atom_term, mass_sq=total_mass, lam=lam)
+    return energy + atom_term - lam * total_mass
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,15 @@ def _rel_dist_lgamma(
     return num / den
 
 
+def _eq1_precheck(w: Weight) -> None:
+    # y^2/r must stay bounded near the endpoints for the gamma = 1 sup
+    if isinstance(w, PowerWeight) and (w.alpha >= 2.0 or w.beta >= 2.0):
+        raise ParameterError(
+            "power weight exponents must be < 2 so that y^2/r stays "
+            "bounded near the endpoints"
+        )
+
+
 def _weight_precheck(w: Weight, gamma: float) -> None:
     # the normalization integral of the best response must converge:
     # y vanishes linearly at the endpoints, so power exponents must stay
@@ -298,11 +307,7 @@ def solve_extremal_gamma_eq1(
     cfg = cfg or SolverConfig()
     if k_atoms < 1:
         raise ParameterError("k_atoms must be a positive integer")
-    if isinstance(w, PowerWeight) and (w.alpha >= 2.0 or w.beta >= 2.0):
-        raise ParameterError(
-            "power weight exponents must be < 2 so that y^2/r stays "
-            "bounded near the endpoints"
-        )
+    _eq1_precheck(w)
     lo, hi = ATOM_MARGIN, 1.0 - ATOM_MARGIN
 
     # coarse scan of the single-atom eigenvalue
@@ -392,7 +397,8 @@ def solve_extremal_gamma_eq1(
             zs = zs[keep]
             shares = shares[keep] / float(np.sum(shares[keep]))
             lam = lam_of(zs, shares)
-        res = _eq1_residual(w, zs, shares, lam)
+        pot = _atom_potential(w, zs, shares)
+        res = _eq1_defect(w, pot, ShootingSolution(pot, lam))
         trace.append((sweep, lam, res))
         if max_move < cfg.pos_tol and abs(lam - lam_start) < cfg.tol_outer * lam:
             converged = True
@@ -411,17 +417,11 @@ def solve_extremal_gamma_eq1(
     )
 
 
-def _eq1_residual(w, zs, shares, lam) -> float:
-    pot = _atom_potential(w, zs, shares)
-    sol = ShootingSolution(pot, lam)
+def _eq1_defect(w: Weight, q: Potential, sol: ShootingSolution) -> float:
+    """gamma = 1 characterization defect: normalized gap between the
+    supremum of y^2/r and the pairing of q with y^2."""
     _, sup = _sup_y2_over_r(w, sol)
-    pairing = float(
-        sum(
-            m * sol.values([p])[0] ** 2
-            for p, m in pot.atoms
-        )
-    )
-    return abs(sup - pairing) / sup
+    return abs(sup - sol.pair(q)) / sup
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +443,7 @@ def _sqrt_weight_logder(w: Weight):
         raise ParameterError(
             "the measure solver supports constant and power weights only"
         )
-    if w.alpha >= 2.0 or w.beta >= 2.0:
-        raise ParameterError(
-            "power weight exponents must be < 2 so that y^2/r stays "
-            "bounded near the endpoints"
-        )
+    _eq1_precheck(w)
     al, be = w.alpha, w.beta
 
     def d1(x):
@@ -598,29 +594,15 @@ def characterization_residual(
             raise InvalidPotentialError(
                 "the gamma > 1 characterization applies to atom-free q"
             )
-        n = q.grid_n
-        edges = q.edges()
         mids = q.midpoints()
-        cell_r = w.cell_pow_integrals(edges)
-        ymid = sol.values(mids)
-        v = _char_map(w, gamma, mids, cell_r, ymid)
+        cell_r = w.cell_pow_integrals(q.edges())
+        v = _char_map(w, gamma, mids, cell_r, sol.values(mids))
         return _rel_dist_lgamma(cell_r, q.density, v, gamma)
-    _, sup = _sup_y2_over_r(w, sol)
-    pairing = float(np.dot(q.density, sol.cell_square_masses(q.edges())))
-    pairing += sum(m * float(sol.values([p])[0]) ** 2 for p, m in q.atoms)
-    return abs(sup - pairing) / sup
+    return _eq1_defect(w, q, sol)
 
 
 # ---------------------------------------------------------------------------
 # perturbation derivatives
-
-
-def _pair_with_y2(v: Potential, sol: ShootingSolution) -> float:
-    """Pairing of the measure v with y^2: cell integrals plus point masses."""
-    total = float(np.dot(v.density, sol.cell_square_masses(v.edges())))
-    for pos, mass in v.atoms:
-        total += mass * float(sol.values([pos])[0]) ** 2
-    return total
 
 
 def alpha_lower_bound(w: Weight, gamma: float, base: Potential, p: Potential) -> float:
@@ -660,8 +642,8 @@ def directional_derivative(spec: PerturbationSpec, gamma: float) -> float:
             )
     lam = eigenvalue(spec.base, 0, 1e-13)
     sol = ShootingSolution(spec.base, lam)
-    pair_p = _pair_with_y2(spec.direction, sol)
-    pair_q = _pair_with_y2(spec.base, sol)
+    pair_p = sol.pair(spec.direction)
+    pair_q = sol.pair(spec.base)
     if gamma == 1.0:
         return pair_p - pair_q
     return pair_p - (spec.alpha + 1.0) * pair_q

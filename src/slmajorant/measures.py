@@ -45,7 +45,6 @@ __all__ = [
     "bin_project",
     "convex_combination",
     "parse_weight",
-    "weight_literal",
     "potential_to_dict",
     "potential_from_dict",
 ]
@@ -93,10 +92,6 @@ class Weight:
         xs = np.asarray(xs, dtype=float)
         return np.array([self(float(x)) for x in np.atleast_1d(xs)])
 
-    def is_even(self) -> bool:
-        """True when r(x) == r(1-x) identically."""
-        return False
-
 
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
@@ -120,9 +115,6 @@ class ConstantWeight(Weight):
 
     def literal(self):
         return f"const:{self.value:.17g}"
-
-    def is_even(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -171,9 +163,6 @@ class PowerWeight(Weight):
 
     def literal(self):
         return f"power:{self.alpha:.17g},{self.beta:.17g}"
-
-    def is_even(self):
-        return self.alpha == self.beta
 
 
 @dataclass(frozen=True)
@@ -238,14 +227,6 @@ class TableWeight(Weight):
         )
         return f"table-inline:{pairs}"
 
-    def is_even(self):
-        xs = np.asarray(self.nodes)
-        vs = np.asarray(self.values)
-        return bool(
-            np.allclose(xs, 1.0 - xs[::-1], atol=1e-15)
-            and np.allclose(vs, vs[::-1], atol=1e-15)
-        )
-
 
 def weight_eval(w: Weight, x: float) -> float:
     """Evaluate the weight at x; x must lie strictly inside (0, 1)."""
@@ -276,10 +257,6 @@ def parse_weight(text: str) -> Weight:
         vs = tuple(float(p[1]) for p in pairs)
         return TableWeight(xs, vs)
     raise ParameterError(f"unknown weight kind in literal {text!r}")
-
-
-def weight_literal(w: Weight) -> str:
-    return w.literal()
 
 
 def _read_table(path: Path) -> TableWeight:
@@ -496,22 +473,8 @@ class PrimitiveFn:
             slope = (y_vals[k + 1] - y_vals[k]) / (x1 - x0)
             if slope == 0.0:
                 continue
-            i1 = self._plain_integral(x0, x1)
-            total -= slope * i1
+            total -= slope * self.integrals(x0, x1)[0]
         return total
-
-    def _plain_integral(self, a, b):
-        i1 = 0.0
-        right = self.right
-        for j in range(len(self.xs) - 1):
-            lo = max(a, float(self.xs[j]))
-            hi = min(b, float(self.xs[j + 1]))
-            if hi <= lo:
-                continue
-            va = right[j] + self.slopes[j] * (lo - self.xs[j])
-            vb = right[j] + self.slopes[j] * (hi - self.xs[j])
-            i1 += 0.5 * (va + vb) * (hi - lo)
-        return i1
 
 
 def primitive(q: Potential) -> PrimitiveFn:

@@ -302,7 +302,6 @@ def test_09_cli_determinism_and_round_trip(capsys, tmp_path):
         "weight": "power:1,1",
         "gamma": 2,
         "grid_n": 128,
-        "seed": 42,
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))

@@ -37,7 +37,6 @@ class TestParseConfig:
         assert cfg.tol_eigen == 1e-10
         assert cfg.max_iter == 500
         assert cfg.damping == 0.5
-        assert cfg.seed == 42
 
     def test_gamma_below_one_rejected_with_range(self):
         with pytest.raises(UsageError, match="gamma >= 1"):
@@ -48,6 +47,11 @@ class TestParseConfig:
             parse_config(
                 '{"mode":"solve","weight":"const:1","gamma":1,"frobnicate":3}'
             )
+
+    def test_removed_seed_key_rejected(self):
+        # no solver ever read "seed"; it is now an unknown key
+        with pytest.raises(UsageError, match="seed"):
+            parse_config('{"mode":"solve","weight":"const:1","gamma":1,"seed":42}')
 
     def test_power_weight_extremal_request(self):
         req, _ = parse_config(

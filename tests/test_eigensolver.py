@@ -215,6 +215,33 @@ class TestEnergyAndPencil:
                 assert abs(pencil_form(q, lam, pair)) <= 1e-8
 
 
+class TestShootingPair:
+    def test_constant_density_on_another_grid(self, rng):
+        # y^2 has unit mass, so a constant density c pairs to c
+        for _ in range(5):
+            q = random_potential(rng, grid_n=32, max_atoms=2)
+            sol = ShootingSolution(q, eigenvalue(q, 0))
+            c = float(rng.uniform(0.5, 5.0))
+            assert sol.pair(Potential.constant(c, 48)) == pytest.approx(
+                c, abs=1e-12
+            )
+
+    def test_atoms_only(self, rng):
+        q = random_potential(rng, grid_n=32, max_atoms=2)
+        sol = ShootingSolution(q, eigenvalue(q, 0))
+        v = Potential.from_atoms([(0.3, 1.5), (0.71, 0.4)], 16)
+        expected = sum(m * float(sol.values([p])[0]) ** 2 for p, m in v.atoms)
+        assert sol.pair(v) == pytest.approx(expected, rel=1e-14)
+
+    def test_atom_free_matches_cell_masses(self, rng):
+        q = random_potential(rng, grid_n=40, max_atoms=0)
+        assert not q.atoms
+        sol = ShootingSolution(q, eigenvalue(q, 0))
+        assert sol.pair(q) == float(
+            np.dot(q.density, sol.cell_square_masses(q.edges()))
+        )
+
+
 class TestSpectralBounds:
     def test_upper_bound_free(self):
         q = Potential.zero()
