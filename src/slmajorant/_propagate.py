@@ -16,6 +16,10 @@ linearly by omega * len (exact for constant coefficients), while on
 non-oscillatory segments the solution has at most one zero, counted from
 the sign change of y.  A zero landing exactly on a segment boundary is
 counted once, in the segment it terminates.
+
+One mesh: node_mesh cuts [0, 1] at the nodes j / grid_n and the atoms and
+places each piece in its right-open cell by searchsorted on those nodes;
+build_segments fuses its runs of equal density for the phase sweep.
 """
 
 from __future__ import annotations
@@ -35,51 +39,42 @@ _PI = math.pi
 
 
 def build_segments(grid_n, density, atoms):
-    """Fuse equal consecutive cells and split at atoms.
+    """Fused mesh for the phase sweep: maximal runs of equal density,
+    split at atoms.
 
-    Returns (lens, qs, masses) where masses[i] is the atom mass applied at
-    the right end of segment i (0.0 if none).  Segments are maximal runs of
-    constant density not containing an atom in their interior.
+    Returns (xs, lens, qs, masses) like node_mesh, whose breakpoints
+    include these.  A loop, since atom potentials fuse to 2-4 segments.
     """
-    h = 1.0 / grid_n
-    events = list(atoms)  # (position, mass) splitting points
+    dens = np.asarray(density, dtype=float)
+    xs = [0.0]
     lens: list[float] = []
     qs: list[float] = []
     masses: list[float] = []
     ev = 0
-    x = 0.0
     i = 0
-    dens = np.asarray(density, dtype=float)
     while i < grid_n:
         j = i + 1
         while j < grid_n and dens[j] == dens[i]:
             j += 1
-        run_end = j * h
+        run_end = j / grid_n
         qv = float(dens[i])
-        # emit sub-segments split at atoms inside (x, run_end]
-        while ev < len(events) and events[ev][0] <= run_end:
-            pos, mass = events[ev]
-            if pos > x:
-                lens.append(pos - x)
-                qs.append(qv)
-                masses.append(mass)
-                x = pos
-            else:
-                # atom exactly at the segment start: attach to previous
-                if masses:
-                    masses[-1] += mass
-                else:  # atom essentially at 0; keep a zero-length guard out
-                    lens.append(0.0)
-                    qs.append(qv)
-                    masses.append(mass)
+        # split at atoms up to run_end; a Potential's atoms are ascending,
+        # distinct and inside (0, 1), so each lies past xs[-1]
+        while ev < len(atoms) and atoms[ev][0] <= run_end:
+            pos, mass = atoms[ev]
+            lens.append(pos - xs[-1])
+            xs.append(pos)
+            qs.append(qv)
+            masses.append(mass)
             ev += 1
-        if run_end > x:
-            lens.append(run_end - x)
+        if run_end > xs[-1]:
+            lens.append(run_end - xs[-1])
+            xs.append(run_end)
             qs.append(qv)
             masses.append(0.0)
-            x = run_end
         i = j
     return (
+        np.asarray(xs, dtype=float),
         np.asarray(lens, dtype=float),
         np.asarray(qs, dtype=float),
         np.asarray(masses, dtype=float),
@@ -87,9 +82,11 @@ def build_segments(grid_n, density, atoms):
 
 
 def node_mesh(grid_n, density, atoms):
-    """Per-node mesh: every grid node and atom position is a breakpoint.
+    """Per-node mesh: every grid node j / grid_n and atom position is a
+    breakpoint, and each piece takes the density of its right-open cell.
 
-    Returns (xs, lens, qs, masses) with xs of length nseg + 1.
+    Returns (xs, lens, qs, masses) with xs of length nseg + 1 and masses[i]
+    the atom mass at xs[i + 1].
     """
     edges = np.arange(grid_n + 1) / grid_n
     pos = np.array([p for p, _ in atoms])
@@ -97,8 +94,8 @@ def node_mesh(grid_n, density, atoms):
     masses = np.zeros(len(xs))
     for p, m in atoms:
         masses[int(np.searchsorted(xs, p))] += m
-    lens = np.diff(xs)
-    idx = np.minimum((xs[:-1] * grid_n).astype(int), grid_n - 1)
+    lens = xs[1:] - xs[:-1]
+    idx = np.searchsorted(edges, xs[:-1], side="right") - 1
     qs = np.asarray(density, dtype=float)[idx]
     return xs, lens, qs, masses[1:]
 

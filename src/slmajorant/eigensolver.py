@@ -81,6 +81,19 @@ class EigenPair:
 # shooting solution: propagate once, evaluate anywhere
 
 
+def _shoot(lens, qs, masses, lam: float):
+    """propagate's boundary arrays plus (seg, ref): the y**2 mass of each
+    segment times exp(-2 * ref), ref being the largest log-scale."""
+    y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
+    icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
+    expo = logsc[:-1] + ils
+    ref = float(np.max(expo))
+    seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
+        2.0 * (expo - ref)
+    )
+    return y_b, dy_arr, dy_dep, logsc, seg, ref
+
+
 class ShootingSolution:
     """Solution of the shooting problem y(0)=0, y'(0)=1 at a fixed lam,
     normalized to unit L2 norm, evaluable anywhere on [0, 1] in closed form.
@@ -89,21 +102,11 @@ class ShootingSolution:
     def __init__(self, q: Potential, lam: float):
         self.q = q
         self.lam = float(lam)
-        lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
-        y_b, _, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-        self._xs = np.concatenate(([0.0], np.cumsum(lens)))
-        self._xs[-1] = 1.0
-        self._qs = qs
-        self._lens = lens
-        self._y = y_b
-        self._dy_dep = dy_dep
-        self._ls = logsc
-
-        icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
-        expo = logsc[:-1] + ils
-        self._ref = float(np.max(expo)) if len(expo) else 0.0
-        seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
-            2.0 * (expo - self._ref)
+        self._xs, lens, self._qs, masses = prop.build_segments(
+            q.grid_n, q.density, q.atoms
+        )
+        self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
+            lens, self._qs, masses, lam
         )
         self._cum_sq = np.concatenate(([0.0], np.cumsum(seg)))
         total = self._cum_sq[-1]
@@ -116,7 +119,7 @@ class ShootingSolution:
     def _locate(self, x: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
         sd = "right" if side == "right" else "left"
         j = np.searchsorted(self._xs, x, side=sd) - 1
-        j = np.clip(j, 0, len(self._lens) - 1)
+        j = np.clip(j, 0, len(self._qs) - 1)
         t = x - self._xs[j]
         return j, t
 
@@ -168,7 +171,7 @@ class ShootingSolution:
 
 
 def _phase_fn(q: Potential):
-    lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
+    _, lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -246,13 +249,7 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
             f"(phase {theta} vs {(n + 1) * PI})"
         )
     xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
-    y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-    icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
-    expo = logsc[:-1] + ils
-    ref = float(np.max(expo))
-    seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
-        2.0 * (expo - ref)
-    )
+    y_b, dy_arr, dy_dep, logsc, seg, ref = _shoot(lens, qs, masses, lam)
     norm = math.sqrt(float(np.sum(seg)))
     scale = np.exp(logsc - ref) / norm
     return EigenPair(
@@ -329,26 +326,18 @@ def pencil_form(q: Potential, lam: float, y) -> float:
 
 
 def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:
-    xs = pair.xs
-    lens = np.diff(xs)
-    idx = np.minimum((xs[:-1] * q.grid_n).astype(int), q.grid_n - 1)
-    qs = q.density[idx]
+    xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
+    if not np.array_equal(pair.xs, xs):
+        raise DomainError("eigenpair is not sampled on this potential's node mesh")
     d = qs - lam
-    icc, ics, iss, ils = prop.sq_integrals(d, lens)
-    if np.any(ils > 0.0):  # underflowed stored samples; fall back gracefully
-        ils = ils * 0.0
+    icc, ics, iss, _ = prop.sq_integrals(d, lens)
     y0 = pair.ys[:-1]
     dy0 = pair.dys_right[:-1]
     mass = prop.seg_sq(y0, dy0, icc, ics, iss)
-    deriv = (
-        d * d * y0 * y0 * iss + 2.0 * d * y0 * dy0 * ics + dy0 * dy0 * icc
-    )
+    deriv = prop.seg_sq(dy0, d * y0, icc, ics, iss)  # y' = dy0 c + d y0 s
     energy = float(np.sum(deriv + qs * mass))
     total_mass = float(np.sum(mass))
-    atom_term = 0.0
-    for pos, m in q.atoms:
-        k = int(np.searchsorted(xs, pos))
-        atom_term += m * pair.ys[k] ** 2
+    atom_term = float(np.dot(masses, pair.ys[1:] ** 2))
     return energy + atom_term - lam * total_mass
 
 

@@ -27,6 +27,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, betaln
 
+from ._propagate import node_mesh
+
 __all__ = [
     "DomainError",
     "InvalidPotentialError",
@@ -350,9 +352,15 @@ class Potential:
         return (np.arange(self.grid_n) + 0.5) / self.grid_n
 
     def density_at(self, x: float) -> float:
-        """Density of the cell containing x (right-open cells)."""
-        i = min(int(x * self.grid_n), self.grid_n - 1)
-        return float(self.density[i])
+        """Density of the right-open cell containing x, placed as node_mesh
+        places pieces: by comparing x with the node values i/n."""
+        n = self.grid_n
+        i = int(x * n)
+        if x < i / n:
+            i -= 1
+        elif x >= (i + 1) / n:
+            i += 1
+        return float(self.density[min(max(i, 0), n - 1)])
 
     def scaled(self, t: float) -> "Potential":
         if t < 0:
@@ -478,18 +486,11 @@ class PrimitiveFn:
 
 
 def primitive(q: Potential) -> PrimitiveFn:
-    edges = q.edges()
-    atom_pos = np.array([p for p, _ in q.atoms])
-    xs = np.union1d(edges, atom_pos)
-    jumps = np.zeros(len(xs))
-    for pos, mass in q.atoms:
-        j = int(np.searchsorted(xs, pos))
-        jumps[j] += mass
-    idx = np.minimum((xs[:-1] * q.grid_n).astype(int), q.grid_n - 1)
-    slopes = q.density[idx]
+    xs, lens, slopes, masses = node_mesh(q.grid_n, q.density, q.atoms)
+    jumps = np.concatenate(([0.0], masses))
     left = np.zeros(len(xs))
     for j in range(len(xs) - 1):
-        left[j + 1] = left[j] + jumps[j] + slopes[j] * (xs[j + 1] - xs[j])
+        left[j + 1] = left[j] + jumps[j] + slopes[j] * lens[j]
     return PrimitiveFn(xs=xs, left=left, jumps=jumps, slopes=slopes)
 
 
@@ -560,19 +561,6 @@ class Bins:
             raise ParameterError("a bin exceeds the maximum length delta**2")
 
 
-def _overlap_pieces(edges_a: np.ndarray, lo: float, hi: float):
-    """Yield (cell_index, piece_lo, piece_hi) for cells intersecting [lo, hi]."""
-    n = len(edges_a) - 1
-    i0 = max(int(np.searchsorted(edges_a, lo, side="right")) - 1, 0)
-    for i in range(i0, n):
-        a = max(lo, float(edges_a[i]))
-        b = min(hi, float(edges_a[i + 1]))
-        if b > a:
-            yield i, a, b
-        if edges_a[i + 1] >= hi:
-            break
-
-
 def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:
     """Weighted bin averaging of q that preserves per-bin moments against
     r**(1/gamma) and never increases the constraint integral.
@@ -587,14 +575,18 @@ def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:
         raise ParameterError("gamma must be >= 1")
     if q.atoms:
         raise InvalidPotentialError("bin projection is defined for atom-free q")
-    p = 1.0 / gamma
     edges = q.edges()
     bs = bins.boundaries
     lo_all, hi_all = float(bs[0]), float(bs[-1])
 
-    dropped = q.total_mass() - sum(
-        q.density[i] * (b - a) for i, a, b in _overlap_pieces(edges, lo_all, hi_all)
-    )
+    # pieces of the common refinement of cells and bins
+    cuts = np.union1d(bs, edges[(edges > lo_all) & (edges < hi_all)])
+    cell = np.searchsorted(edges, cuts[:-1], side="right") - 1
+    k = np.searchsorted(bs, cuts[:-1], side="right") - 1
+    lens = cuts[1:] - cuts[:-1]
+    dens = q.density[cell]
+
+    dropped = q.total_mass() - float(np.sum(dens * lens))
     if dropped > 1e-9:
         warnings.warn(
             f"bin projection drops {dropped:.3g} of potential mass outside "
@@ -603,24 +595,13 @@ def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:
         )
 
     # bin coefficients: moment of q against r**(1/gamma), divided by length
-    coeff = np.zeros(bins.count)
-    for k in range(bins.count):
-        mom = 0.0
-        for i, a, b in _overlap_pieces(edges, float(bs[k]), float(bs[k + 1])):
-            mom += q.density[i] * w.pow_integral(p, a, b)
-        coeff[k] = mom / (bs[k + 1] - bs[k])
+    moments = w.cell_pow_integrals(cuts, 1.0 / gamma)
+    coeff = np.bincount(k, weights=dens * moments, minlength=bins.count) / np.diff(bs)
 
     # resample coefficient * r**(-1/gamma) to the grid, cell moments exact
-    out = np.zeros(q.grid_n)
-    for k in range(bins.count):
-        for i, a, b in _overlap_pieces(edges, float(bs[k]), float(bs[k + 1])):
-            out[i] += coeff[k] * (b - a)
-    for i in range(q.grid_n):
-        if out[i] == 0.0:
-            continue
-        a = max(float(edges[i]), lo_all)
-        b = min(float(edges[i + 1]), hi_all)
-        out[i] /= w.pow_integral(p, a, b)
+    out = np.bincount(cell, weights=coeff[k] * lens, minlength=q.grid_n)
+    cell_moments = np.bincount(cell, weights=moments, minlength=q.grid_n)
+    np.divide(out, cell_moments, out=out, where=out != 0.0)
     return Potential(q.grid_n, np.maximum(out, 0.0))
 
 

@@ -26,6 +26,13 @@ def random_potential(rng, grid_n=64, max_density=2.0, max_atoms=0, snap=4096):
     return Potential(grid_n, dens, tuple(atoms))
 
 
+def non_dyadic_potential() -> Potential:
+    """Density uniform in [0, 2000] on 100 cells (seed 0).  On this grid
+    (j/n)*n rounds below j at the nodes j = 29, 57 and 58, so a piece placed
+    by flooring x * n lands one cell to the left there."""
+    return Potential(100, np.random.default_rng(0).uniform(0.0, 2000.0, 100))
+
+
 def centered_atom_lambda(mass_over_r: float) -> float:
     """Ground eigenvalue of a single centered atom with the given mass,
     from the derivative-jump matching condition: with s = sqrt(lam)/2,

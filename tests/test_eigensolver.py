@@ -19,7 +19,8 @@ from slmajorant import (
     seminorm,
     upper_bound,
 )
-from conftest import PI2, centered_atom_lambda, random_potential
+from slmajorant import _propagate as prop
+from conftest import PI2, centered_atom_lambda, non_dyadic_potential, random_potential
 
 
 class TestPruferPhase:
@@ -157,6 +158,14 @@ class TestEigenfunction:
         ys_rev = pair.ys[::-1]
         assert np.max(np.abs(pair.ys - ys_rev)) < 1e-9
 
+    def test_samples_match_shooting_solution_on_non_dyadic_grid(self):
+        q = non_dyadic_potential()
+        lam = eigenvalue(q, 0, 1e-12)
+        pair = eigenfunction(q, lam, 0)
+        sol = ShootingSolution(q, lam)
+        scale = float(np.max(np.abs(pair.ys)))
+        assert np.max(np.abs(pair.ys - sol.values(pair.xs))) <= 1e-9 * scale
+
     def test_index_mismatch_detected(self):
         q = Potential.zero()
         lam0 = eigenvalue(q, 0)
@@ -206,13 +215,46 @@ class TestEnergyAndPencil:
         y = np.concatenate(([0.0], rng.uniform(0.1, 1, 31), [0.0]))
         assert pencil_form(q, 0.0, y) > 0.0
 
-    def test_pencil_exact_mode_residual(self, rng):
+    @pytest.mark.parametrize("grid_n", [48, 100])
+    def test_pencil_exact_mode_residual(self, rng, grid_n):
         for _ in range(5):
-            q = random_potential(rng, grid_n=48, max_atoms=2)
+            q = random_potential(rng, grid_n=grid_n, max_atoms=2)
             for n in (0, 2):
                 lam = eigenvalue(q, n, 1e-12)
                 pair = eigenfunction(q, lam, n)
                 assert abs(pencil_form(q, lam, pair)) <= 1e-8
+
+    def test_pencil_exact_rejects_pair_on_another_mesh(self):
+        q = Potential.constant(1.0, 32)
+        pair = eigenfunction(q, eigenvalue(q, 0), 0)
+        with pytest.raises(DomainError):
+            pencil_form(Potential.constant(1.0, 48), pair.lam, pair)
+
+
+class TestMeshes:
+    @staticmethod
+    def _potential(grid_n):
+        # five runs of equal density; atoms on a run end, on a node inside
+        # a run, and inside a cell
+        dens = 1.0 + 3.0 * ((5 * np.arange(grid_n)) // grid_n)
+        ends = [j for j in range(1, grid_n) if dens[j] != dens[j - 1]]
+        inner = ends[2] - 1 if ends[2] - 1 > ends[1] else ends[2] + 1
+        atoms = ((ends[0] / grid_n, 0.7), (inner / grid_n, 1.3),
+                 ((ends[3] + 0.37) / grid_n, 2.1))
+        return Potential(grid_n, dens, atoms)
+
+    @pytest.mark.parametrize("grid_n", [7, 16, 100, 333])
+    def test_fused_mesh_is_a_coarsening_of_the_node_mesh(self, grid_n):
+        q = self._potential(grid_n)
+        fxs, flens, fqs, fmasses = prop.build_segments(q.grid_n, q.density, q.atoms)
+        nxs, nlens, nqs, nmasses = prop.node_mesh(q.grid_n, q.density, q.atoms)
+        assert len(fxs) < len(nxs)
+        assert np.all(np.isin(fxs, nxs))
+        assert np.all(np.isin([p for p, _ in q.atoms], fxs))
+        for lam in (5.0, 50.0, 400.0):
+            assert prop.phase(flens, fqs, fmasses, lam) == pytest.approx(
+                prop.phase(nlens, nqs, nmasses, lam), abs=1e-12
+            )
 
 
 class TestShootingPair:

@@ -197,6 +197,12 @@ class TestSolveMeasureGammaEq1:
         assert res[2] * 10.0 <= res[1]
         assert res[2] < 1e-6
 
+    def test_non_dyadic_grid(self):
+        # on 100 cells the eigenpair's pieces used to take the density of
+        # the cell to their left, and the characterization check refused it
+        rep = solve_measure_gamma_eq1(PowerWeight(1, 1), SolverConfig(grid_n=100))
+        assert rep.residual < 1e-4
+
     def test_constraint_saturated_and_density_nonnegative(self, measure_reports):
         for w, rep in zip(MEASURE_WEIGHTS, measure_reports):
             assert abs(rep.constraint - 1.0) <= 1e-12

@@ -25,7 +25,12 @@ from slmajorant import (
     seminorm,
     weight_eval,
 )
-from conftest import dual_seminorm_oracle, pl_pairing, random_potential
+from conftest import (
+    dual_seminorm_oracle,
+    non_dyadic_potential,
+    pl_pairing,
+    random_potential,
+)
 
 
 class TestWeightEval:
@@ -158,6 +163,18 @@ class TestSeminorm:
     def test_level_validation(self):
         with pytest.raises(ParameterError):
             seminorm(Potential.zero(), 1)
+
+    def test_non_dyadic_grid_matches_trapezoid_reference(self):
+        # Q from the cell masses, integrated by the trapezoid rule; the
+        # dual oracle cannot serve here, its mesh misses the 1/100 nodes
+        q = non_dyadic_potential()
+        nodes_q = np.concatenate(([0.0], np.cumsum(q.density / q.grid_n)))
+        x = np.linspace(0.25, 0.75, 2_000_001)
+        qx = np.interp(x, q.edges(), nodes_q)
+        i1 = integrate.trapezoid(qx, x)
+        i2 = integrate.trapezoid(qx * qx, x)
+        ref = math.sqrt(i2 - i1 * i1 / 0.5)
+        assert seminorm(q, 2) == pytest.approx(ref, rel=1e-8)
 
     def test_matches_discretized_dual(self, rng):
         # closed form vs the 2048-interval dual program, 50 seeded cases
@@ -314,6 +331,15 @@ class TestPotential:
         q = Potential.constant(1.0, 8)
         with pytest.raises(ValueError):
             q.density[0] = 2.0
+
+    @pytest.mark.parametrize("n", [49, 100, 3000])
+    def test_density_at_right_open_cells(self, n):
+        q = Potential(n, np.arange(n, dtype=float))
+        assert q.density_at(0.0) == 0.0
+        assert q.density_at(1.0) == n - 1
+        for j in range(1, n):
+            assert q.density_at(j / n) == j
+            assert q.density_at(np.nextafter(j / n, 0.0)) == j - 1
 
     def test_json_round_trip(self, rng):
         q = random_potential(rng, grid_n=24, max_atoms=2)
