@@ -19,7 +19,8 @@ counted once, in the segment it terminates.
 
 One mesh: node_mesh cuts [0, 1] at the nodes j / grid_n and the atoms and
 places each piece in its right-open cell by searchsorted on those nodes;
-build_segments fuses its runs of equal density for the phase sweep.
+build_segments fuses its runs of equal density for the phase sweep
+(cached per potential as Potential.fused_mesh).
 """
 
 from __future__ import annotations

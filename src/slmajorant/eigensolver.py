@@ -5,7 +5,8 @@ q - lam, derivative jumps at atoms), so eigenvalues are accurate to the
 root-finder tolerance: the Pruefer angle theta(1; lam) is strictly
 increasing in lam and equals (n+1)*pi exactly at the n-th eigenvalue.
 Brackets come from the computable spectral upper bound, which guarantees
-bisection can never fail; the bracket is asserted on every solve.
+bisection can never fail; the bracket is asserted on every solve.  A solve
+sweeps each lam at most once (see _gap_fn).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
 PI = math.pi
 PI2 = math.pi**2
 MAX_INDEX = 32  # higher indices are out of contract
+EIGEN_WINDOW = 1e-9  # eigenfunction's relative window for a steep phase
 
 
 class InternalSolverError(RuntimeError):
@@ -102,9 +104,7 @@ class ShootingSolution:
     def __init__(self, q: Potential, lam: float):
         self.q = q
         self.lam = float(lam)
-        self._xs, lens, self._qs, masses = prop.build_segments(
-            q.grid_n, q.density, q.atoms
-        )
+        self._xs, lens, self._qs, masses = q.fused_mesh
         self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
             lens, self._qs, masses, lam
         )
@@ -171,7 +171,7 @@ class ShootingSolution:
 
 
 def _phase_fn(q: Potential):
-    _, lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
+    _, lens, qs, masses = q.fused_mesh
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -181,18 +181,31 @@ def prufer_phase(q: Potential, lam: float) -> float:
     return _phase_fn(q)(lam)
 
 
-def _bracket(q: Potential, n: int):
-    """Phase function, its target (n+1)*pi at lambda_n, and the global
-    bracket: the free-particle eigenvalue (a lower bound since q >= 0)
-    and the computable spectral upper bound."""
-    lo = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
-    return _phase_fn(q), (n + 1) * PI, lo, upper_bound(q, n)
+def _gap_fn(q: Potential, n: int):
+    """g(lam) = theta(1; lam) - (n+1)*pi, remembering every value it has
+    swept, so that no lam of one solve is swept twice (brentq starts by
+    evaluating the bracket ends, which the bracket search has swept)."""
+    theta = _phase_fn(q)
+    target = (n + 1) * PI
+    seen: dict[float, float] = {}
+
+    def g(lam: float) -> float:
+        v = seen.get(lam)
+        if v is None:
+            v = seen[lam] = theta(lam) - target
+        return v
+
+    return g
 
 
-def _root(theta, target: float, lo: float, hi: float, tol: float) -> float:
+def _lower_end(n: int) -> float:
+    """The free-particle eigenvalue, a lower bound since q >= 0."""
+    return PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+
+
+def _root(g, lo: float, hi: float, tol: float) -> float:
     rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return float(brentq(lambda lam: theta(lam) - target, lo, hi,
-                        rtol=rtol, xtol=1e-15))
+    return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15))
 
 
 def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
@@ -206,10 +219,12 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
     if not (tol > 0.0):
         raise ParameterError("tolerance must be positive")
-    theta, target, lo, hi = _bracket(q, n)
-    g_lo = theta(lo) - target
-    g_hi = theta(hi) - target
+    g = _gap_fn(q, n)
+    lo, hi = _lower_end(n), upper_bound(q, n)
+    g_lo = g(lo)
+    g_hi = g(hi)
     if not (g_lo <= 0.0 <= g_hi):
+        target = (n + 1) * PI
         raise InternalSolverError(
             f"phase bracket violated: theta({lo})={g_lo + target}, "
             f"theta({hi})={g_hi + target}, target={target}"
@@ -218,19 +233,41 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         return lo
     if g_hi == 0.0:
         return hi
-    return _root(theta, target, lo, hi, tol)
+    return _root(g, lo, hi, tol)
 
 
 def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
     """Eigenvalue solve with a bracket grown around a previous value; after
-    80 fruitless expansions it falls back to the cold solve."""
-    theta, target, lo_glob, hi_glob = _bracket(q, n)
+    80 fruitless expansions it falls back to the cold solve.
+
+    Step k tries [max(guess - w, lower end), min(guess + w, upper_bound)]
+    with w = max(1e-6 |guess|, 1e-9) * 4**k and keeps the first step whose
+    ends both pass (g <= 0 below, g >= 0 above).  Once the lower end has
+    passed, later steps sweep only the upper end; when that passes, the
+    lower end is checked again at the same step (brentq needs the value
+    anyway), so the kept step is the first where both pass, whether or not
+    the computed phase is monotone.  The upper bound is at least
+    4 pi^2 (n+1)^2, so it is computed only once guess + w goes past that.
+    """
+    g = _gap_fn(q, n)
+    lo_glob = _lower_end(n)
+    base = _upper_base(n)
+    hi_glob = None
     w = max(1e-6 * abs(guess), 1e-9)
+    lo_ok = False   # the lower end passed at this step or an earlier one
     for _ in range(80):
         lo = max(guess - w, lo_glob)
-        hi = min(guess + w, hi_glob)
-        if theta(lo) - target <= 0.0 <= theta(hi) - target:
-            return _root(theta, target, lo, hi, tol)
+        hi = guess + w
+        if hi > base:
+            if hi_glob is None:
+                hi_glob = upper_bound(q, n)
+            hi = min(hi, hi_glob)
+        if not lo_ok:
+            lo_ok = g(lo) <= 0.0
+        if lo_ok and g(hi) >= 0.0:
+            if g(lo) <= 0.0:
+                return _root(g, lo, hi, tol)
+            lo_ok = False
         w *= 4.0
     return eigenvalue(q, n, tol)
 
@@ -241,12 +278,22 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
     Samples live on the grid nodes plus atom positions, computed by the
     same transfer matrices as the phase and normalized with exact per-cell
     integrals of the closed-form solution.
+
+    lam must put the phase within 1e-2 of (n+1)*pi, or else the phase must
+    cross (n+1)*pi within a relative 1e-9 of lam: next to a barrier that
+    forward shooting meets late, the phase climbs by about pi in a window
+    narrower than the root-finder tolerance.
     """
-    theta = prufer_phase(q, lam)
-    if abs(theta - (n + 1) * PI) > 1e-2:
+    theta = _phase_fn(q)
+    target = (n + 1) * PI
+    phase = theta(lam)
+    if abs(phase - target) > 1e-2 and not (
+        theta(lam * (1.0 - EIGEN_WINDOW)) <= target
+        <= theta(lam * (1.0 + EIGEN_WINDOW))
+    ):
         raise InternalSolverError(
             f"lambda={lam} is not the index-{n} eigenvalue "
-            f"(phase {theta} vs {(n + 1) * PI})"
+            f"(phase {phase} vs {target})"
         )
     xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
     y_b, dy_arr, dy_dep, logsc, seg, ref = _shoot(lens, qs, masses, lam)
@@ -345,9 +392,15 @@ def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:
 # computable spectral bounds
 
 
+def _upper_base(n: int) -> float:
+    """4 pi^2 (n+1)^2: upper_bound with ||q||_2 = 0, and never above it,
+    since rounding is monotone and the other factor is at least 1."""
+    return 4.0 * PI2 * (n + 1) ** 2
+
+
 def upper_bound(q: Potential, n: int) -> float:
     """Computable upper bound 4 pi^2 (n+1)^2 (1 + 2 ||q||_2) for lambda_n."""
-    return 4.0 * PI2 * (n + 1) ** 2 * (1.0 + 2.0 * seminorm(q, 2))
+    return _upper_base(n) * (1.0 + 2.0 * seminorm(q, 2))
 
 
 def gap_lower_bound(q: Potential, n: int) -> tuple[float, int]:

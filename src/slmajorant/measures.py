@@ -10,13 +10,15 @@ tabulated piecewise-linear), so integrals of weight powers have closed
 forms as well; generic adaptive quadrature is used only for power weights
 with exponents outside the incomplete-beta range.
 
-All values here are immutable after construction and safe to share between
-threads; nothing caches internally.
+All values here are immutable after construction.  The one cache is
+``Potential.fused_mesh``, built on first use and read-only after; two
+threads racing on it build the same arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, betaln
 
-from ._propagate import node_mesh
+from ._propagate import build_segments, node_mesh
 
 __all__ = [
     "DomainError",
@@ -368,6 +370,16 @@ class Potential:
         atoms = tuple((p, m * t) for p, m in self.atoms) if t > 0 else ()
         return Potential(self.grid_n, self.density * t, atoms)
 
+    @functools.cached_property
+    def fused_mesh(self) -> tuple[np.ndarray, ...]:
+        """build_segments of this potential, (xs, lens, qs, masses), built
+        once and read-only: every phase sweep and ShootingSolution of the
+        same potential shares it."""
+        mesh = build_segments(self.grid_n, self.density, self.atoms)
+        for arr in mesh:
+            arr.setflags(write=False)
+        return mesh
+
     def total_mass(self) -> float:
         return float(np.sum(self.density) / self.grid_n) + sum(
             m for _, m in self.atoms
@@ -454,20 +466,18 @@ class PrimitiveFn:
         """Exact (integral of Q, integral of Q**2) over [a, b]."""
         if not (0.0 <= a < b <= 1.0):
             raise DomainError("integration interval must satisfy 0 <= a < b <= 1")
-        i1 = 0.0
-        i2 = 0.0
-        right = self.right
-        for j in range(len(self.xs) - 1):
-            lo = max(a, float(self.xs[j]))
-            hi = min(b, float(self.xs[j + 1]))
-            if hi <= lo:
-                continue
-            va = right[j] + self.slopes[j] * (lo - self.xs[j])
-            vb = right[j] + self.slopes[j] * (hi - self.xs[j])
-            ln = hi - lo
-            i1 += 0.5 * (va + vb) * ln
-            i2 += ln * (va * va + va * vb + vb * vb) / 3.0
-        return i1, i2
+        xs = self.xs
+        lo = np.maximum(xs[:-1], a)
+        hi = np.minimum(xs[1:], b)
+        keep = hi > lo
+        lo, hi, x0 = lo[keep], hi[keep], xs[:-1][keep]
+        right = self.right[:-1][keep]
+        slopes = self.slopes[keep]
+        va = right + slopes * (lo - x0)
+        vb = right + slopes * (hi - x0)
+        ln = hi - lo
+        return (_ordered_sum(0.5 * (va + vb) * ln),
+                _ordered_sum(ln * (va * va + va * vb + vb * vb) / 3.0))
 
     def pair(self, y_xs: np.ndarray, y_vals: np.ndarray) -> float:
         """Duality pairing -integral of Q * y' for piecewise-linear y."""
@@ -483,6 +493,13 @@ class PrimitiveFn:
                 continue
             total -= slope * self.integrals(x0, x1)[0]
         return total
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added in order like a loop.  np.sum
+    adds pairwise, which moves seminorm, hence every solve bracket, in the
+    last bits."""
+    return 0.0 + float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def primitive(q: Potential) -> PrimitiveFn:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from slmajorant import Potential
+from slmajorant import _propagate as prop
 
 PI2 = math.pi**2
 
@@ -99,3 +100,18 @@ def dual_seminorm_oracle(q: Potential, ell: int, n_grid: int = 2048) -> float:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    """List of the lam of every phase sweep made while the test runs;
+    clear it to start a new count."""
+    lams = []
+    phase = prop.phase
+
+    def counted(lens, qs, masses, lam):
+        lams.append(lam)
+        return phase(lens, qs, masses, lam)
+
+    monkeypatch.setattr(prop, "phase", counted)
+    return lams

@@ -1,0 +1,98 @@
+"""Reference implementations kept as test oracles.
+
+These are the straightforward forms of code the library now runs in a
+faster shape: the eigen-solve loops that sweep every bracket end and
+brentq value afresh and compute the spectral upper bound on every solve,
+and the per-piece loop for the integrals of an antiderivative.  The
+library's versions must return the same floats, bit for bit.
+"""
+
+import math
+
+import numpy as np
+from scipy.optimize import brentq
+
+from slmajorant import _propagate as prop
+from slmajorant.eigensolver import MAX_INDEX, InternalSolverError
+from slmajorant.measures import ParameterError, PrimitiveFn, primitive
+
+PI = math.pi
+PI2 = math.pi**2
+
+
+def integrals_loop(p: PrimitiveFn, a: float, b: float) -> tuple[float, float]:
+    """(integral of Q, integral of Q**2) over [a, b], one piece at a time."""
+    i1 = 0.0
+    i2 = 0.0
+    right = p.right
+    for j in range(len(p.xs) - 1):
+        lo = max(a, float(p.xs[j]))
+        hi = min(b, float(p.xs[j + 1]))
+        if hi <= lo:
+            continue
+        va = right[j] + p.slopes[j] * (lo - p.xs[j])
+        vb = right[j] + p.slopes[j] * (hi - p.xs[j])
+        ln = hi - lo
+        i1 += 0.5 * (va + vb) * ln
+        i2 += ln * (va * va + va * vb + vb * vb) / 3.0
+    return i1, i2
+
+
+def seminorm_ref(q, ell: int) -> float:
+    a = 2.0 ** (-ell)
+    b = 1.0 - a
+    i1, i2 = integrals_loop(primitive(q), a, b)
+    length = b - a
+    var = i2 - i1 * i1 / length
+    return math.sqrt(max(var, 0.0))
+
+
+def upper_bound_ref(q, n: int) -> float:
+    return 4.0 * PI2 * (n + 1) ** 2 * (1.0 + 2.0 * seminorm_ref(q, 2))
+
+
+def _phase_fn(q):
+    _, lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
+    return lambda lam: prop.phase(lens, qs, masses, lam)
+
+
+def _bracket(q, n: int):
+    lo = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+    return _phase_fn(q), (n + 1) * PI, lo, upper_bound_ref(q, n)
+
+
+def _root(theta, target: float, lo: float, hi: float, tol: float) -> float:
+    rtol = max(tol, 4.0 * np.finfo(float).eps)
+    return float(brentq(lambda lam: theta(lam) - target, lo, hi,
+                        rtol=rtol, xtol=1e-15))
+
+
+def eigenvalue_ref(q, n: int = 0, tol: float = 1e-10) -> float:
+    """Cold solve: full bracket, both ends swept, then brentq."""
+    if n < 0 or n > MAX_INDEX:
+        raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
+    if not (tol > 0.0):
+        raise ParameterError("tolerance must be positive")
+    theta, target, lo, hi = _bracket(q, n)
+    g_lo = theta(lo) - target
+    g_hi = theta(hi) - target
+    if not (g_lo <= 0.0 <= g_hi):
+        raise InternalSolverError("phase bracket violated")
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    return _root(theta, target, lo, hi, tol)
+
+
+def eigenvalue_warm_ref(q, n: int, tol: float, guess: float) -> float:
+    """Warm solve: both ends swept at every step of the growing bracket."""
+    theta, target, lo_glob, hi_glob = _bracket(q, n)
+    w = max(1e-6 * abs(guess), 1e-9)
+    for _ in range(80):
+        lo = max(guess - w, lo_glob)
+        hi = min(guess + w, hi_glob)
+        if theta(lo) - target <= 0.0 <= theta(hi) - target:
+            return _root(theta, target, lo, hi, tol)
+        w *= 4.0
+    return eigenvalue_ref(q, n, tol)

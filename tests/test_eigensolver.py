@@ -174,6 +174,24 @@ class TestEigenfunction:
         with pytest.raises(InternalSolverError):
             eigenfunction(q, lam0, 1)
 
+    def test_steep_phase_next_to_a_late_barrier(self):
+        # forward shooting meets the barrier on cells 58-59 late, so the
+        # phase climbs by about pi within a relative 2e-10 of lambda_0 and
+        # brentq's lambda_0 misses pi by more than 1e-2; the phase still
+        # crosses pi within the 1e-9 window, so this is the index-0 pair
+        from slmajorant import InternalSolverError
+
+        dens = np.zeros(64)
+        dens[58:60] = 1e5
+        q = Potential(64, dens)
+        lam0, lam1 = eigenvalue(q, 0), eigenvalue(q, 1)
+        assert abs(prufer_phase(q, lam0) - math.pi) > 1e-2
+        pair = eigenfunction(q, lam0, 0)
+        assert np.all(pair.ys >= -1e-4 * np.max(pair.ys))
+        assert pencil_form(q, lam0, pair) == pytest.approx(0.0, abs=1e-6 * lam0)
+        with pytest.raises(InternalSolverError):
+            eigenfunction(q, lam1, 0)
+
 
 class TestEnergyAndPencil:
     def test_rayleigh_identity_free(self):
@@ -255,6 +273,18 @@ class TestMeshes:
             assert prop.phase(flens, fqs, fmasses, lam) == pytest.approx(
                 prop.phase(nlens, nqs, nmasses, lam), abs=1e-12
             )
+
+
+    def test_fused_mesh_is_built_once_and_read_only(self):
+        q = self._potential(100)
+        mesh = q.fused_mesh
+        assert q.fused_mesh is mesh
+        ref = prop.build_segments(q.grid_n, q.density, q.atoms)
+        for got, want in zip(mesh, ref):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert ShootingSolution(q, 50.0).breakpoints is mesh[0]
 
 
 class TestShootingPair:

@@ -31,6 +31,7 @@ from conftest import (
     pl_pairing,
     random_potential,
 )
+from reference import integrals_loop
 
 
 class TestWeightEval:
@@ -143,6 +144,28 @@ class TestPrimitive:
             via_primitive = primitive(q).pair(nodes, vals)
             direct = pl_pairing(q, nodes, vals)
             assert via_primitive == pytest.approx(direct, abs=1e-10)
+
+
+    def test_integrals_match_the_piece_loop_bit_for_bit(self):
+        # the same terms, added in the same order: == and not approx, since
+        # seminorm sets every cold solve's bracket
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            grid_n = int(rng.choice([1, 2, 16, 48, 100, 1024]))
+            q = random_potential(rng, grid_n, float(rng.choice([1.0, 1e3])),
+                                 max_atoms=3)
+            p = primitive(q)
+            ells = [2, 3, 7, 12]
+            pairs = [(2.0 ** -ell, 1.0 - 2.0 ** -ell) for ell in ells]
+            pairs += [tuple(np.sort(rng.uniform(0.0, 1.0, 2))), (0.0, 1.0)]
+            pairs += [(p.xs[1], p.xs[-2])] if len(p.xs) > 3 else []
+            for a, b in pairs:
+                assert p.integrals(a, b) == integrals_loop(p, a, b), (trial, a, b)
+
+    def test_integrals_of_one_piece_inside_a_cell(self):
+        p = primitive(Potential.constant(2.0, 4))
+        assert p.integrals(0.3, 0.4) == integrals_loop(p, 0.3, 0.4)
+        assert p.integrals(0.3, 0.4)[0] == pytest.approx(2.0 * 0.035, rel=1e-14)
 
 
 class TestSeminorm:
