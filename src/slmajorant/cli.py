@@ -168,6 +168,8 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         )
         return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return f"{pad}[{', '.join(map(_fmt_float, obj))}]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             body = ", ".join(dumps_deterministic(v).strip() for v in obj)
@@ -194,6 +196,9 @@ def _write_json(path: Path, obj) -> None:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
+        if all(type(v) is float for v in row):
+            lines.append(",".join(map(_fmt_float, row)))
+            continue
         cells = []
         for v in row:
             if isinstance(v, (bool, np.bool_)):
@@ -233,7 +238,7 @@ def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         _write_csv(
             out / name,
             ["x", "y", "dy"],
-            zip(p.xs, p.ys, p.dys_right),
+            zip(p.xs.tolist(), p.ys.tolist(), p.dys_right.tolist()),
         )
     return 0
 
@@ -254,7 +259,8 @@ def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     _write_csv(
         out / "extremal.csv",
         ["x", "y", "q", "y2_over_r"],
-        zip(mids, yv, report.q_hat.density, yv * yv / rv),
+        zip(mids.tolist(), yv.tolist(), report.q_hat.density.tolist(),
+            (yv * yv / rv).tolist()),
     )
     _write_csv(
         out / "trace.csv",

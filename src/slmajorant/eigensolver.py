@@ -73,9 +73,9 @@ class EigenPair:
         return {
             "n": self.n,
             "lambda": self.lam,
-            "x": [float(v) for v in self.xs],
-            "y": [float(v) for v in self.ys],
-            "dy": [float(v) for v in self.dys_right],
+            "x": self.xs.tolist(),
+            "y": self.ys.tolist(),
+            "dy": self.dys_right.tolist(),
         }
 
 
@@ -377,9 +377,11 @@ def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:
     if not np.array_equal(pair.xs, xs):
         raise DomainError("eigenpair is not sampled on this potential's node mesh")
     d = qs - lam
-    icc, ics, iss, _ = prop.sq_integrals(d, lens)
-    y0 = pair.ys[:-1]
-    dy0 = pair.dys_right[:-1]
+    icc, ics, iss, ils = prop.sq_integrals(d, lens)
+    # the basis integrals are scaled by exp(-2 ils); scale the states to match
+    scale = np.exp(ils)
+    y0 = pair.ys[:-1] * scale
+    dy0 = pair.dys_right[:-1] * scale
     mass = prop.seg_sq(y0, dy0, icc, ics, iss)
     deriv = prop.seg_sq(dy0, d * y0, icc, ics, iss)  # y' = dy0 c + d y0 s
     energy = float(np.sum(deriv + qs * mass))

@@ -586,7 +586,7 @@ def characterization_residual(
     """
     if gamma < 1.0:
         raise ParameterError("gamma must be >= 1")
-    if abs(pencil_form(q, y.lam, y)) > 1e-6 * max(1.0, abs(y.lam)):
+    if not abs(pencil_form(q, y.lam, y)) <= 1e-6 * max(1.0, abs(y.lam)):
         raise DomainError("eigenpair does not belong to this potential")
     sol = ShootingSolution(q, y.lam)
     if gamma > 1.0:

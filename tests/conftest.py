@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
 
 from slmajorant import Potential
 from slmajorant import _propagate as prop
 
 PI2 = math.pi**2
+
+# Property tests draw the same examples on every run, so the suite stays
+# reproducible; their example counts are bounded per test.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, max_examples=25,
+    deadline=None,
+)
+settings.load_profile("deterministic")
 
 
 def random_potential(rng, grid_n=64, max_density=2.0, max_atoms=0, snap=4096):

@@ -3,10 +3,12 @@
 These are the straightforward forms of code the library now runs in a
 faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
-and the per-piece loop for the integrals of an antiderivative.  The
-library's versions must return the same floats, bit for bit.
+the per-piece loop for the integrals of an antiderivative, and the CLI's
+value-by-value JSON and CSV writers.  The library's versions must return
+the same floats (and the same bytes), bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.optimize import brentq
 
 from slmajorant import _propagate as prop
 from slmajorant.eigensolver import MAX_INDEX, InternalSolverError
+from slmajorant.cli import _fmt_float
 from slmajorant.measures import ParameterError, PrimitiveFn, primitive
 
 PI = math.pi
@@ -96,3 +99,48 @@ def eigenvalue_warm_ref(q, n: int, tol: float, guess: float) -> float:
             return _root(theta, target, lo, hi, tol)
         w *= 4.0
     return eigenvalue_ref(q, n, tol)
+
+
+def dumps_deterministic_ref(obj, indent: int = 0) -> str:
+    """JSON with sorted keys and 17-digit floats, one value at a time."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        items = ",\n".join(
+            f'{pad}  "{k}": {dumps_deterministic_ref(obj[k], indent + 2).lstrip()}'
+            for k in sorted(obj)
+        )
+        return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
+    if isinstance(obj, (list, tuple)):
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        if flat:
+            body = ", ".join(dumps_deterministic_ref(v).strip() for v in obj)
+            return f"{pad}[{body}]"
+        items = ",\n".join(dumps_deterministic_ref(v, indent + 2) for v in obj)
+        return f"{pad}[\n{items}\n{pad}]"
+    if isinstance(obj, (bool, np.bool_)):
+        return f"{pad}{'true' if obj else 'false'}"
+    if obj is None:
+        return f"{pad}null"
+    if isinstance(obj, (int, np.integer)):
+        return f"{pad}{int(obj)}"
+    if isinstance(obj, (float, np.floating)):
+        return f"{pad}{_fmt_float(float(obj))}"
+    if isinstance(obj, str):
+        return pad + json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def csv_text_ref(header, rows) -> str:
+    """The CLI's CSV file contents, one cell at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, (bool, np.bool_)):
+                cells.append("true" if v else "false")
+            elif isinstance(v, (int, np.integer)):
+                cells.append(str(int(v)))
+            else:
+                cells.append(_fmt_float(float(v)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -8,12 +8,15 @@ from slmajorant import eigenvalue, constraint_value, potential_from_dict, parse_
 from slmajorant.cli import (
     RunRequest,
     UsageError,
+    _write_csv,
     dumps_deterministic,
     main,
     parse_config,
     run,
 )
+from slmajorant.eigensolver import EigenPair
 from conftest import PI2, centered_atom_lambda
+from reference import csv_text_ref, dumps_deterministic_ref
 
 
 def make_config(tmp_path, **overrides):
@@ -199,3 +202,55 @@ class TestDeterminismAndRoundTrip:
         text = dumps_deterministic({"v": vals})
         back = json.loads(text)
         assert back["v"] == vals
+
+
+class TestWriters:
+    """The flat-list fast paths write the bytes of the value-by-value
+    writers in tests/reference.py."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308,
+               math.pi, -1.0 / 3.0]
+
+    def test_json_documents_match_the_reference(self):
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(50).tolist()
+        docs = [
+            [], {}, [[]], {"e": []}, floats, self.SPECIAL,
+            {"floats": floats, "special": self.SPECIAL, "int": 3,
+             "ints": [1, 2, -7], "bools": [True, False],
+             "mixed": [1.5, 2, True, None, "s", np.float64(2.5)],
+             "numpy": [np.float64(0.1), np.float32(0.1), np.int64(4),
+                       np.bool_(True)],
+             "scalars": {"f64": np.float64(math.nan), "i": np.int32(-2),
+                         "b": np.bool_(False), "none": None},
+             "nested": [floats[:3], [[1.0, math.inf], [np.nan, 2]],
+                        {"x": [0.25, 0.5]}, (1.0, 2.0)],
+             "text": "a \"quoted\" name"},
+        ]
+        for doc in docs:
+            assert dumps_deterministic(doc) == dumps_deterministic_ref(doc)
+            assert dumps_deterministic(doc, 4) == dumps_deterministic_ref(doc, 4)
+
+    def test_eigenpair_dict_matches_the_reference(self):
+        rng = np.random.default_rng(1)
+        xs = np.linspace(0.0, 1.0, 33)
+        pair = EigenPair(0, 12.5, xs, rng.standard_normal(33),
+                         rng.standard_normal(33), rng.standard_normal(33))
+        doc = pair.to_dict()
+        assert all(type(v) is float for key in ("x", "y", "dy") for v in doc[key])
+        old = {**doc, **{key: [np.float64(v) for v in doc[key]]
+                         for key in ("x", "y", "dy")}}
+        assert dumps_deterministic(doc) == dumps_deterministic_ref(old)
+
+    def test_csv_rows_match_the_reference(self, tmp_path):
+        rng = np.random.default_rng(2)
+        cols = rng.standard_normal((3, 20))
+        cols[0, :len(self.SPECIAL)] = self.SPECIAL
+        plain = list(zip(*cols.tolist()))
+        mixed = [(1, 2.5, True), (np.int64(2), np.float64(math.nan), np.bool_(False)),
+                 (3, -math.inf, False)]
+        for header, rows in ((["a", "b", "c"], plain),
+                             (["a", "b", "c"], list(zip(*cols))),
+                             (["n", "x", "ok"], mixed)):
+            _write_csv(tmp_path / "t.csv", header, rows)
+            assert (tmp_path / "t.csv").read_text() == csv_text_ref(header, rows)

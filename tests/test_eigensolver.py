@@ -9,6 +9,7 @@ from slmajorant import (
     ParameterError,
     Potential,
     ShootingSolution,
+    characterization_residual,
     convex_combination,
     eigenfunction,
     eigenvalue,
@@ -241,6 +242,30 @@ class TestEnergyAndPencil:
                 lam = eigenvalue(q, n, 1e-12)
                 pair = eigenfunction(q, lam, n)
                 assert abs(pencil_form(q, lam, pair)) <= 1e-8
+
+    def test_pencil_exact_scales_barrier_cells(self):
+        # cells past BIG_ARG carry a log-scale in their basis integrals
+        dens = np.zeros(64)
+        dens[20:41] = 1e8
+        q = Potential(64, dens)
+        lam = eigenvalue(q, 0)
+        pair = eigenfunction(q, lam, 0)
+        assert abs(pencil_form(q, lam, pair)) <= 1e-8 * lam
+        for gamma in (1.0, 2.0):
+            assert math.isfinite(
+                characterization_residual(ConstantWeight(1.0), gamma, q, pair))
+
+    def test_characterization_refuses_an_unassembled_pencil(self):
+        # one node cell with kappa h = 1250, where exp of its log-scale
+        # overflows and the exact pencil form comes out NaN
+        dens = np.zeros(8)
+        dens[3:5] = 1e8
+        q = Potential(8, dens)
+        lam = eigenvalue(q, 0)
+        pair = eigenfunction(q, lam, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError):
+                characterization_residual(ConstantWeight(1.0), 2.0, q, pair)
 
     def test_pencil_exact_rejects_pair_on_another_mesh(self):
         q = Potential.constant(1.0, 32)

@@ -1,0 +1,241 @@
+"""Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
+against the one-segment-at-a-time loops, and the vectorized run fusing
+(_fuse_runs) against its loop."""
+
+import math
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from slmajorant import Potential, eigenvalue
+from slmajorant import _propagate as prop
+
+
+def _long_potential(seed, grid_n, max_density, n_atoms, max_mass=2.0):
+    """Density uniform in [0, max_density] (so every cell starts a run)
+    plus n_atoms atoms inside (0.05, 0.95)."""
+    rng = np.random.default_rng(seed)
+    dens = rng.uniform(0.0, max_density, grid_n)
+    pos = np.sort(rng.choice(np.arange(5, 96), n_atoms, replace=False)) / 100.0
+    atoms = tuple((float(p), float(rng.uniform(0.1, max_mass))) for p in pos)
+    return Potential(grid_n, dens, atoms)
+
+
+def _barrier_potential(seed, grid_n):
+    """Density uniform in [0, 50] with one block of cells at 1e6 to 1e8."""
+    rng = np.random.default_rng(seed)
+    dens = rng.uniform(0.0, 50.0, grid_n)
+    a, b = sorted(rng.integers(grid_n // 8, grid_n - grid_n // 8, 2))
+    dens[a:b] = 10.0 ** rng.uniform(6.0, 8.0, b - a)
+    return Potential(grid_n, dens)
+
+
+def _on_loops(monkeypatch):
+    monkeypatch.setattr(prop, "SCAN_MIN_SEGMENTS", 10**9)
+
+
+long_meshes = st.builds(
+    _long_potential,
+    seed=st.integers(0, 2**32 - 1),
+    grid_n=st.integers(512, 4096),
+    max_density=st.floats(1.0, 1e4),
+    n_atoms=st.integers(0, 2),
+)
+LAM_FRACTIONS = (1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0)
+
+
+def _lams(q, frac):
+    """Fixed fractions of lambda_32 and one drawn fraction."""
+    lam_32 = eigenvalue(q, 32)
+    return [lam_32 * f for f in LAM_FRACTIONS + (frac,)]
+
+
+@given(q=long_meshes, frac=st.floats(1e-4, 1.0))
+def test_scan_phase_agrees_with_the_loop(q, frac):
+    _, lens, qs, masses = q.fused_mesh
+    assert len(lens) >= prop.SCAN_MIN_SEGMENTS
+    for lam in _lams(q, frac):
+        loop = prop._phase_loop(lens, qs, masses, lam)
+        assert prop._phase_scan(lens, qs, masses, lam) == pytest.approx(
+            loop, rel=1e-12, abs=0.0)
+
+
+@given(q=long_meshes, frac=st.floats(1e-4, 1.0))
+def test_scan_states_agree_with_the_loop(q, frac):
+    _, lens, qs, masses = q.fused_mesh
+    for lam in _lams(q, frac):
+        loop = prop._propagate_loop(lens, qs, masses, lam)
+        scan = prop._propagate_scan(lens, qs, masses, lam)
+        assert np.allclose(scan[0] ** 2 + scan[1] ** 2, 1.0, rtol=0.0, atol=1e-15)
+        for got, want in zip(scan[:3], loop[:3]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(np.abs(scan[3] - loop[3])
+                      <= 1e-12 * np.maximum(1.0, np.abs(loop[3])))
+
+
+@pytest.mark.parametrize("seed,grid_n,n_atoms", [(1, 4096, 0), (2, 3001, 2), (3, 777, 1)])
+def test_eigenvalues_agree_with_the_loop(monkeypatch, seed, grid_n, n_atoms):
+    q = _long_potential(seed, grid_n, 1e4, n_atoms)
+    # a tight tolerance, so that the answers are set by the phase and not
+    # by where the root finder stops
+    scan = [eigenvalue(q, n, 1e-13) for n in (0, 5, 16, 32)]
+    _on_loops(monkeypatch)
+    loop = [eigenvalue(q, n, 1e-13) for n in (0, 5, 16, 32)]
+    assert scan == pytest.approx(loop, rel=1e-11, abs=0.0)
+
+
+def _phase_mp(lens, qs, masses, lam):
+    """_phase_loop's recurrence in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        y, dy, theta = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+
+        def frac(y, dy):
+            if y == 0:
+                return mpmath.mpf(0)
+            a = mpmath.atan2(y, dy)
+            return a + mpmath.pi if a < 0 else a
+
+        for t, qv, m in zip(lens.tolist(), qs.tolist(), masses.tolist()):
+            t = mpmath.mpf(t)
+            d = mpmath.mpf(qv) - lam
+            if d < 0:
+                om = mpmath.sqrt(-d)
+                c, s = mpmath.cos(om * t), mpmath.sin(om * t) / om
+            else:
+                k = mpmath.sqrt(d)
+                c, s = mpmath.cosh(k * t), mpmath.sinh(k * t) / k
+            y1, dy1 = c * y + s * dy, d * s * y + c * dy
+            if d < -prop.TAYLOR_CUT and abs(d) * t * t >= prop.TAYLOR_CUT:
+                theta += (mpmath.atan2(om * y, dy) - mpmath.atan2(y, dy) + om * t
+                          - mpmath.atan2(om * y1, dy1) + mpmath.atan2(y1, dy1))
+            else:
+                z = y != 0 and (y1 == 0 or (y > 0) != (y1 > 0))
+                theta += z * mpmath.pi + frac(y1, dy1) - frac(y, dy)
+            y, dy = y1, dy1
+            if m != 0 and y != 0:
+                theta += frac(y, dy + m * y) - frac(y, dy)
+                dy += m * y
+            r = mpmath.sqrt(y * y + dy * dy)
+            y, dy = y / r, dy / r
+        return float(theta)
+
+
+def test_barrier_phase_is_no_further_from_30_digits_than_the_loop(monkeypatch):
+    """On barriers of 1e6 to 1e8 the two paths' rounding differs most.  At
+    lambda_0, lambda_16 and between them and the next eigenvalues, the
+    scan's phase is, in total, no further from the 30-digit recurrence
+    than the loop's, and each value stays within 1e-13 of it."""
+    pts = []
+    for seed, grid_n in ((1, 600), (2, 1024), (5, 513)):
+        q = _barrier_potential(seed, grid_n)
+        _, lens, qs, masses = q.fused_mesh
+        assert len(lens) >= prop.SCAN_MIN_SEGMENTS
+        lam = [eigenvalue(q, n, 1e-13) for n in (0, 1, 16, 17)]
+        for x in (lam[0], 0.5 * (lam[0] + lam[1]), lam[2], 0.5 * (lam[2] + lam[3])):
+            pts.append((lens, qs, masses, x))
+        with monkeypatch.context() as m:
+            _on_loops(m)
+            assert eigenvalue(q, 16, 1e-13) == pytest.approx(lam[2], rel=1e-11)
+    err_scan = err_loop = 0.0
+    for lens, qs, masses, x in pts:
+        exact = _phase_mp(lens, qs, masses, x)
+        scan = prop._phase_scan(lens, qs, masses, x)
+        assert scan == pytest.approx(exact, rel=1e-13, abs=0.0)
+        err_scan += abs(scan - exact)
+        err_loop += abs(prop._phase_loop(lens, qs, masses, x) - exact)
+    assert err_scan <= err_loop
+
+
+def test_dispatch_at_scan_min_segments():
+    rng = np.random.default_rng(11)
+    for nseg, kernel, sweep in ((prop.SCAN_MIN_SEGMENTS - 1, prop._phase_loop,
+                                 prop._propagate_loop),
+                                (prop.SCAN_MIN_SEGMENTS, prop._phase_scan,
+                                 prop._propagate_scan)):
+        q = Potential(nseg, rng.uniform(0.0, 100.0, nseg))
+        _, lens, qs, masses = q.fused_mesh
+        assert len(lens) == nseg
+        for lam in (5.0, 300.0, 4000.0):
+            assert prop.phase(lens, qs, masses, lam) == kernel(lens, qs, masses, lam)
+            for got, want in zip(prop.propagate(lens, qs, masses, lam),
+                                 sweep(lens, qs, masses, lam)):
+                assert np.array_equal(got, want)
+
+
+def test_short_meshes_stay_on_the_loop():
+    # the 256-cell ball grids and the atom meshes keep their answers bit
+    # for bit
+    for q in (_long_potential(13, 256, 1e3, 2),
+              Potential.from_atoms(((0.3, 1.0), (0.6, 2.0)))):
+        _, lens, qs, masses = q.fused_mesh
+        for lam in (5.0, 300.0, 4000.0):
+            assert prop.phase(lens, qs, masses, lam) == prop._phase_loop(
+                lens, qs, masses, lam)
+
+
+def test_scan_raises_no_warning_up_to_1e8():
+    rng = np.random.default_rng(12)
+    cases = [_barrier_potential(7, 2048), _long_potential(8, 1500, 1e8, 2, 1e3)]
+    dens = np.zeros(600)
+    dens[100:500] = 1e8
+    cases.append(Potential(600, dens + rng.uniform(0.0, 1.0, 600), ((0.9, 5.0),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in cases:
+            _, lens, qs, masses = q.fused_mesh
+            for lam in (1.0, 50.0, 1e4, 2e6, 5e8):
+                assert math.isfinite(prop._phase_scan(lens, qs, masses, lam))
+                for arr in prop._propagate_scan(lens, qs, masses, lam):
+                    assert np.all(np.isfinite(arr))
+
+
+# ---------------------------------------------------------------------------
+# run fusing
+
+
+def _assert_same_mesh(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _runs_potential(rng, grid_n, n_levels, n_atoms):
+    """Densities from a few levels (so runs of equal density form) and
+    atoms at run ends, at other nodes and inside cells."""
+    levels = rng.uniform(0.0, 5.0, n_levels)
+    dens = levels[rng.integers(0, n_levels, grid_n)]
+    ends = [j for j in range(1, grid_n) if dens[j] != dens[j - 1]]
+    pos = set()
+    for _ in range(n_atoms):
+        kind = rng.integers(0, 3)
+        if kind == 0 and ends:
+            pos.add(int(rng.choice(ends)) / grid_n)
+        elif kind == 1 and grid_n > 1:
+            pos.add(int(rng.integers(1, grid_n)) / grid_n)
+        else:
+            pos.add(float((rng.integers(0, grid_n) + rng.uniform(0.01, 0.99)) / grid_n))
+    atoms = tuple((p, float(rng.uniform(0.1, 2.0))) for p in sorted(pos))
+    return dens, atoms
+
+
+@given(seed=st.integers(0, 2**32 - 1), grid_n=st.integers(1, 4096),
+       n_levels=st.integers(1, 4), n_atoms=st.integers(0, 4))
+def test_fused_runs_equal_the_loop(seed, grid_n, n_levels, n_atoms):
+    dens, atoms = _runs_potential(np.random.default_rng(seed), grid_n, n_levels,
+                                  n_atoms)
+    want = prop._fuse_loop(grid_n, dens, atoms)
+    _assert_same_mesh(prop._fuse_runs(grid_n, dens, atoms), want)
+    _assert_same_mesh(prop.build_segments(grid_n, dens, atoms), want)
+
+
+@pytest.mark.parametrize("grid_n", list(range(1, 70)) + [100, 333, 1000, 4095, 4096])
+def test_fused_runs_equal_the_loop_on_every_small_grid(grid_n):
+    rng = np.random.default_rng(grid_n)
+    for n_levels, n_atoms in ((1, 0), (1, 3), (2, 2), (grid_n, 0), (grid_n, 3)):
+        dens, atoms = _runs_potential(rng, grid_n, n_levels, n_atoms)
+        _assert_same_mesh(prop._fuse_runs(grid_n, dens, atoms),
+                          prop._fuse_loop(grid_n, dens, atoms))
