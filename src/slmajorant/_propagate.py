@@ -270,7 +270,11 @@ def seg_sq(y0, dy0, icc, ics, iss):
 
 
 def phase(lens, qs, masses, lam: float) -> float:
-    """Continuously unwound Pruefer angle theta(1; lam) for y(0)=0, y'(0)=1."""
+    """Continuously unwound Pruefer angle theta(1; lam) for y(0)=0, y'(0)=1.
+
+    lens, qs and masses are arrays; a mesh shorter than SCAN_MIN_SEGMENTS
+    may also come as lists of floats, which the scalar loop reads directly.
+    """
     if len(lens) < SCAN_MIN_SEGMENTS:
         return _phase_loop(lens, qs, masses, lam)
     return _phase_scan(lens, qs, masses, lam)
@@ -304,17 +308,14 @@ def _frac_angle(y: float, dy: float) -> float:
 
 
 def _phase_loop(lens, qs, masses, lam: float) -> float:
+    if isinstance(lens, np.ndarray):
+        lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
     y = 0.0
     dy = 1.0
     theta = 0.0
-    n = len(lens)
-    lens_l = lens.tolist()
-    qs_l = qs.tolist()
-    ms_l = masses.tolist()
-    for i in range(n):
-        t = lens_l[i]
+    for t, qv, m in zip(lens, qs, masses):
         if t > 0.0:
-            d = qs_l[i] - lam
+            d = qv - lam
             if d < -TAYLOR_CUT and abs(d) * t * t >= TAYLOR_CUT:
                 om = math.sqrt(-d)
                 delta0 = math.atan2(om * y, dy) - math.atan2(y, dy)
@@ -333,7 +334,6 @@ def _phase_loop(lens, qs, masses, lam: float) -> float:
                     z = 1
                 theta += z * _PI + _frac_angle(y1, dy1) - _frac_angle(y, dy)
             y, dy = y1, dy1
-        m = ms_l[i]
         if m != 0.0 and y != 0.0:
             dy_new = dy + m * y
             theta += _frac_angle(y, dy_new) - _frac_angle(y, dy)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -158,6 +159,14 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_floats(values) -> str:
+    """", ".join(map(_fmt_float, values)) for plain floats: one %-format
+    over all of them when every value is finite."""
+    if all(map(math.isfinite, values)):
+        return ", ".join(["%.17g"] * len(values)) % tuple(values)
+    return ", ".join(map(_fmt_float, values))
+
+
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON with sorted keys and fixed 17-significant-digit floats."""
     pad = " " * indent
@@ -168,8 +177,8 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         )
         return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return f"{pad}[{', '.join(map(_fmt_float, obj))}]"
+        if set(map(type, obj)) <= {float}:
+            return f"{pad}[{_fmt_floats(obj)}]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             body = ", ".join(dumps_deterministic(v).strip() for v in obj)
@@ -193,21 +202,31 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(dumps_deterministic(obj) + "\n")
 
 
+def _csv_line(row) -> str:
+    if all(type(v) is float for v in row):
+        return ",".join(map(_fmt_float, row))
+    cells = []
+    for v in row:
+        if isinstance(v, (bool, np.bool_)):
+            cells.append("true" if v else "false")
+        elif isinstance(v, (int, np.integer)):
+            cells.append(str(int(v)))
+        else:
+            cells.append(_fmt_float(float(v)))
+    return ",".join(cells)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    rows = list(rows)
+    flat = [v for row in rows for v in row]
     lines = [",".join(header)]
-    for row in rows:
-        if all(type(v) is float for v in row):
-            lines.append(",".join(map(_fmt_float, row)))
-            continue
-        cells = []
-        for v in row:
-            if isinstance(v, (bool, np.bool_)):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt_float(float(v)))
-        lines.append(",".join(cells))
+    if (rows and set(map(len, rows)) == {len(header)}
+            and set(map(type, flat)) == {float} and all(map(math.isfinite, flat))):
+        # every row is len(header) finite floats: format the body at once
+        line = ",".join(["%.17g"] * len(header))
+        lines.append("\n".join([line] * len(rows)) % tuple(flat))
+    else:
+        lines += map(_csv_line, rows)
     path.write_text("\n".join(lines) + "\n")
 
 

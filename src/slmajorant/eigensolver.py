@@ -5,8 +5,9 @@ q - lam, derivative jumps at atoms), so eigenvalues are accurate to the
 root-finder tolerance: the Pruefer angle theta(1; lam) is strictly
 increasing in lam and equals (n+1)*pi exactly at the n-th eigenvalue.
 Brackets come from the computable spectral upper bound, which guarantees
-bisection can never fail; the bracket is asserted on every solve.  A solve
-sweeps each lam at most once (see _gap_fn).
+the root is bracketed; the bracket is asserted on every solve, and Brent's
+method (_brent) finds the root inside it.  A solve sweeps each lam at most
+once (see _gap_fn).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _propagate as prop
 from .measures import DomainError, ParameterError, Potential, seminorm
@@ -35,6 +35,7 @@ __all__ = [
 
 PI = math.pi
 PI2 = math.pi**2
+EPS = math.ulp(1.0)
 MAX_INDEX = 32  # higher indices are out of contract
 EIGEN_WINDOW = 1e-9  # eigenfunction's relative window for a steep phase
 
@@ -170,8 +171,18 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
-def _phase_fn(q: Potential):
+def _sweep_mesh(q: Potential):
+    """(lens, qs, masses) of q's fused mesh as phase sweeps take them: a
+    mesh short enough for the scalar loop as lists, built once here
+    instead of on every sweep."""
     _, lens, qs, masses = q.fused_mesh
+    if len(lens) < prop.SCAN_MIN_SEGMENTS:
+        return lens.tolist(), qs.tolist(), masses.tolist()
+    return lens, qs, masses
+
+
+def _phase_fn(q: Potential):
+    lens, qs, masses = _sweep_mesh(q)
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -183,16 +194,18 @@ def prufer_phase(q: Potential, lam: float) -> float:
 
 def _gap_fn(q: Potential, n: int):
     """g(lam) = theta(1; lam) - (n+1)*pi, remembering every value it has
-    swept, so that no lam of one solve is swept twice (brentq starts by
-    evaluating the bracket ends, which the bracket search has swept)."""
-    theta = _phase_fn(q)
+    swept, so that no lam of one solve is swept twice (Brent's method
+    starts by evaluating the bracket ends, which the bracket search has
+    swept).  prop.phase is looked up at each sweep, so that a wrapper
+    installed on it sees every one."""
+    lens, qs, masses = _sweep_mesh(q)
     target = (n + 1) * PI
     seen: dict[float, float] = {}
 
     def g(lam: float) -> float:
         v = seen.get(lam)
         if v is None:
-            v = seen[lam] = theta(lam) - target
+            v = seen[lam] = prop.phase(lens, qs, masses, lam) - target
         return v
 
     return g
@@ -203,13 +216,77 @@ def _lower_end(n: int) -> float:
     return PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's brentq.c: the same iterates, so the
+    same root, bit for bit, and the same errors -- ValueError for a NaN
+    value or for ends of the same sign, RuntimeError after maxiter steps.
+    It stops when f is 0 or the half-bracket is below (xtol + rtol |x|)/2.
+    """
+
+    def fval(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre))
+            lim = 3.0 * abs(sbis) - delta
+            if abs(spre) < lim:
+                lim = abs(spre)
+            if 2.0 * abs(stry) < lim:    # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
 def _root(g, lo: float, hi: float, tol: float) -> float:
-    rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15))
+    return _brent(g, lo, hi, xtol=1e-15, rtol=max(tol, 4.0 * EPS))
 
 
 def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
-    """n-th Dirichlet eigenvalue by bisection + secant polish on the phase.
+    """n-th Dirichlet eigenvalue: Brent's method on the phase gap.
 
     The bracket is [pi^2 (n+1)^2 (1 - 1e-12), upper_bound(q, n)]; the lower
     end is the free-particle eigenvalue (a lower bound since q >= 0), the
@@ -244,7 +321,7 @@ def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
     with w = max(1e-6 |guess|, 1e-9) * 4**k and keeps the first step whose
     ends both pass (g <= 0 below, g >= 0 above).  Once the lower end has
     passed, later steps sweep only the upper end; when that passes, the
-    lower end is checked again at the same step (brentq needs the value
+    lower end is checked again at the same step (_brent needs the value
     anyway), so the kept step is the first where both pass, whether or not
     the computed phase is monotone.  The upper bound is at least
     4 pi^2 (n+1)^2, so it is computed only once guess + w goes past that.

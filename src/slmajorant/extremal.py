@@ -32,12 +32,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import SolverConfig
 from .eigensolver import (
     EigenPair,
     ShootingSolution,
+    _brent,
     _eigenvalue_warm,
     eigenfunction,
     eigenvalue,
@@ -71,6 +71,7 @@ DAMPING_FLOOR = 1.0 / 16.0
 ATOM_SCAN_POINTS = 129
 ATOM_MARGIN = 1.0 / 64.0  # atom search region [margin, 1 - margin]
 PRUNE_SHARE = 1e-12
+ZOOM_POINTS = 33          # points per zoom round of _sup_y2_over_r
 
 
 @dataclass(frozen=True)
@@ -272,22 +273,23 @@ def _atom_potential(w, zs, shares, grid_n=16) -> Potential:
 
 
 def _sup_y2_over_r(w: Weight, sol: ShootingSolution, probes: int = 2049):
-    """Supremum of y^2 / r over (0, 1): dense probe plus golden refinement."""
+    """Supremum of y^2 / r over (0, 1) and where it is attained: a dense
+    probe, then zoom rounds of ZOOM_POINTS points on the bracket around
+    each round's best point, each about 16 times narrower, down to 1e-12;
+    the best value seen wins."""
     delta = 1e-6
     grid = np.linspace(delta, 1.0 - delta, probes)
     xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
-    vals = sol.values(xs) ** 2 / w.values_at(xs)
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-
-    def f(x):
-        return float(sol.values([x])[0] ** 2 / w(x))
-
-    x_star, v_star = _golden_max(f, float(lo), float(hi), 1e-12)
-    if vals[i] > v_star:
-        return float(xs[i]), float(vals[i])
-    return x_star, v_star
+    x_star, v_star = 0.0, -math.inf
+    while True:
+        vals = sol.values(xs) ** 2 / w.values_at(xs)
+        i = int(np.argmax(vals))
+        if vals[i] > v_star:
+            x_star, v_star = float(xs[i]), float(vals[i])
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if hi - lo <= 1e-12:
+            return x_star, v_star
+        xs = np.linspace(lo, hi, ZOOM_POINTS)
 
 
 def solve_extremal_gamma_eq1(
@@ -457,14 +459,14 @@ def _sqrt_weight_logder(w: Weight):
 
 def _first_sign_drop(f, hi: float) -> float:
     """Smallest root in (0, hi) at which f turns from positive to
-    nonpositive, located by a scan and refined by brentq."""
+    nonpositive, located by a scan and refined by Brent's method."""
     xs = np.linspace(0.0, hi, SUPPORT_SCAN_POINTS)[1:-1]
     fx = f(xs)
     drops = np.nonzero((fx[:-1] > 0.0) & (fx[1:] <= 0.0))[0]
     if not drops.size:
         raise DomainError("no C^1 matching point for the support edge")
     i = int(drops[0])
-    return float(brentq(f, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16))
+    return _brent(f, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
 
 
 def _measure_support(d1, lam: float) -> tuple[float, float]:
@@ -537,7 +539,7 @@ def solve_measure_gamma_eq1(
         lo, hi = hi, 2.0 * hi
     else:
         raise DomainError("no eigenvalue saturates the constraint")
-    lam = brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    lam = _brent(excess, lo, hi, xtol=1e-13, rtol=8.9e-16)
     m, qx, a, b = masses(lam)
     if abs(float(np.sum(m)) - 1.0) > 1e-10:
         raise DomainError("the constraint has no continuous root in lambda")

@@ -302,9 +302,12 @@ class Potential:
             raise InvalidPotentialError(
                 f"density must have shape ({self.grid_n},), got {d.shape}"
             )
-        if not np.all(np.isfinite(d)):
+        # NaN propagates into min and max, so one pair of reductions finds
+        # a non-finite value before a negative one
+        lo, hi = float(d.min()), float(d.max())
+        if not (-math.inf < lo and hi < math.inf):
             raise InvalidPotentialError("density values must be finite")
-        if np.any(d < 0.0):
+        if lo < 0.0:
             raise InvalidPotentialError("density values must be nonnegative")
         merged: list[list[float]] = []
         for pos, mass in sorted((float(p), float(m)) for p, m in self.atoms):
@@ -505,9 +508,12 @@ def _ordered_sum(terms: np.ndarray) -> float:
 def primitive(q: Potential) -> PrimitiveFn:
     xs, lens, slopes, masses = node_mesh(q.grid_n, q.density, q.atoms)
     jumps = np.concatenate(([0.0], masses))
-    left = np.zeros(len(xs))
-    for j in range(len(xs) - 1):
-        left[j + 1] = left[j] + jumps[j] + slopes[j] * lens[j]
+    # left[j + 1] = left[j] + jumps[j] + slopes[j] * lens[j], added in that
+    # order: one sequential cumsum over the interleaved terms
+    terms = np.empty(2 * len(lens))
+    terms[0::2] = jumps[:-1]
+    terms[1::2] = slopes * lens
+    left = np.concatenate(([0.0], np.cumsum(terms)[1::2]))
     return PrimitiveFn(xs=xs, left=left, jumps=jumps, slopes=slopes)
 
 

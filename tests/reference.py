@@ -3,9 +3,11 @@
 These are the straightforward forms of code the library now runs in a
 faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
-the per-piece loop for the integrals of an antiderivative, and the CLI's
+the per-piece loops for an antiderivative and its integrals, and the CLI's
 value-by-value JSON and CSV writers.  The library's versions must return
-the same floats (and the same bytes), bit for bit.
+the same floats (and the same bytes), bit for bit.  The golden-section
+supremum of y**2 / r is kept as an oracle for the vectorized zoom, which
+agrees with it to the 1e-12 bracket both stop at, not bit for bit.
 """
 
 import json
@@ -17,10 +19,41 @@ from scipy.optimize import brentq
 from slmajorant import _propagate as prop
 from slmajorant.eigensolver import MAX_INDEX, InternalSolverError
 from slmajorant.cli import _fmt_float
+from slmajorant.extremal import _golden_max
 from slmajorant.measures import ParameterError, PrimitiveFn, primitive
 
 PI = math.pi
 PI2 = math.pi**2
+
+
+def primitive_ref(q) -> np.ndarray:
+    """Q(x-) at each node_mesh breakpoint, one piece at a time."""
+    xs, lens, slopes, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
+    jumps = np.concatenate(([0.0], masses))
+    left = np.zeros(len(xs))
+    for j in range(len(xs) - 1):
+        left[j + 1] = left[j] + jumps[j] + slopes[j] * lens[j]
+    return left
+
+
+def sup_y2_over_r_ref(w, sol, probes: int = 2049):
+    """Supremum of y**2 / r: dense probe plus golden-section refinement of
+    the bracket around the probe's best point, to 1e-12."""
+    delta = 1e-6
+    grid = np.linspace(delta, 1.0 - delta, probes)
+    xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
+    vals = sol.values(xs) ** 2 / w.values_at(xs)
+    i = int(np.argmax(vals))
+    lo = xs[max(i - 1, 0)]
+    hi = xs[min(i + 1, len(xs) - 1)]
+
+    def f(x):
+        return float(sol.values([x])[0] ** 2 / w(x))
+
+    x_star, v_star = _golden_max(f, float(lo), float(hi), 1e-12)
+    if vals[i] > v_star:
+        return float(xs[i]), float(vals[i])
+    return x_star, v_star
 
 
 def integrals_loop(p: PrimitiveFn, a: float, b: float) -> tuple[float, float]:

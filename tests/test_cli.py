@@ -249,8 +249,13 @@ class TestWriters:
         plain = list(zip(*cols.tolist()))
         mixed = [(1, 2.5, True), (np.int64(2), np.float64(math.nan), np.bool_(False)),
                  (3, -math.inf, False)]
+        finite = rng.standard_normal((20, 3)).tolist()
+        finite[:3] = [[0.0, -0.0, 5e-324], [1e308, -1e-308, 1e16], [0.1, 2.0, -3.5]]
         for header, rows in ((["a", "b", "c"], plain),
                              (["a", "b", "c"], list(zip(*cols))),
-                             (["n", "x", "ok"], mixed)):
+                             (["n", "x", "ok"], mixed),
+                             (["a", "b", "c"], [tuple(r) for r in finite]),
+                             (["a", "b", "c"], []),
+                             (["a", "b"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])):
             _write_csv(tmp_path / "t.csv", header, rows)
             assert (tmp_path / "t.csv").read_text() == csv_text_ref(header, rows)

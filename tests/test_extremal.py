@@ -12,6 +12,7 @@ from slmajorant import (
     SolverConfig,
     TableWeight,
     PerturbationSpec,
+    ShootingSolution,
     characterization_residual,
     constraint_value,
     directional_derivative,
@@ -22,8 +23,9 @@ from slmajorant import (
     solve_extremal_gamma_gt1,
     solve_measure_gamma_eq1,
 )
-from slmajorant.extremal import alpha_lower_bound
+from slmajorant.extremal import _atom_potential, _sup_y2_over_r, alpha_lower_bound
 from conftest import PI2, centered_atom_lambda, random_potential
+from reference import sup_y2_over_r_ref
 
 CFG = SolverConfig(grid_n=256)
 CFG_SMALL = SolverConfig(grid_n=64)
@@ -220,6 +222,33 @@ class TestSolveMeasureGammaEq1:
             solve_measure_gamma_eq1(TableWeight((0.3, 0.7), (1.0, 2.0)), CFG_SMALL)
         with pytest.raises(ParameterError):
             solve_measure_gamma_eq1(PowerWeight(2.0, 0.0), CFG_SMALL)
+
+
+class TestSupY2OverR:
+    """The zoomed supremum of y^2/r against the golden-section oracle."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, measure_reports):
+        rng = np.random.default_rng(21)
+        out = [(w, rep.q_hat) for w, rep in zip(MEASURE_WEIGHTS, measure_reports)]
+        for w in (ConstantWeight(1.0), PowerWeight(1.5, 0.5)):
+            out.append((w, solve_extremal_gamma_eq1(w, 2, CFG_SMALL).q_hat))
+        for w in (ConstantWeight(2.0), PowerWeight(1, 1), PowerWeight(0.0, 1.8)):
+            for k in (1, 2, 3):
+                zs = np.sort(rng.uniform(0.05, 0.95, k))
+                out.append((w, _atom_potential(w, zs, rng.dirichlet(np.ones(k)))))
+        return out
+
+    def test_within_1e12_of_the_oracle_and_above_the_probe(self, cases):
+        for w, q in cases:
+            sol = ShootingSolution(q, eigenvalue(q, 0, 1e-13))
+            x, sup = _sup_y2_over_r(w, sol)
+            _, ref = sup_y2_over_r_ref(w, sol)
+            assert sup == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert sup == float(sol.values([x])[0] ** 2 / w.values_at([x])[0])
+            probe = np.union1d(np.linspace(1e-6, 1.0 - 1e-6, 2049),
+                               np.clip(sol.breakpoints[1:-1], 1e-6, 1.0 - 1e-6))
+            assert sup >= float(np.max(sol.values(probe) ** 2 / w.values_at(probe)))
 
 
 class TestCharacterizationResidual:

@@ -31,7 +31,7 @@ from conftest import (
     pl_pairing,
     random_potential,
 )
-from reference import integrals_loop
+from reference import integrals_loop, primitive_ref
 
 
 class TestWeightEval:
@@ -161,6 +161,14 @@ class TestPrimitive:
             pairs += [(p.xs[1], p.xs[-2])] if len(p.xs) > 3 else []
             for a, b in pairs:
                 assert p.integrals(a, b) == integrals_loop(p, a, b), (trial, a, b)
+
+    def test_left_values_match_the_piece_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(400):
+            grid_n = int(rng.choice([1, 2, 16, 48, 100, 1024, 4096]))
+            q = random_potential(rng, grid_n, float(rng.choice([1.0, 1e3, 1e8])),
+                                 max_atoms=3)
+            assert np.array_equal(primitive(q).left, primitive_ref(q)), trial
 
     def test_integrals_of_one_piece_inside_a_cell(self):
         p = primitive(Potential.constant(2.0, 4))
@@ -344,6 +352,25 @@ class TestPotential:
             Potential(4, np.zeros(4), ((1.5, 1.0),))
         with pytest.raises(InvalidPotentialError):
             Potential(4, np.zeros(4), ((0.5, -1.0),))
+
+    FINITE = "density values must be finite"
+    NONNEG = "density values must be nonnegative"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({1: math.nan}, FINITE),
+        ({2: math.inf}, FINITE),
+        ({0: -math.inf}, FINITE),
+        ({3: -0.5}, NONNEG),
+        ({0: -0.5, 3: math.nan}, FINITE),   # a non-finite value is reported first
+        ({1: math.inf, 2: -2.0}, FINITE),
+    ])
+    def test_density_check_message(self, bad, message):
+        d = np.ones(4)
+        for i, v in bad.items():
+            d[i] = v
+        with pytest.raises(InvalidPotentialError) as exc:
+            Potential(4, d)
+        assert str(exc.value) == message
 
     def test_atoms_sorted_and_merged(self):
         q = Potential(4, np.zeros(4), ((0.7, 1.0), (0.3, 2.0), (0.3 + 1e-14, 3.0)))

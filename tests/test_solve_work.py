@@ -16,14 +16,18 @@ CASES = [  # (seed, grid_n, max_density, max_atoms)
     (2, 64, 500.0, 0),
     (3, 64, 2.0, 3),
     (4, 256, 50.0, 3),
+    (9, 16, 0.0, 3),    # three atoms on zero density: the gamma = 1 shape
 ]
 OFFSETS = (1e-9, 1e-6, 1e-3, 0.05, 0.5)
 
 
 def _potential(case):
     seed, grid_n, max_density, max_atoms = case
-    return random_potential(np.random.default_rng(seed), grid_n, max_density,
-                            max_atoms)
+    q = random_potential(np.random.default_rng(seed), grid_n, max_density,
+                         max_atoms)
+    if max_density == 0.0:   # what Potential.from_atoms builds
+        assert q.atoms and not q.density.any()
+    return q
 
 
 def _guesses(lam: float, n: int) -> list[float]:
