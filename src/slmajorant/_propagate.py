@@ -208,23 +208,14 @@ def cs_arrays(d: np.ndarray, t: np.ndarray):
     return c, s, ls
 
 
-_ISS_COEFF = None
-
-
-def _iss_series_coeff(nterms: int = 10) -> np.ndarray:
-    # integral of s(t)^2 over [0, len] = len^3 * sum_k coeff[k] * (d len^2)^k
-    global _ISS_COEFF
-    if _ISS_COEFF is None or len(_ISS_COEFF) < nterms:
-        co = []
-        for n in range(nterms):
-            cn = sum(
-                1.0
-                / (math.factorial(2 * k + 1) * math.factorial(2 * (n - k) + 1))
-                for k in range(n + 1)
-            )
-            co.append(cn / (2 * n + 3))
-        _ISS_COEFF = np.asarray(co)
-    return _ISS_COEFF
+# integral of s(t)^2 over [0, len] = len^3 * sum_n _ISS_COEFF[n] * (d len^2)^n
+_ISS_COEFF = np.asarray([
+    sum(
+        1.0 / (math.factorial(2 * k + 1) * math.factorial(2 * (n - k) + 1))
+        for k in range(n + 1)
+    ) / (2 * n + 3)
+    for n in range(10)
+])
 
 
 def sq_integrals(d: np.ndarray, t: np.ndarray):
@@ -249,10 +240,9 @@ def sq_integrals(d: np.ndarray, t: np.ndarray):
     series = np.abs(x) < 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
         iss_exact = (sc - te) / (2.0 * d)
-    co = _iss_series_coeff()
     xs = x[series]
     acc = np.zeros_like(xs)
-    for ck in co[::-1]:
+    for ck in _ISS_COEFF[::-1]:
         acc = acc * xs + ck
     iss[series] = (t[series] ** 3) * acc
     iss[~series] = iss_exact[~series]

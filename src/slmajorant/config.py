@@ -17,7 +17,6 @@ class SolverConfig:
     tol_outer: float = 1e-8
     tol_res: float = 1e-6
     max_iter: int = 500
-    damping: float = 0.5
     k_atoms: int = 1
     pos_tol: float = 1e-6
     output_dir: Path = field(default_factory=lambda: Path("."))
@@ -28,8 +27,6 @@ class SolverConfig:
         for name in ("tol_eigen", "tol_outer", "tol_res", "pos_tol"):
             if not (getattr(self, name) > 0.0):
                 raise ParameterError(f"{name} must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ParameterError("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be positive")
         if self.k_atoms < 1:

@@ -117,18 +117,18 @@ class ShootingSolution:
 
     # -- helpers -----------------------------------------------------------
 
-    def _locate(self, x: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-        sd = "right" if side == "right" else "left"
-        j = np.searchsorted(self._xs, x, side=sd) - 1
+    def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # segment whose right-open span holds x; y is continuous, so at a
+        # breakpoint either neighbour gives the same value
+        j = np.searchsorted(self._xs, x, side="right") - 1
         j = np.clip(j, 0, len(self._qs) - 1)
         t = x - self._xs[j]
         return j, t
 
-    def values(self, points, side: str = "right") -> np.ndarray:
-        """Normalized eigenfunction values; side matters only at atoms
-        (y itself is continuous, so both sides agree)."""
+    def values(self, points) -> np.ndarray:
+        """Normalized eigenfunction values."""
         x = np.atleast_1d(np.asarray(points, dtype=float))
-        j, t = self._locate(x, side)
+        j, t = self._locate(x)
         d = self._qs[j] - self.lam
         c, s, ls = prop.cs_arrays(d, t)
         raw = self._y[j] * c + self._dy_dep[j] * s
@@ -154,7 +154,7 @@ class ShootingSolution:
         return total
 
     def _cum_indefinite(self, x: np.ndarray) -> np.ndarray:
-        j, t = self._locate(x, "right")
+        j, t = self._locate(x)
         icc, ics, iss, ils = prop.sq_integrals(self._qs[j] - self.lam, t)
         part = prop.seg_sq(self._y[j], self._dy_dep[j], icc, ics, iss) * np.exp(
             2.0 * (self._ls[j] + ils - self._ref)

@@ -67,10 +67,12 @@ __all__ = [
     "perturbation_path",
 ]
 
+DAMPING = 0.5             # initial tau of the gamma > 1 iteration
 DAMPING_FLOOR = 1.0 / 16.0
 ATOM_SCAN_POINTS = 129
 ATOM_MARGIN = 1.0 / 64.0  # atom search region [margin, 1 - margin]
 PRUNE_SHARE = 1e-12
+PROBE_POINTS = 2049       # dense first probe of _sup_y2_over_r
 ZOOM_POINTS = 33          # points per zoom round of _sup_y2_over_r
 
 
@@ -171,10 +173,11 @@ def solve_extremal_gamma_gt1(
     """Extremal potential and majorant for gamma > 1.
 
     Iterates q <- (1 - tau) q + tau Phi(y) from the constraint-normalized
-    constant potential; tau halves whenever the ground eigenvalue drops
-    (floor 1/16).  Stops when the eigenvalue is stationary to tol_outer
-    (relative) and the characterization residual -- the relative distance
-    between q and Phi(y) in the weighted L^gamma norm -- is below tol_res.
+    constant potential; tau starts at 1/2 and halves whenever the ground
+    eigenvalue drops (floor 1/16).  Stops when the eigenvalue is stationary
+    to tol_outer (relative) and the characterization residual -- the
+    relative distance between q and Phi(y) in the weighted L^gamma norm --
+    is below tol_res.
     """
     cfg = cfg or SolverConfig()
     if not (gamma > 1.0):
@@ -186,7 +189,7 @@ def solve_extremal_gamma_gt1(
     cell_r = w.cell_pow_integrals(edges)
     q = np.full(n, float(np.sum(cell_r)) ** (-1.0 / gamma))
 
-    tau = cfg.damping
+    tau = DAMPING
     lam_prev = None
     guess = None
     trace: list[tuple[int, float, float]] = []
@@ -272,13 +275,13 @@ def _atom_potential(w, zs, shares, grid_n=16) -> Potential:
     return Potential.from_atoms(atoms, grid_n)
 
 
-def _sup_y2_over_r(w: Weight, sol: ShootingSolution, probes: int = 2049):
+def _sup_y2_over_r(w: Weight, sol: ShootingSolution):
     """Supremum of y^2 / r over (0, 1) and where it is attained: a dense
-    probe, then zoom rounds of ZOOM_POINTS points on the bracket around
-    each round's best point, each about 16 times narrower, down to 1e-12;
-    the best value seen wins."""
+    probe of PROBE_POINTS points, then zoom rounds of ZOOM_POINTS points on
+    the bracket around each round's best point, each about 16 times
+    narrower, down to 1e-12; the best value seen wins."""
     delta = 1e-6
-    grid = np.linspace(delta, 1.0 - delta, probes)
+    grid = np.linspace(delta, 1.0 - delta, PROBE_POINTS)
     xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
     x_star, v_star = 0.0, -math.inf
     while True:

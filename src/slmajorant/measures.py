@@ -7,8 +7,7 @@ constraint integral, the nondecreasing antiderivative, the compactness
 seminorm, bin averaging, convex combination -- reduces to exact arithmetic
 in this representation.  Weights are kept symbolic (constant / power /
 tabulated piecewise-linear), so integrals of weight powers have closed
-forms as well; generic adaptive quadrature is used only for power weights
-with exponents outside the incomplete-beta range.
+forms as well.
 
 All values here are immutable after construction.  The one cache is
 ``Potential.fused_mesh``, built on first use and read-only after; two
@@ -26,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, betaln
 
 from ._propagate import build_segments, node_mesh
@@ -79,7 +77,11 @@ class Weight:
         raise NotImplementedError
 
     def pow_integral(self, p: float, a: float, b: float) -> float:
-        """Exact integral of r(x)**p over [a, b] within [0, 1]."""
+        """Exact integral of r(x)**p over [a, b] within [0, 1].
+
+        Constant and table weights take any real p.  A power weight takes
+        p with alpha * p > -1 and beta * p > -1, where r**p is integrable
+        on all of [0, 1], and raises ParameterError otherwise."""
         raise NotImplementedError
 
     def literal(self) -> str:
@@ -135,31 +137,26 @@ class PowerWeight(Weight):
     def __call__(self, x):
         return x**self.alpha * (1.0 - x) ** self.beta
 
-    def pow_integral(self, p, a, b):
-        aa, bb = self.alpha * p, self.beta * p
-        if aa > -1.0 and bb > -1.0:
-            # incomplete-beta closed form, exact up to scipy precision
-            s, t = aa + 1.0, bb + 1.0
-            scale = math.exp(betaln(s, t))
-            return scale * float(betainc(s, t, b) - betainc(s, t, a))
-        if not (0.0 < a and b < 1.0):
-            raise DomainError(
-                "integral of this weight power diverges at an interval endpoint"
+    def _beta_params(self, p):
+        """Incomplete-beta parameters of r**p, finite on all of [0, 1]
+        only while alpha * p > -1 and beta * p > -1."""
+        s, t = self.alpha * p + 1.0, self.beta * p + 1.0
+        if not (s > 0.0 and t > 0.0):
+            raise ParameterError(
+                f"power weight integral of r**{p!r} diverges: needs "
+                "alpha * p > -1 and beta * p > -1"
             )
-        val, _ = integrate.quad(
-            lambda x: x**aa * (1.0 - x) ** bb, a, b, epsabs=1e-14, epsrel=1e-12
-        )
-        return val
+        return s, t, math.exp(betaln(s, t))
+
+    def pow_integral(self, p, a, b):
+        # incomplete-beta closed form, exact up to scipy precision
+        s, t, scale = self._beta_params(p)
+        return scale * float(betainc(s, t, b) - betainc(s, t, a))
 
     def cell_pow_integrals(self, edges, p=1.0):
-        aa, bb = self.alpha * p, self.beta * p
-        edges = np.asarray(edges, dtype=float)
-        if aa > -1.0 and bb > -1.0:
-            s, t = aa + 1.0, bb + 1.0
-            scale = math.exp(betaln(s, t))
-            acc = scale * betainc(s, t, edges)
-            return np.diff(acc)
-        return super().cell_pow_integrals(edges, p)
+        s, t, scale = self._beta_params(p)
+        acc = scale * betainc(s, t, np.asarray(edges, dtype=float))
+        return np.diff(acc)
 
     def values_at(self, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -297,7 +294,9 @@ class Potential:
     def __post_init__(self):
         if self.grid_n < 1:
             raise InvalidPotentialError("grid_n must be a positive integer")
-        d = np.ascontiguousarray(np.asarray(self.density, dtype=float))
+        # a private copy: freezing the caller's own array would make it
+        # read-only for the caller
+        d = np.array(self.density, dtype=float)
         if d.shape != (self.grid_n,):
             raise InvalidPotentialError(
                 f"density must have shape ({self.grid_n},), got {d.shape}"
@@ -553,7 +552,7 @@ class Bins:
     level: int | None = None
 
     def __post_init__(self):
-        bs = np.ascontiguousarray(np.asarray(self.boundaries, dtype=float))
+        bs = np.array(self.boundaries, dtype=float)  # private, frozen below
         if bs.ndim != 1 or len(bs) < 2:
             raise ParameterError("bins need at least two boundaries")
         if np.any(np.diff(bs) <= 0):

@@ -39,7 +39,6 @@ class TestParseConfig:
         assert cfg.grid_n == 4096
         assert cfg.tol_eigen == 1e-10
         assert cfg.max_iter == 500
-        assert cfg.damping == 0.5
 
     def test_gamma_below_one_rejected_with_range(self):
         with pytest.raises(UsageError, match="gamma >= 1"):
@@ -78,8 +77,14 @@ class TestParseConfig:
     def test_bad_solver_config(self):
         with pytest.raises(UsageError):
             parse_config(
-                '{"mode":"solve","weight":"const:1","gamma":1,"damping":2.0}'
+                '{"mode":"solve","weight":"const:1","gamma":1,"tol_res":0}'
             )
+
+    def test_removed_damping_key_exits_2(self, tmp_path, capsys):
+        # the initial damping is a solver constant, not a config key
+        path, _ = make_config(tmp_path, damping=0.5)
+        assert main(["--config", str(path)]) == 2
+        assert "damping" in capsys.readouterr().err
 
     def test_table_weight_from_csv(self, tmp_path):
         table = tmp_path / "w.csv"

@@ -74,6 +74,33 @@ class TestWeightEval:
                 assert w2(x) == pytest.approx(w(x), rel=1e-15)
 
 
+class TestPowIntegral:
+    def test_divergent_power_weight_exponent_rejected(self):
+        # alpha * p = -1: r**p = 1/x is not integrable at 0
+        w = PowerWeight(2, 0)
+        with pytest.raises(ParameterError):
+            w.pow_integral(-0.5, 0.25, 0.75)
+        with pytest.raises(ParameterError):
+            w.cell_pow_integrals(np.array([0.25, 0.5, 0.75]), -0.5)
+
+    def test_negative_power_weight_exponent_in_range(self):
+        # integral of x**-0.5 over [1/4, 1] is 2 * (1 - 1/2)
+        w = PowerWeight(1, 0)
+        assert abs(w.pow_integral(-0.5, 0.25, 1.0) - 1.0) <= 1e-15
+        cells = w.cell_pow_integrals(np.array([0.25, 0.5, 1.0]), -0.5)
+        assert np.allclose(cells, [2 * math.sqrt(0.5) - 1.0, 2 - 2 * math.sqrt(0.5)],
+                           rtol=0.0, atol=1e-15)
+
+    def test_table_weight_log_branch(self):
+        # 1/r: flat 2 on [0, 1/4], linear 2 -> 4 on [1/4, 3/4], flat 4 after
+        w = TableWeight((0.25, 0.75), (2.0, 4.0))
+        exact = 0.25 / 2.0 + math.log(2.0) / 4.0 + 0.25 / 4.0
+        assert abs(w.pow_integral(-1.0, 0.0, 1.0) - exact) <= 1e-15
+        # a sub-interval of the linear piece: ln(r(b) / r(a)) / slope
+        part = w.pow_integral(-1.0, 0.375, 0.5)
+        assert abs(part - math.log(3.0 / 2.5) / 4.0) <= 1e-15
+
+
 class TestConstraintValue:
     def test_unit_constant(self):
         assert constraint_value(ConstantWeight(1.0), 1.0, Potential.constant(1.0)) == (
@@ -296,6 +323,14 @@ class TestBinProject:
             bins.check_max_length(0.1)  # bins of length 1/8 exceed 0.01
         bins.check_max_length(0.5)
 
+    def test_bins_copy_the_callers_array(self):
+        bs = np.linspace(0.25, 0.75, 5)
+        bins = Bins(bs)
+        bs[0] = 0.0  # the caller's array stays writable ...
+        assert bins.boundaries[0] == 0.25  # ... and is not the stored one
+        with pytest.raises(ValueError):
+            bins.boundaries[0] = 0.0
+
 
 class TestConvexCombination:
     def test_identity(self, rng):
@@ -379,6 +414,15 @@ class TestPotential:
 
     def test_density_immutable(self):
         q = Potential.constant(1.0, 8)
+        with pytest.raises(ValueError):
+            q.density[0] = 2.0
+
+    def test_density_copies_the_callers_array(self):
+        a = np.zeros(4)
+        q = Potential(4, a)
+        a[0] = 1.0  # the caller's array stays writable ...
+        assert q.density is not a
+        assert q.density[0] == 0.0  # ... and the potential does not see it
         with pytest.raises(ValueError):
             q.density[0] = 2.0
 
