@@ -53,6 +53,7 @@ from .measures import (
     Weight,
     constraint_value,
     potential_to_dict,
+    _ordered_sum,
     _resample_density,
 )
 
@@ -616,13 +617,16 @@ def alpha_lower_bound(w: Weight, gamma: float, base: Potential, p: Potential) ->
     if gamma == 1.0:
         return constraint_value(w, 1.0, p) - 1.0
     edges = np.union1d(base.edges(), p.edges())
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        x = 0.5 * (a + b)
-        pv = p.density_at(x)
-        if pv == 0.0:
-            continue
-        total += pv * base.density_at(x) ** (gamma - 1.0) * w.pow_integral(1.0, a, b)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    # the right-open cell of each piece, as Potential.density_at places it
+    pv = p.density[np.searchsorted(p.edges(), mids, side="right") - 1]
+    bv = base.density[np.searchsorted(base.edges(), mids, side="right") - 1]
+    keep = pv != 0.0
+    # Python's pow, not numpy's, so a constant weight gives the same bits
+    # as a per-piece loop
+    bpow = np.array([v ** (gamma - 1.0) for v in bv[keep].tolist()])
+    cell_r = w.cell_pow_integrals(edges)
+    total = _ordered_sum(pv[keep] * bpow * cell_r[keep])
     for pos, mass in p.atoms:
         total += mass * float(w(pos)) * base.density_at(pos) ** (gamma - 1.0)
     return total - 1.0

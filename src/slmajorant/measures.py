@@ -6,8 +6,10 @@ functional the rest of the package applies to a potential -- the weighted
 constraint integral, the nondecreasing antiderivative, the compactness
 seminorm, bin averaging, convex combination -- reduces to exact arithmetic
 in this representation.  Weights are kept symbolic (constant / power /
-tabulated piecewise-linear), so integrals of weight powers have closed
-forms as well.
+tabulated piecewise-linear).  Integrals of powers of constant and table
+weights have closed forms; those of a power weight are incomplete beta
+integrals, computed here per interval (``_beta_cells``) to 1e-13 relative
+or better on grids, so the package needs numpy alone at run time.
 
 All values here are immutable after construction.  The one cache is
 ``Potential.fused_mesh``, built on first use and read-only after; two
@@ -25,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from ._propagate import build_segments, node_mesh
 
@@ -77,7 +78,8 @@ class Weight:
         raise NotImplementedError
 
     def pow_integral(self, p: float, a: float, b: float) -> float:
-        """Exact integral of r(x)**p over [a, b] within [0, 1].
+        """Integral of r(x)**p over [a, b] within [0, 1]: a closed form for
+        constant and table weights, ``_beta_cells`` for a power weight.
 
         Constant and table weights take any real p.  A power weight takes
         p with alpha * p > -1 and beta * p > -1, where r**p is integrable
@@ -123,6 +125,69 @@ class ConstantWeight(Weight):
         return f"const:{self.value:.17g}"
 
 
+# 10-point Gauss-Legendre rule on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+SERIES_BLOCK = 16  # incomplete-beta series terms summed per numpy pass
+
+
+def _beta_series(s: float, t: float, x: np.ndarray) -> np.ndarray:
+    """Incomplete beta integral B_x(s, t) at each 0 <= x <= 1/2.
+
+    DLMF 8.17.8: B_x(s, t) = x**s (1-x)**t / s * sum over k of
+    prod_{j<k} (s+t+j) / (s+1+j) * x**k.  Every term is positive and the
+    ratio of successive terms tends to x <= 1/2, so the sum is accurate to
+    rounding.  Terms are added in blocks until the last one is below 1e-17
+    of the sum everywhere.
+    """
+    term = x**s * (1.0 - x) ** t / s
+    total = term.copy()
+    xs = x[:, None]
+    k = np.arange(float(SERIES_BLOCK))
+    while True:
+        block = term[:, None] * np.cumprod((s + t + k) / (s + 1.0 + k) * xs, axis=1)
+        total += block.sum(axis=1)
+        term = block[:, -1]
+        k += SERIES_BLOCK
+        # written so that a NaN stops the loop
+        if not np.any(term > 1e-17 * total):
+            return total
+
+
+def _beta_cells(s: float, t: float, edges: np.ndarray) -> np.ndarray:
+    """Integral of u**(s-1) * (1-u)**(t-1) over each interval of a sorted
+    edge array in [0, 1], for s, t > 0.
+
+    An interval at least four widths away from both ends of [0, 1] takes
+    the 10-point Gauss-Legendre rule: the nearest singularity lies at least
+    nine half-widths from its centre, so the rule is exact to rounding.
+    Its nodes u are measured from the left edge a and 1 - u from 1 - b, so
+    neither loses digits next to 1.  Every other interval is a difference
+    of incomplete beta integrals (``_beta_series``), each taken from the
+    nearer end of [0, 1]: an interval that crosses 1/2 is split there, and
+    the part above 1/2 is mirrored with (t, s).  No interval is a
+    difference of two values close to B(s, t).  An interval that does not
+    cross 1/2 starts within four widths of its end, so its difference
+    cancels by at most 2**|t-1| / (1 - 0.8**s): a factor 5 on the end
+    cells of a grid with s = t = 1.  Against mpmath, every interval of the
+    tested grids with s, t <= 4.7 is within 1e-13 relative.
+    """
+    a, b = edges[:-1], edges[1:]
+    h = b - a
+    out = np.empty(len(h))
+    far = (np.minimum(a, 1.0 - b) >= 4.0 * h) & (h > 0.0)
+    half = 0.5 * h[far, None]
+    u = a[far, None] + half * (1.0 + _GL_X)
+    v = (1.0 - b[far, None]) + half * (1.0 - _GL_X)
+    out[far] = half[:, 0] * ((u ** (s - 1.0) * v ** (t - 1.0)) @ _GL_W)
+    near = ~far
+    ends = np.concatenate((a[near], b[near]))
+    lo = _beta_series(s, t, np.minimum(ends, 0.5))
+    hi = _beta_series(t, s, 1.0 - np.maximum(ends, 0.5))
+    m = len(ends) // 2
+    out[near] = (lo[m:] - lo[:m]) + (hi[:m] - hi[m:])
+    return out
+
+
 @dataclass(frozen=True)
 class PowerWeight(Weight):
     """r(x) = x**alpha * (1-x)**beta with alpha, beta >= 0."""
@@ -138,25 +203,23 @@ class PowerWeight(Weight):
         return x**self.alpha * (1.0 - x) ** self.beta
 
     def _beta_params(self, p):
-        """Incomplete-beta parameters of r**p, finite on all of [0, 1]
-        only while alpha * p > -1 and beta * p > -1."""
+        """Beta parameters (s, t) of r**p = x**(s-1) * (1-x)**(t-1),
+        integrable on all of [0, 1] only while alpha * p > -1 and
+        beta * p > -1."""
         s, t = self.alpha * p + 1.0, self.beta * p + 1.0
         if not (s > 0.0 and t > 0.0):
             raise ParameterError(
                 f"power weight integral of r**{p!r} diverges: needs "
                 "alpha * p > -1 and beta * p > -1"
             )
-        return s, t, math.exp(betaln(s, t))
+        return s, t
 
     def pow_integral(self, p, a, b):
-        # incomplete-beta closed form, exact up to scipy precision
-        s, t, scale = self._beta_params(p)
-        return scale * float(betainc(s, t, b) - betainc(s, t, a))
+        return float(self.cell_pow_integrals(np.array([a, b], dtype=float), p)[0])
 
     def cell_pow_integrals(self, edges, p=1.0):
-        s, t, scale = self._beta_params(p)
-        acc = scale * betainc(s, t, np.asarray(edges, dtype=float))
-        return np.diff(acc)
+        s, t = self._beta_params(p)
+        return _beta_cells(s, t, np.asarray(edges, dtype=float))
 
     def values_at(self, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))

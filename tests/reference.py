@@ -3,9 +3,12 @@
 These are the straightforward forms of code the library now runs in a
 faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
-the per-piece loops for an antiderivative and its integrals, and the CLI's
+the per-piece loops for an antiderivative and its integrals and for the
+perturbation threshold ``alpha_lower_bound``, and the CLI's
 value-by-value JSON and CSV writers.  The library's versions must return
-the same floats (and the same bytes), bit for bit.  The golden-section
+the same floats (and the same bytes), bit for bit, except that
+``alpha_lower_bound`` on a power weight sums the same terms from a
+vectorized integral and agrees to rounding.  The golden-section
 supremum of y**2 / r is kept as an oracle for the vectorized zoom, which
 agrees with it to the 1e-12 bracket both stop at, not bit for bit.
 """
@@ -54,6 +57,22 @@ def sup_y2_over_r_ref(w, sol, probes: int = 2049):
     if vals[i] > v_star:
         return float(xs[i]), float(vals[i])
     return x_star, v_star
+
+
+def alpha_lower_bound_loop(w, gamma: float, base, p) -> float:
+    """alpha_lower_bound for gamma > 1, one piece of the union grid at a
+    time, with a scalar pow_integral per piece."""
+    edges = np.union1d(base.edges(), p.edges())
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        x = 0.5 * (a + b)
+        pv = p.density_at(x)
+        if pv == 0.0:
+            continue
+        total += pv * base.density_at(x) ** (gamma - 1.0) * w.pow_integral(1.0, a, b)
+    for pos, mass in p.atoms:
+        total += mass * float(w(pos)) * base.density_at(pos) ** (gamma - 1.0)
+    return total - 1.0
 
 
 def integrals_loop(p: PrimitiveFn, a: float, b: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from slmajorant import (
 )
 from slmajorant.extremal import _atom_potential, _sup_y2_over_r, alpha_lower_bound
 from conftest import PI2, centered_atom_lambda, random_potential
-from reference import sup_y2_over_r_ref
+from reference import alpha_lower_bound_loop, sup_y2_over_r_ref
 
 CFG = SolverConfig(grid_n=256)
 CFG_SMALL = SolverConfig(grid_n=64)
@@ -329,6 +330,46 @@ class TestDirectionalDerivative:
         with pytest.raises(ParameterError):
             directional_derivative(PerturbationSpec(base, p, bound - 1e-6, w), 2.0)
         directional_derivative(PerturbationSpec(base, p, bound + 1e-6, w), 2.0)
+
+    @pytest.mark.parametrize(
+        "w", [ConstantWeight(0.7), PowerWeight(1.0, 1.5), PowerWeight(0.4644, 3.7)]
+    )
+    def test_alpha_bound_matches_piece_loop(self, w):
+        rng = np.random.default_rng(7)
+        for n_base, n_p in ((64, 64), (48, 64), (100, 30)):
+            base = Potential(n_base, rng.uniform(0.0, 2.0, n_base))
+            dens = rng.uniform(0.0, 1.5, n_p)
+            dens[rng.uniform(size=n_p) < 0.3] = 0.0
+            p = Potential(n_p, dens, ((0.37, 0.2),) if n_p == 30 else ())
+            for gamma in (1.5, 2.0, 3.0):
+                got = alpha_lower_bound(w, gamma, base, p)
+                ref = alpha_lower_bound_loop(w, gamma, base, p)
+                if isinstance(w, ConstantWeight):
+                    assert got == ref
+                else:
+                    # relative to the pairing, which is ref + 1
+                    assert abs(got - ref) <= 1e-14 * (ref + 1.0)
+
+    def test_alpha_bound_power_weight_faster_than_piece_loop(self):
+        # the per-piece loop with the cheapest weight is a lower bound on
+        # what a power weight cost when every piece took a scalar integral
+        rng = np.random.default_rng(8)
+        base = Potential(4096, rng.uniform(0.5, 2.0, 4096))
+        p = Potential(4096, rng.uniform(0.0, 1.5, 4096))
+
+        def best(f, repeats):
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                f()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        vec = best(lambda: alpha_lower_bound(PowerWeight(1.0, 1.5), 2.0, base, p), 5)
+        loop = best(
+            lambda: alpha_lower_bound_loop(ConstantWeight(1.0), 2.0, base, p), 3
+        )
+        assert vec < loop
 
     def test_gamma_one_requires_alpha_zero(self):
         base = Potential.constant(1.0, 32)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,24 +6,29 @@ from pathlib import Path
 
 import slmajorant
 
-# scipy subpackages the package must not load: scipy.integrate alone pulls
-# in optimize, linalg, sparse and more
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
-
-def test_import_loads_scipy_special_only():
-    # a fresh interpreter: conftest.py itself imports scipy.optimize
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter: conftest.py itself imports scipy.optimize.  A
+    # power-weight extremal run reaches the incomplete-beta integrals.
     root = str(Path(slmajorant.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "mode": "extremal", "weight": "power:1,1", "gamma": 2, "grid_n": 64,
+        "output_dir": str(tmp_path / "out"),
+    }))
     code = (
         "import sys, slmajorant, slmajorant.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+        f"status = slmajorant.cli.main(['--config', {str(config)!r}]); "
+        "print(status, ' '.join(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    loaded = set(out.stdout.split())
-    assert "scipy.special" in loaded
-    assert not loaded.intersection(HEAVY)
+    status, *loaded = out.stdout.split()
+    assert status == "0"
+    assert (tmp_path / "out" / "result.json").exists()
+    assert loaded == []

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,71 @@ class TestPowIntegral:
         # a sub-interval of the linear piece: ln(r(b) / r(a)) / slope
         part = w.pow_integral(-1.0, 0.375, 0.5)
         assert abs(part - math.log(3.0 / 2.5) / 4.0) <= 1e-15
+
+
+EXPONENTS = (0.0, 0.5, 1.0, 1.4644, 2.0, 3.7)
+
+
+def _beta_cells_mp(s: float, t: float, edges: np.ndarray) -> np.ndarray:
+    """Integral of u**(s-1) (1-u)**(t-1) over each interval, from mpmath's
+    incomplete beta at 50 digits: each edge's value B_x(s, t) is taken
+    from the nearer end of [0, 1], and the differences are formed at 50
+    digits, which leaves more than 30 after any cancellation here."""
+    with mpmath.workdps(50):
+        full = mpmath.beta(s, t)
+        vals = [
+            mpmath.betainc(s, t, 0, x) if x <= 0.5
+            else full - mpmath.betainc(t, s, 0, 1.0 - x)
+            for x in edges.tolist()
+        ]
+        return np.array([float(b - a) for a, b in zip(vals[:-1], vals[1:])])
+
+
+def _edge_sets():
+    rng = np.random.default_rng(20140901)
+    fine = np.arange(4097) / 4096
+    # every end cell on both sides of the four-width switch, the cells at
+    # 1/2 and a few interior ones; the integrals are taken over all 4097
+    # edges, so each cell is routed as in a solve
+    cells = np.r_[0:6, 2046:2050, 4090:4096, rng.integers(6, 4090, 4)]
+    return [
+        (np.arange(17) / 16, np.arange(16)),
+        (np.arange(101) / 100, np.arange(100)),
+        (fine, np.unique(cells)),
+        (np.array([0.0, 0.25, 0.75, 1.0]), np.arange(3)),
+        (np.r_[0.0, np.sort(rng.uniform(size=10)), 1.0], np.arange(11)),
+        (np.sort(rng.uniform(size=8)), np.arange(7)),
+    ]
+
+
+class TestPowerWeightIntegrals:
+    """Per-interval integrals of r**p for power weights against mpmath."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 1.0 / 3.0, -0.5])
+    def test_every_interval_to_1e13(self, p):
+        edge_sets = _edge_sets()
+        worst = 0.0
+        for alpha in EXPONENTS:
+            for beta in EXPONENTS:
+                if alpha * p <= -1.0 or beta * p <= -1.0:
+                    continue   # r**p not integrable on [0, 1]
+                w = PowerWeight(alpha, beta)
+                s, t = alpha * p + 1.0, beta * p + 1.0
+                for edges, cells in edge_sets:
+                    got = w.cell_pow_integrals(edges, p)[cells]
+                    sub = np.unique(np.r_[cells, cells + 1])
+                    ref = _beta_cells_mp(s, t, edges[sub])[np.searchsorted(sub, cells)]
+                    worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+        assert worst <= 1e-13
+
+    def test_last_cell_near_one(self):
+        # x**2 (1-x)**2 on the last of 4096 cells: a difference of two
+        # values close to B(3, 3) lost 6.4 digits here
+        w = PowerWeight(2.0, 2.0)
+        edges = np.arange(4097) / 4096
+        ref = _beta_cells_mp(3.0, 3.0, edges[-2:])[0]
+        assert abs(w.cell_pow_integrals(edges)[-1] - ref) <= 1e-15 * ref
+        assert abs(w.pow_integral(1.0, edges[-2], 1.0) - ref) <= 1e-15 * ref
 
 
 class TestConstraintValue:
