@@ -26,10 +26,14 @@ level, each product rescaled by a power of two, and the states come back
 down the levels.  The angle increments are then summed in numpy.  The
 two agree to rounding (about 1e-13 relative in theta), not bit for bit.
 
-One mesh: node_mesh cuts [0, 1] at the nodes j / grid_n and the atoms and
-places each piece in its right-open cell by searchsorted on those nodes;
-build_segments fuses its runs of equal density for the phase sweep
-(cached per potential as Potential.fused_mesh).
+One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
+atoms, and gives each piece the density of the cell its right end closes,
+found by searchsorted on the cut nodes.  node_mesh cuts at every node, so
+each piece lies in its right-open cell; build_segments cuts only where the
+density changes, fusing runs of equal density for the phase sweep (cached
+per potential as Potential.fused_mesh).  A grid below FUSE_MIN_CELLS of one
+density is a single run, built from Python lists.  sweep_mesh hands a mesh
+to phase in the form its dispatch on SCAN_MIN_SEGMENTS takes.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ BIG_ARG = 40.0      # kappa * t beyond this switches to exp-scaled transfer
 # 256 segments the loop is about as fast as the scan, at 512 the scan is
 # about 1.5 times faster and at 4096 about 5 times.
 SCAN_MIN_SEGMENTS = 512
-# Grids with fewer cells than this fuse their runs in a scalar loop: at 16
-# cells with atoms the loop takes about 2.3 us and the vectorized pass 9 us,
-# at 4096 cells 880 us against 15 us.
+# A grid with fewer cells than this and one density is fused as a single
+# run from Python lists: the 16-cell atom-only potentials of the gamma = 1
+# solvers take 4-7 us that way against 7-24 us through _mesh (0-3 atoms,
+# 2 CPUs).  Every other grid takes _mesh: with 2 atoms, 40 us at 64 cells
+# and 0.16 ms at 4096.
 FUSE_MIN_CELLS = 64
 _SCAN_TOP = 64      # the scan's top level: blocks left to a scalar loop
 
@@ -58,61 +64,17 @@ _LN2 = math.log(2.0)
 # segment mesh
 
 
-def build_segments(grid_n, density, atoms):
-    """Fused mesh for the phase sweep: maximal runs of equal density,
-    split at atoms.
+def _mesh(grid_n, dens, atoms, starts):
+    """Mesh cut at the nodes starts / grid_n (ascending cells in
+    1..grid_n-1) and at the atoms.
 
-    Returns (xs, lens, qs, masses) like node_mesh, whose breakpoints
-    include these.  A run ends at j / grid_n where the density changes;
-    an atom inside a run splits it, and one at a run end closes that run.
+    Returns (xs, lens, qs, masses): xs of length nseg + 1, and masses[i]
+    the atom mass at xs[i + 1].  Each piece takes the density of the cell
+    its right end closes, found by searchsorted on the cut nodes: a cut
+    every node places each piece in its right-open cell [j, j + 1) / grid_n.
     """
-    if grid_n < FUSE_MIN_CELLS:
-        return _fuse_loop(grid_n, density, atoms)
-    return _fuse_runs(grid_n, density, atoms)
-
-
-def _fuse_loop(grid_n, density, atoms):
-    dens = np.asarray(density, dtype=float)
-    xs = [0.0]
-    lens: list[float] = []
-    qs: list[float] = []
-    masses: list[float] = []
-    ev = 0
-    i = 0
-    while i < grid_n:
-        j = i + 1
-        while j < grid_n and dens[j] == dens[i]:
-            j += 1
-        run_end = j / grid_n
-        qv = float(dens[i])
-        # split at atoms up to run_end; a Potential's atoms are ascending,
-        # distinct and inside (0, 1), so each lies past xs[-1]
-        while ev < len(atoms) and atoms[ev][0] <= run_end:
-            pos, mass = atoms[ev]
-            lens.append(pos - xs[-1])
-            xs.append(pos)
-            qs.append(qv)
-            masses.append(mass)
-            ev += 1
-        if run_end > xs[-1]:
-            lens.append(run_end - xs[-1])
-            xs.append(run_end)
-            qs.append(qv)
-            masses.append(0.0)
-        i = j
-    return (
-        np.asarray(xs, dtype=float),
-        np.asarray(lens, dtype=float),
-        np.asarray(qs, dtype=float),
-        np.asarray(masses, dtype=float),
-    )
-
-
-def _fuse_runs(grid_n, density, atoms):
-    dens = np.asarray(density, dtype=float)
-    cut = np.flatnonzero(dens[1:] != dens[:-1]) + 1   # first cell of a run
-    ends = np.append(cut, grid_n) / grid_n
-    xs, qs = ends, dens[np.append(0, cut)]
+    ends = np.append(starts, grid_n) / grid_n
+    xs, qs = ends, dens[np.append(0, starts)]
     masses = np.zeros(len(ends))
     if atoms:
         pos, mass = np.array(atoms).T
@@ -127,20 +89,40 @@ def _fuse_runs(grid_n, density, atoms):
 def node_mesh(grid_n, density, atoms):
     """Per-node mesh: every grid node j / grid_n and atom position is a
     breakpoint, and each piece takes the density of its right-open cell.
+    Returns (xs, lens, qs, masses) as _mesh does."""
+    return _mesh(grid_n, np.asarray(density, dtype=float), atoms,
+                 np.arange(1, grid_n))
 
-    Returns (xs, lens, qs, masses) with xs of length nseg + 1 and masses[i]
-    the atom mass at xs[i + 1].
+
+def build_segments(grid_n, density, atoms):
+    """Fused mesh for the phase sweep: maximal runs of equal density,
+    split at atoms.
+
+    Returns (xs, lens, qs, masses) like node_mesh, whose breakpoints
+    include these.  A run ends at j / grid_n where the density changes;
+    an atom inside a run splits it, and one at a run end closes that run.
+    A grid below FUSE_MIN_CELLS of one density is a single run, built from
+    Python lists; that relies on atoms being a Potential's: ascending,
+    distinct and inside (0, 1).
     """
-    edges = np.arange(grid_n + 1) / grid_n
-    pos = np.array([p for p, _ in atoms])
-    xs = np.union1d(edges, pos)
-    masses = np.zeros(len(xs))
-    for p, m in atoms:
-        masses[int(np.searchsorted(xs, p))] += m
-    lens = xs[1:] - xs[:-1]
-    idx = np.searchsorted(edges, xs[:-1], side="right") - 1
-    qs = np.asarray(density, dtype=float)[idx]
-    return xs, lens, qs, masses[1:]
+    dens = np.asarray(density, dtype=float)
+    if grid_n < FUSE_MIN_CELLS:
+        vals = dens.tolist()
+        if vals.count(vals[0]) == grid_n:
+            xs = np.array([0.0, *[p for p, _ in atoms], 1.0])
+            masses = np.array([*[m for _, m in atoms], 0.0])
+            return xs, xs[1:] - xs[:-1], np.full(len(masses), vals[0]), masses
+    return _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
+
+
+def sweep_mesh(mesh):
+    """(lens, qs, masses) of a mesh (xs, lens, qs, masses) as phase sweeps
+    take them: a mesh short enough for the scalar loop as lists, built
+    once by the caller instead of on every sweep."""
+    _, lens, qs, masses = mesh
+    if len(lens) < SCAN_MIN_SEGMENTS:
+        return lens.tolist(), qs.tolist(), masses.tolist()
+    return lens, qs, masses
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +131,6 @@ def node_mesh(grid_n, density, atoms):
 
 def cs_scalar(d: float, t: float) -> tuple[float, float, float]:
     """(c, s, log_scale) with true values c*exp(log_scale), s*exp(log_scale)."""
-    if t == 0.0:
-        return 1.0, 0.0, 0.0
     x = d * t * t
     if abs(x) < TAYLOR_CUT:
         c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))

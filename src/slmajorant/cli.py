@@ -72,7 +72,7 @@ class RunRequest:
     alpha: float | None = None
 
 
-_REQUEST_KEYS = {"mode", "weight", "gamma", "potential", "direction", "n_max", "alpha"}
+_REQUEST_KEYS = {f.name for f in fields(RunRequest)}
 _CONFIG_KEYS = {f.name for f in fields(SolverConfig)}
 
 
@@ -127,10 +127,17 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
             direction = potential_from_dict(doc["direction"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"key 'direction': {exc}") from exc
-    n_max = int(doc.get("n_max", 0))
-    if n_max < 0:
+    # bool is a subclass of int, but true is no count and no real number
+    n_max = doc.get("n_max", 0)
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise UsageError("key 'n_max': must be a nonnegative integer")
-    alpha = float(doc["alpha"]) if "alpha" in doc else None
+    alpha = None
+    if "alpha" in doc:
+        alpha = doc["alpha"]
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                or not math.isfinite(alpha)):
+            raise UsageError("key 'alpha': must be a finite real number")
+        alpha = float(alpha)
     if mode == "perturb" and direction is None:
         raise UsageError("mode 'perturb' requires key 'direction'")
     return (

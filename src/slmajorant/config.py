@@ -14,17 +14,15 @@ __all__ = ["SolverConfig"]
 class SolverConfig:
     grid_n: int = 4096
     tol_eigen: float = 1e-10
-    tol_outer: float = 1e-8
     tol_res: float = 1e-6
     max_iter: int = 500
     k_atoms: int = 1
-    pos_tol: float = 1e-6
     output_dir: Path = field(default_factory=lambda: Path("."))
 
     def __post_init__(self):
         if self.grid_n < 16:
             raise ParameterError("grid_n must be at least 16")
-        for name in ("tol_eigen", "tol_outer", "tol_res", "pos_tol"):
+        for name in ("tol_eigen", "tol_res"):
             if not (getattr(self, name) > 0.0):
                 raise ParameterError(f"{name} must be positive")
         if self.max_iter < 1:

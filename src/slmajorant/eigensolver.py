@@ -171,18 +171,8 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
-def _sweep_mesh(q: Potential):
-    """(lens, qs, masses) of q's fused mesh as phase sweeps take them: a
-    mesh short enough for the scalar loop as lists, built once here
-    instead of on every sweep."""
-    _, lens, qs, masses = q.fused_mesh
-    if len(lens) < prop.SCAN_MIN_SEGMENTS:
-        return lens.tolist(), qs.tolist(), masses.tolist()
-    return lens, qs, masses
-
-
 def _phase_fn(q: Potential):
-    lens, qs, masses = _sweep_mesh(q)
+    lens, qs, masses = prop.sweep_mesh(q.fused_mesh)
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -198,7 +188,7 @@ def _gap_fn(q: Potential, n: int):
     starts by evaluating the bracket ends, which the bracket search has
     swept).  prop.phase is looked up at each sweep, so that a wrapper
     installed on it sees every one."""
-    lens, qs, masses = _sweep_mesh(q)
+    lens, qs, masses = prop.sweep_mesh(q.fused_mesh)
     target = (n + 1) * PI
     seen: dict[float, float] = {}
 

@@ -53,8 +53,8 @@ from .measures import (
     Weight,
     constraint_value,
     potential_to_dict,
+    _common_densities,
     _ordered_sum,
-    _resample_density,
 )
 
 __all__ = [
@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 DAMPING = 0.5             # initial tau of the gamma > 1 iteration
+TOL_OUTER = 1e-8          # relative eigenvalue change that stops an outer loop
+POS_TOL = 1e-6            # atom position tolerance of the k-atom solver
 DAMPING_FLOOR = 1.0 / 16.0
 ATOM_SCAN_POINTS = 129
 ATOM_MARGIN = 1.0 / 64.0  # atom search region [margin, 1 - margin]
@@ -176,7 +178,7 @@ def solve_extremal_gamma_gt1(
     Iterates q <- (1 - tau) q + tau Phi(y) from the constraint-normalized
     constant potential; tau starts at 1/2 and halves whenever the ground
     eigenvalue drops (floor 1/16).  Stops when the eigenvalue is stationary
-    to tol_outer (relative) and the characterization residual -- the
+    to TOL_OUTER (relative) and the characterization residual -- the
     relative distance between q and Phi(y) in the weighted L^gamma norm --
     is below tol_res.
     """
@@ -210,7 +212,7 @@ def solve_extremal_gamma_gt1(
         if lam_prev is not None:
             if lam < lam_prev - 1e-12 * max(lam, 1.0):
                 tau = max(tau / 2.0, DAMPING_FLOOR)
-            if abs(lam - lam_prev) < cfg.tol_outer * lam and res < cfg.tol_res:
+            if abs(lam - lam_prev) < TOL_OUTER * lam and res < cfg.tol_res:
                 converged = True
                 break
         lam_prev = lam
@@ -364,8 +366,8 @@ def solve_extremal_gamma_eq1(
         max_move = 0.0
         # positions, one coordinate at a time
         for j in range(len(zs)):
-            left = lo if j == 0 else 0.5 * (zs[j - 1] + zs[j]) + cfg.pos_tol
-            right = hi if j == len(zs) - 1 else 0.5 * (zs[j] + zs[j + 1]) - cfg.pos_tol
+            left = lo if j == 0 else 0.5 * (zs[j - 1] + zs[j]) + POS_TOL
+            right = hi if j == len(zs) - 1 else 0.5 * (zs[j] + zs[j + 1]) - POS_TOL
             if right <= left:
                 continue
 
@@ -374,7 +376,7 @@ def solve_extremal_gamma_eq1(
                 trial[j] = z
                 return lam_of(trial, shares, warm=lam)
 
-            z_new, lam_new = _golden_max(f, left, right, 0.25 * cfg.pos_tol)
+            z_new, lam_new = _golden_max(f, left, right, 0.25 * POS_TOL)
             if lam_new > lam:
                 max_move = max(max_move, abs(z_new - zs[j]))
                 zs[j] = z_new
@@ -406,7 +408,7 @@ def solve_extremal_gamma_eq1(
         pot = _atom_potential(w, zs, shares)
         res = _eq1_defect(w, pot, ShootingSolution(pot, lam))
         trace.append((sweep, lam, res))
-        if max_move < cfg.pos_tol and abs(lam - lam_start) < cfg.tol_outer * lam:
+        if max_move < POS_TOL and abs(lam - lam_start) < TOL_OUTER * lam:
             converged = True
             break
 
@@ -662,16 +664,10 @@ def perturbation_path(spec: PerturbationSpec, eps: float) -> Potential:
     """Potential on the path ((1-eps) base + eps p) / (1 + alpha eps)."""
     if 1.0 + spec.alpha * eps <= 0.0:
         raise ParameterError("path parameter leaves the admissible range")
-    base, p = spec.base, spec.direction
-    n = base.grid_n
-    if p.grid_n != n:
-        n = math.lcm(base.grid_n, p.grid_n)
+    n, d_base, d_p = _common_densities(spec.base, spec.direction)
     scale = 1.0 / (1.0 + spec.alpha * eps)
-    dens = (
-        (1.0 - eps) * _resample_density(base.density, base.grid_n, n)
-        + eps * _resample_density(p.density, p.grid_n, n)
-    ) * scale
-    atoms = [(pos, (1.0 - eps) * m * scale) for pos, m in base.atoms]
-    atoms += [(pos, eps * m * scale) for pos, m in p.atoms]
+    dens = ((1.0 - eps) * d_base + eps * d_p) * scale
+    atoms = [(pos, (1.0 - eps) * m * scale) for pos, m in spec.base.atoms]
+    atoms += [(pos, eps * m * scale) for pos, m in spec.direction.atoms]
     atoms = [(pos, m) for pos, m in atoms if m != 0.0]
     return Potential(n, dens, tuple(atoms))

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 COINCIDENT_TOL = 1e-12  # atom positions closer than this merge
+MAX_COMMON_CELLS = 1 << 20  # largest common grid of two different grids
 
 
 class DomainError(ValueError):
@@ -94,11 +95,6 @@ class Weight:
         return np.array(
             [self.pow_integral(p, a, b) for a, b in zip(edges[:-1], edges[1:])]
         )
-
-    def values_at(self, xs) -> np.ndarray:
-        """Vectorized evaluation at interior points."""
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self(float(x)) for x in np.atleast_1d(xs)])
 
 
 @dataclass(frozen=True)
@@ -694,30 +690,29 @@ def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:
 # convex combination
 
 
-def _resample_density(d: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    if n_to == n_from:
-        return d
-    if n_to % n_from == 0:
-        return np.repeat(d, n_to // n_from)
-    raise InvalidPotentialError(
-        f"cannot resample density exactly from {n_from} to {n_to} cells"
-    )
+def _common_densities(q1: Potential, q2: Potential) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, d1, d2): the densities of q1 and q2 on their common grid of
+    n = lcm(q1.grid_n, q2.grid_n) cells, each cell value repeated.
+
+    Raises InvalidPotentialError, before any array is built, when the grids
+    differ and n exceeds MAX_COMMON_CELLS."""
+    n = math.lcm(q1.grid_n, q2.grid_n)
+    if q1.grid_n != q2.grid_n and n > MAX_COMMON_CELLS:
+        raise InvalidPotentialError(
+            f"grids of {q1.grid_n} and {q2.grid_n} cells are incommensurable "
+            f"(common grid {n} > {MAX_COMMON_CELLS}); resample one potential first"
+        )
+    d1, d2 = (q.density if q.grid_n == n else np.repeat(q.density, n // q.grid_n)
+              for q in (q1, q2))
+    return n, d1, d2
 
 
 def convex_combination(q1: Potential, q2: Potential, t: float) -> Potential:
     """(1-t) * q1 + t * q2; densities on the common grid, atoms merged."""
     if not (0.0 <= t <= 1.0):
         raise ParameterError("combination parameter t must lie in [0, 1]")
-    n = q1.grid_n
-    if q2.grid_n != n:
-        n = math.lcm(q1.grid_n, q2.grid_n)
-        if n > (1 << 20):
-            raise InvalidPotentialError(
-                "grids are incommensurable; resample one potential first"
-            )
-    d = (1.0 - t) * _resample_density(q1.density, q1.grid_n, n) + t * _resample_density(
-        q2.density, q2.grid_n, n
-    )
+    n, d1, d2 = _common_densities(q1, q2)
+    d = (1.0 - t) * d1 + t * d2
     atoms = []
     if t < 1.0:
         atoms += [(p, (1.0 - t) * m) for p, m in q1.atoms]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .eigensolver import ShootingSolution, _eigenvalue_warm, eigenvalue
-from .extremal import _golden_max
+from .extremal import POS_TOL, _golden_max
 from .measures import ParameterError, Potential, Weight, potential_to_dict
 
 __all__ = ["OracleResult", "brute_force_max", "atom_grid_search"]
@@ -181,10 +181,10 @@ def atom_grid_search(
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, grid_points - 1)]
     z_hat, m_hat = _golden_max(lambda z: lam_at(z, lams[best]), float(lo), float(hi),
-                               cfg.pos_tol * 0.25)
+                               POS_TOL * 0.25)
     if lams[best] > m_hat:
         z_hat, m_hat = float(zs[best]), float(lams[best])
-    fd_step = max(10.0 * cfg.pos_tol, 1e-6)
+    fd_step = max(10.0 * POS_TOL, 1e-6)
     deriv = (lam_at(z_hat + fd_step, m_hat) - lam_at(z_hat - fd_step, m_hat)) / (
         2.0 * fd_step
     )

@@ -4,8 +4,10 @@ These are the straightforward forms of code the library now runs in a
 faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
 the per-piece loops for an antiderivative and its integrals and for the
-perturbation threshold ``alpha_lower_bound``, and the CLI's
-value-by-value JSON and CSV writers.  The library's versions must return
+perturbation threshold ``alpha_lower_bound``, the three mesh builders
+one vectorized builder replaced (a cell loop and a run-end pass for the
+fused mesh, a union of nodes and atoms for the node mesh), and the
+CLI's value-by-value JSON and CSV writers.  The library's versions must return
 the same floats (and the same bytes), bit for bit, except that
 ``alpha_lower_bound`` on a power weight sums the same terms from a
 vectorized integral and agrees to rounding.  The golden-section
@@ -37,6 +39,76 @@ def primitive_ref(q) -> np.ndarray:
     for j in range(len(xs) - 1):
         left[j + 1] = left[j] + jumps[j] + slopes[j] * lens[j]
     return left
+
+
+def fuse_loop_ref(grid_n, density, atoms):
+    """build_segments one cell at a time: grow each run of equal density,
+    split it at the atoms up to its end, then close it."""
+    dens = np.asarray(density, dtype=float)
+    xs = [0.0]
+    lens: list[float] = []
+    qs: list[float] = []
+    masses: list[float] = []
+    ev = 0
+    i = 0
+    while i < grid_n:
+        j = i + 1
+        while j < grid_n and dens[j] == dens[i]:
+            j += 1
+        run_end = j / grid_n
+        qv = float(dens[i])
+        while ev < len(atoms) and atoms[ev][0] <= run_end:
+            pos, mass = atoms[ev]
+            lens.append(pos - xs[-1])
+            xs.append(pos)
+            qs.append(qv)
+            masses.append(mass)
+            ev += 1
+        if run_end > xs[-1]:
+            lens.append(run_end - xs[-1])
+            xs.append(run_end)
+            qs.append(qv)
+            masses.append(0.0)
+        i = j
+    return (
+        np.asarray(xs, dtype=float),
+        np.asarray(lens, dtype=float),
+        np.asarray(qs, dtype=float),
+        np.asarray(masses, dtype=float),
+    )
+
+
+def fuse_runs_ref(grid_n, density, atoms):
+    """build_segments from the run ends: each piece takes the density of
+    the run whose end is the first at or past its right end."""
+    dens = np.asarray(density, dtype=float)
+    cut = np.flatnonzero(dens[1:] != dens[:-1]) + 1   # first cell of a run
+    ends = np.append(cut, grid_n) / grid_n
+    xs, qs = ends, dens[np.append(0, cut)]
+    masses = np.zeros(len(ends))
+    if atoms:
+        pos, mass = np.array(atoms).T
+        xs = np.union1d(ends, pos)
+        qs = qs[np.searchsorted(ends, xs)]
+        masses = np.zeros(len(xs))
+        masses[np.searchsorted(xs, pos)] = mass
+    xs = np.concatenate(([0.0], xs))
+    return xs, xs[1:] - xs[:-1], qs, masses
+
+
+def node_mesh_ref(grid_n, density, atoms):
+    """node_mesh from the union of the nodes and the atoms, each piece
+    placed by the right-open cell of its left end."""
+    edges = np.arange(grid_n + 1) / grid_n
+    pos = np.array([p for p, _ in atoms])
+    xs = np.union1d(edges, pos)
+    masses = np.zeros(len(xs))
+    for p, m in atoms:
+        masses[int(np.searchsorted(xs, p))] += m
+    lens = xs[1:] - xs[:-1]
+    idx = np.searchsorted(edges, xs[:-1], side="right") - 1
+    qs = np.asarray(density, dtype=float)[idx]
+    return xs, lens, qs, masses[1:]
 
 
 def sup_y2_over_r_ref(w, sol, probes: int = 2049):

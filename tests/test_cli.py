@@ -86,6 +86,46 @@ class TestParseConfig:
         assert main(["--config", str(path)]) == 2
         assert "damping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 42), ("tol_outer", 1e-8), ("pos_tol", 1e-6),
+    ])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, key, value):
+        # like damping: keys no solver reads, or settings no caller varied
+        # (now the solver constants TOL_OUTER and POS_TOL), are unknown keys
+        path, _ = make_config(tmp_path, **{key: value})
+        assert main(["--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_max", "x"), ("n_max", [1]), ("n_max", 2.7), ("n_max", 2.0),
+        ("n_max", True), ("n_max", -1), ("n_max", None),
+        ("alpha", "abc"), ("alpha", True), ("alpha", [0.5]), ("alpha", None),
+        ("alpha", float("inf")),
+    ])
+    def test_malformed_optional_key_exits_2(self, tmp_path, capsys, key, value):
+        path, _ = make_config(tmp_path, mode="bounds", **{key: value})
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err
+        assert "Traceback" not in err
+
+    def test_well_typed_optional_keys_parse(self):
+        req, _ = parse_config(json.dumps({
+            "mode": "perturb", "weight": "const:1", "gamma": 2, "n_max": 3,
+            "alpha": 2, "direction": {"grid_n": 16, "density": [1.0] * 16},
+        }))
+        assert req.n_max == 3
+        assert req.alpha == 2.0 and type(req.alpha) is float
+
+    def test_perturb_on_incommensurable_grids_exits_2(self, tmp_path, capsys):
+        # 4096 and 4095 cells have a common grid of 16,773,120 cells
+        base = {"grid_n": 4096, "density": [1.0] * 4096, "atoms": []}
+        direction = {"grid_n": 4095, "density": [1.0] * 4095, "atoms": []}
+        path, _ = make_config(tmp_path, mode="perturb", gamma=2, potential=base,
+                              direction=direction, grid_n=4096)
+        assert main(["--config", str(path)]) == 2
+        assert "incommensurable" in capsys.readouterr().err
+
     def test_table_weight_from_csv(self, tmp_path):
         table = tmp_path / "w.csv"
         table.write_text("x,r\n0.25,2.0\n0.75,4.0\n")

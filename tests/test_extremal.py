@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.optimize import brentq
 
 from slmajorant import (
     ConstantWeight,
+    InvalidPotentialError,
     ParameterError,
     Potential,
     PowerWeight,
@@ -330,6 +332,33 @@ class TestDirectionalDerivative:
         with pytest.raises(ParameterError):
             directional_derivative(PerturbationSpec(base, p, bound - 1e-6, w), 2.0)
         directional_derivative(PerturbationSpec(base, p, bound + 1e-6, w), 2.0)
+
+    def test_incommensurable_path_raises_before_allocating(self):
+        # lcm(4096, 4095) = 16,773,120 cells: 134 MB per repeated density
+        spec = PerturbationSpec(Potential.constant(1.0, 4096),
+                                Potential.constant(1.0, 4095), 0.0,
+                                ConstantWeight(1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPotentialError, match="incommensurable"):
+                perturbation_path(spec, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_commensurable_path_repeats_cells(self, rng):
+        base = Potential(48, rng.uniform(0.3, 1.5, 48), ((0.3, 0.5),))
+        p = Potential(32, rng.uniform(0.0, 1.5, 32), ((0.7, 0.25),))
+        eps, alpha = 1e-3, 0.4
+        got = perturbation_path(PerturbationSpec(base, p, alpha, ConstantWeight(1.0)),
+                                eps)
+        scale = 1.0 / (1.0 + alpha * eps)
+        want = ((1.0 - eps) * np.repeat(base.density, 2)
+                + eps * np.repeat(p.density, 3)) * scale
+        assert got.grid_n == 96
+        assert np.array_equal(got.density, want)
+        assert got.atoms == ((0.3, (1.0 - eps) * 0.5 * scale), (0.7, eps * 0.25 * scale))
 
     @pytest.mark.parametrize(
         "w", [ConstantWeight(0.7), PowerWeight(1.0, 1.5), PowerWeight(0.4644, 3.7)]

@@ -436,6 +436,19 @@ class TestConvexCombination:
         with pytest.raises(ParameterError):
             convex_combination(q, q, 1.5)
 
+    def test_incommensurable_grids_raise(self):
+        # lcm(4096, 4095) = 16,773,120 cells, past MAX_COMMON_CELLS
+        with pytest.raises(InvalidPotentialError, match="incommensurable"):
+            convex_combination(Potential.zero(4096), Potential.zero(4095), 0.5)
+
+    def test_commensurable_grids_repeat_cells(self, rng):
+        q1 = random_potential(rng, grid_n=48, max_atoms=1)
+        q2 = random_potential(rng, grid_n=64, max_atoms=1)
+        got = convex_combination(q1, q2, 0.3)
+        want = 0.7 * np.repeat(q1.density, 4) + 0.3 * np.repeat(q2.density, 3)
+        assert got.grid_n == 192
+        assert np.array_equal(got.density, want)
+
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(min_value=0.0, max_value=1.0))
     def test_density_interpolates(self, t):

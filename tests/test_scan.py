@@ -1,6 +1,6 @@
 """Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
-against the one-segment-at-a-time loops, and the vectorized run fusing
-(_fuse_runs) against its loop."""
+against the one-segment-at-a-time loops, and the mesh builders
+(build_segments, node_mesh) against the reference builders they replaced."""
 
 import math
 import warnings
@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from slmajorant import Potential, eigenvalue
 from slmajorant import _propagate as prop
+
+from reference import fuse_loop_ref, fuse_runs_ref, node_mesh_ref
 
 
 def _long_potential(seed, grid_n, max_density, n_atoms, max_mass=2.0):
@@ -198,6 +200,7 @@ def test_scan_raises_no_warning_up_to_1e8():
 
 
 def _assert_same_mesh(got, want):
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
@@ -227,9 +230,11 @@ def _runs_potential(rng, grid_n, n_levels, n_atoms):
 def test_fused_runs_equal_the_loop(seed, grid_n, n_levels, n_atoms):
     dens, atoms = _runs_potential(np.random.default_rng(seed), grid_n, n_levels,
                                   n_atoms)
-    want = prop._fuse_loop(grid_n, dens, atoms)
-    _assert_same_mesh(prop._fuse_runs(grid_n, dens, atoms), want)
+    want = fuse_loop_ref(grid_n, dens, atoms)
+    _assert_same_mesh(fuse_runs_ref(grid_n, dens, atoms), want)
     _assert_same_mesh(prop.build_segments(grid_n, dens, atoms), want)
+    _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
+                      node_mesh_ref(grid_n, dens, atoms))
 
 
 @pytest.mark.parametrize("grid_n", list(range(1, 70)) + [100, 333, 1000, 4095, 4096])
@@ -237,5 +242,32 @@ def test_fused_runs_equal_the_loop_on_every_small_grid(grid_n):
     rng = np.random.default_rng(grid_n)
     for n_levels, n_atoms in ((1, 0), (1, 3), (2, 2), (grid_n, 0), (grid_n, 3)):
         dens, atoms = _runs_potential(rng, grid_n, n_levels, n_atoms)
-        _assert_same_mesh(prop._fuse_runs(grid_n, dens, atoms),
-                          prop._fuse_loop(grid_n, dens, atoms))
+        _assert_same_mesh(prop.build_segments(grid_n, dens, atoms),
+                          fuse_loop_ref(grid_n, dens, atoms))
+        _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
+                          node_mesh_ref(grid_n, dens, atoms))
+
+
+@pytest.mark.parametrize("grid_n", range(1, prop.FUSE_MIN_CELLS))
+def test_one_run_mesh_equals_the_loop(grid_n):
+    """Constant densities below FUSE_MIN_CELLS take the one-run case: atoms
+    at nodes, one ulp past a node and inside cells."""
+    rng = np.random.default_rng(grid_n)
+    nodes = [j / grid_n for j in range(1, grid_n)]
+    for value in (0.0, float(rng.uniform(0.0, 5.0))):
+        dens = np.full(grid_n, value)
+        for n_atoms in range(5):
+            pos = set()
+            for _ in range(n_atoms):
+                kind = rng.integers(0, 3)
+                if kind < 2 and nodes:
+                    node = float(rng.choice(nodes))
+                    pos.add(node if kind == 0 else float(np.nextafter(node, 1.0)))
+                else:
+                    pos.add(float((rng.integers(0, grid_n) + rng.uniform(0.01, 0.99))
+                                  / grid_n))
+            atoms = tuple((p, float(rng.uniform(0.1, 2.0))) for p in sorted(pos))
+            _assert_same_mesh(prop.build_segments(grid_n, dens, atoms),
+                              fuse_loop_ref(grid_n, dens, atoms))
+            _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
+                              node_mesh_ref(grid_n, dens, atoms))
