@@ -6,6 +6,14 @@ deterministic: floats are printed with 17 significant digits (enough to
 round-trip IEEE doubles exactly), keys are sorted, and identical configs
 produce byte-identical files.
 
+Each number is formatted once.  A column that appears in two files (an
+eigenfunction's x, y and dy in ``result.json`` and its CSV, the extremal
+density in ``result.json`` and ``extremal.csv``) is written to both from
+the same text, and files are streamed as their text is made: ``solve``
+holds one eigenpair's text at a time, writing its ``result.json`` entry
+and its CSV before formatting the next.  ``dumps_deterministic`` is the
+join of the pieces ``_write_json`` writes.
+
 Exit status: 0 when every requested assertion passes and all solvers
 converge, 1 on solver non-convergence or a failed assertion (partial
 outputs are still written), 2 on a malformed config.
@@ -15,15 +23,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, is_finite_real
 from .eigensolver import (
+    EigenPair,
     ShootingSolution,
     eigenfunction,
     eigenvalue,
@@ -88,13 +98,13 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    def need(key, types, caster=lambda v: v):
+    def need(key, types):
         if key not in doc:
             raise UsageError(f"missing required key: {key}")
         val = doc[key]
         if not isinstance(val, types):
             raise UsageError(f"key {key!r} has the wrong type")
-        return caster(val)
+        return val
 
     mode = need("mode", str)
     if mode not in MODES:
@@ -103,7 +113,10 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
         weight = parse_weight(need("weight", str))
     except (ParameterError, OSError) as exc:
         raise UsageError(f"key 'weight': {exc}") from exc
-    gamma = need("gamma", (int, float), float)
+    gamma = need("gamma", (int, float))
+    if not is_finite_real(gamma):
+        raise UsageError("key 'gamma': must be a finite real number")
+    gamma = float(gamma)
     if gamma < 1.0:
         raise UsageError("key 'gamma': admissible range is gamma >= 1")
 
@@ -134,8 +147,7 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
     alpha = None
     if "alpha" in doc:
         alpha = doc["alpha"]
-        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
-                or not math.isfinite(alpha)):
+        if not is_finite_real(alpha):
             raise UsageError("key 'alpha': must be a finite real number")
         alpha = float(alpha)
     if mode == "perturb" and direction is None:
@@ -156,6 +168,14 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
+#
+# Every value is formatted once, into text that JSON and CSV share: a
+# float with 17 significant digits, NaN as NaN, an infinity as the string
+# "Infinity" or "-Infinity", an integer in decimal, a boolean as true or
+# false (and null and strings as in JSON).  Files are written piece by
+# piece as the text is made.
+
+_CSV_CHUNK_ROWS = 1024
 
 
 def _fmt_float(x: float) -> str:
@@ -166,75 +186,123 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_floats(values) -> str:
-    """", ".join(map(_fmt_float, values)) for plain floats: one %-format
-    over all of them when every value is finite."""
-    if all(map(math.isfinite, values)):
-        return ", ".join(["%.17g"] * len(values)) % tuple(values)
-    return ", ".join(map(_fmt_float, values))
-
-
-def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON with sorted keys and fixed 17-significant-digit floats."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  "{k}": {dumps_deterministic(obj[k], indent + 2).lstrip()}'
-            for k in sorted(obj)
-        )
-        return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= {float}:
-            return f"{pad}[{_fmt_floats(obj)}]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            body = ", ".join(dumps_deterministic(v).strip() for v in obj)
-            return f"{pad}[{body}]"
-        items = ",\n".join(dumps_deterministic(v, indent + 2) for v in obj)
-        return f"{pad}[\n{items}\n{pad}]"
+def _fmt_value(obj) -> str:
     if isinstance(obj, (bool, np.bool_)):
-        return f"{pad}{'true' if obj else 'false'}"
+        return "true" if obj else "false"
     if obj is None:
-        return f"{pad}null"
+        return "null"
     if isinstance(obj, (int, np.integer)):
-        return f"{pad}{int(obj)}"
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{pad}{_fmt_float(float(obj))}"
+        return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return pad + json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(dumps_deterministic(obj) + "\n")
+def _cells(values) -> list[str]:
+    """The text of each value in a sequence or array.
+
+    A column of floats with no NaN or infinity takes one %-format for all
+    of its values.
+    """
+    if isinstance(values, np.ndarray):
+        finite = values.dtype == np.float64 and bool(np.isfinite(values).all())
+        values = values.tolist()
+    else:
+        finite = set(map(type, values)) == {float} and bool(np.isfinite(values).all())
+    if finite and values:
+        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    return list(map(_fmt_value, values))
 
 
-def _csv_line(row) -> str:
-    if all(type(v) is float for v in row):
-        return ",".join(map(_fmt_float, row))
-    cells = []
-    for v in row:
-        if isinstance(v, (bool, np.bool_)):
-            cells.append("true" if v else "false")
-        elif isinstance(v, (int, np.integer)):
-            cells.append(str(int(v)))
+class _Column:
+    """A numeric column formatted once, for each file that holds it: a
+    JSON array of its cells, or a column of a CSV file."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, values):
+        self.cells = _cells(values)
+
+
+def _json_block(items, indent: int):
+    """An array with one item per line; a generator's items are made,
+    and written, one at a time, and must be dicts."""
+    lazy = isinstance(items, GeneratorType)
+    pad = " " * (indent + 2)
+    sep = "[\n"
+    for item in items:
+        if lazy and not isinstance(item, dict):
+            raise TypeError("a generator in a JSON document must yield dicts")
+        yield sep + pad
+        yield from _json_pieces(item, indent + 2)
+        sep = ",\n"
+        del item  # written: let it go before a generator makes the next
+    yield "[]" if sep == "[\n" else "\n" + " " * indent + "]"
+
+
+def _json_pieces(obj, indent: int):
+    """The JSON text of obj, without its leading indent, piece by piece:
+    keys sorted, a list of numbers on one line."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        pad = " " * indent
+        sep = "{\n"
+        for k in sorted(obj):
+            yield f'{sep}{pad}  "{k}": '
+            yield from _json_pieces(obj[k], indent + 2)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    elif isinstance(obj, _Column):
+        yield "[" + ", ".join(obj.cells) + "]"
+    elif isinstance(obj, GeneratorType):
+        yield from _json_block(obj, indent)
+    elif isinstance(obj, (list, tuple)):
+        if any(issubclass(t, (dict, list, tuple, GeneratorType, _Column))
+               for t in set(map(type, obj))):
+            yield from _json_block(obj, indent)
         else:
-            cells.append(_fmt_float(float(v)))
-    return ",".join(cells)
+            yield "[" + ", ".join(_cells(obj)) + "]"
+    else:
+        yield _fmt_value(obj)
+
+
+def dumps_deterministic(obj, indent: int = 0) -> str:
+    """JSON with sorted keys and fixed 17-significant-digit floats: the
+    text that _write_json writes, joined."""
+    return " " * indent + "".join(_json_pieces(obj, indent))
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write obj's JSON text as it is made.  A generator value is written
+    as an array of the dicts it yields, one at a time."""
+    with open(path, "w") as f:
+        f.writelines(_json_pieces(obj, 0))
+        f.write("\n")
+
+
+def _write_columns(path: Path, header: list[str], columns: list[list[str]]) -> None:
+    """The CSV writer: a header line, then one line per row of the
+    columns' formatted cells, written in chunks of rows."""
+    rows = zip(*columns)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+            f.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of numbers: each column is formatted once, or each row
+    if the rows differ in length."""
     rows = list(rows)
-    flat = [v for row in rows for v in row]
-    lines = [",".join(header)]
-    if (rows and set(map(len, rows)) == {len(header)}
-            and set(map(type, flat)) == {float} and all(map(math.isfinite, flat))):
-        # every row is len(header) finite floats: format the body at once
-        line = ",".join(["%.17g"] * len(header))
-        lines.append("\n".join([line] * len(rows)) % tuple(flat))
+    if set(map(len, rows)) <= {len(header)}:
+        columns = [_cells(col) for col in zip(*rows)]
     else:
-        lines += map(_csv_line, rows)
-    path.write_text("\n".join(lines) + "\n")
+        columns = [[",".join(_cells(row)) for row in rows]]
+    _write_columns(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +313,40 @@ def _default_potential(req: RunRequest, cfg: SolverConfig) -> Potential:
     return req.potential if req.potential is not None else Potential.zero(cfg.grid_n)
 
 
+def _solve_entry(out: Path, p: EigenPair, x: _Column) -> dict:
+    """Format one eigenpair, write its CSV, and return its result.json
+    entry, which shares the CSV's text."""
+    y, dy = _Column(p.ys), _Column(p.dys_right)
+    name = "eigenfunction.csv" if p.n == 0 else f"eigenfunction.{p.n}.csv"
+    _write_columns(out / name, ["x", "y", "dy"], [x.cells, y.cells, dy.cells])
+    return {"n": p.n, "lambda": p.lam, "x": x, "y": y, "dy": dy}
+
+
 def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     q = _default_potential(req, cfg)
     pairs = []
     for n in range(req.n_max + 1):
         lam = eigenvalue(q, n, cfg.tol_eigen)
         pairs.append(eigenfunction(q, lam, n))
+
+    def entries():
+        # x is formatted once per distinct node mesh; each pair's y and dy
+        # live in _solve_entry's entry alone, which _json_block lets go once
+        # written, so one pair's text is held at a time
+        x = x_bits = None
+        for p in pairs:
+            if p.xs.tobytes() != x_bits:
+                x, x_bits = _Column(p.xs), p.xs.tobytes()
+            yield _solve_entry(out, p, x)
+
     result = {
         "mode": "solve",
         "weight": req.weight.literal(),
         "lambdas": [p.lam for p in pairs],
-        "eigenpairs": [p.to_dict() for p in pairs],
+        "eigenpairs": entries(),
         "potential": potential_to_dict(q),
     }
     _write_json(out / "result.json", result)
-    for p in pairs:
-        name = "eigenfunction.csv" if p.n == 0 else f"eigenfunction.{p.n}.csv"
-        _write_csv(
-            out / name,
-            ["x", "y", "dy"],
-            zip(p.xs.tolist(), p.ys.tolist(), p.dys_right.tolist()),
-        )
     return 0
 
 
@@ -277,16 +358,17 @@ def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     result = {"mode": "extremal", "weight": req.weight.literal(),
               "gamma": req.gamma}
     result.update(report.to_dict())
+    q = _Column(report.q_hat.density)
+    result["q_hat"]["density"] = q
     _write_json(out / "result.json", result)
     sol = ShootingSolution(report.q_hat, report.M)
     mids = report.q_hat.midpoints()
     yv = sol.values(mids)
     rv = req.weight.values_at(mids)
-    _write_csv(
+    _write_columns(
         out / "extremal.csv",
         ["x", "y", "q", "y2_over_r"],
-        zip(mids.tolist(), yv.tolist(), report.q_hat.density.tolist(),
-            (yv * yv / rv).tolist()),
+        [_cells(mids), _cells(yv), q.cells, _cells(yv * yv / rv)],
     )
     _write_csv(
         out / "trace.csv",

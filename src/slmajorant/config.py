@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .measures import ParameterError
 
 __all__ = ["SolverConfig"]
+
+
+def is_finite_real(val) -> bool:
+    """True for a finite int or float; bool is a subclass of int, but true
+    is no real number."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -20,11 +32,17 @@ class SolverConfig:
     output_dir: Path = field(default_factory=lambda: Path("."))
 
     def __post_init__(self):
+        for name in ("grid_n", "max_iter", "k_atoms"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int):  # true is no count
+                raise ParameterError(f"{name} must be an integer, got {val!r}")
+        for name in ("tol_eigen", "tol_res"):
+            val = getattr(self, name)
+            if not (is_finite_real(val) and val > 0.0):
+                raise ParameterError(
+                    f"{name} must be a positive finite real number, got {val!r}")
         if self.grid_n < 16:
             raise ParameterError("grid_n must be at least 16")
-        for name in ("tol_eigen", "tol_res"):
-            if not (getattr(self, name) > 0.0):
-                raise ParameterError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be positive")
         if self.k_atoms < 1:

@@ -1,20 +1,25 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from slmajorant import eigenvalue, constraint_value, potential_from_dict, parse_weight
+from slmajorant import cli
 from slmajorant.cli import (
     RunRequest,
     UsageError,
+    _Column,
     _write_csv,
     dumps_deterministic,
     main,
     parse_config,
     run,
 )
-from slmajorant.eigensolver import EigenPair
+from slmajorant.config import SolverConfig
+from slmajorant.eigensolver import EigenPair, ShootingSolution
+from slmajorant.measures import ParameterError, potential_to_dict
 from conftest import PI2, centered_atom_lambda
 from reference import csv_text_ref, dumps_deterministic_ref
 
@@ -135,6 +140,62 @@ class TestParseConfig:
             )
         )
         assert req.weight(0.5) == pytest.approx(3.0)
+
+
+class TestConfigTypes:
+    """Integer fields take a Python int (not a bool); real values are
+    finite ints or floats (not bools).  A bad value names its key and the
+    CLI exits 2."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid_n", 64.5), ("grid_n", 64.0), ("grid_n", True), ("grid_n", "64"),
+        ("max_iter", 2.5), ("max_iter", False), ("k_atoms", 1.5), ("k_atoms", True),
+    ])
+    def test_integer_fields_need_an_int(self, tmp_path, capsys, key, value):
+        with pytest.raises(ParameterError, match=key):
+            SolverConfig(**{key: value})
+        doc = {"mode": "solve", "weight": "const:1", "gamma": 2, key: value}
+        with pytest.raises(UsageError, match=key):
+            parse_config(json.dumps(doc))
+        path, _ = make_config(tmp_path, **{key: value})
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode,key,text", [
+        ("solve", "tol_eigen", "true"),
+        ("solve", "gamma", "true"),
+        ("solve", "gamma", "NaN"),
+        ("bounds", "gamma", "Infinity"),
+        ("extremal", "tol_res", "Infinity"),
+        ("solve", "tol_eigen", "NaN"),
+        ("solve", "tol_res", "false"),
+        ("solve", "tol_eigen", '"1e-10"'),
+        ("solve", "gamma", "1e400"),
+    ])
+    def test_real_values_must_be_finite(self, tmp_path, capsys, mode, key, text):
+        doc = {"mode": mode, "weight": "const:1", "gamma": 2, "grid_n": 16,
+               "output_dir": str(tmp_path / "out")}
+        doc.pop(key, None)
+        body = json.dumps(doc)[:-1] + f', "{key}": {text}}}'
+        with pytest.raises(UsageError, match=key):
+            parse_config(body)
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_well_typed_values_parse(self):
+        _, cfg = parse_config(json.dumps({
+            "mode": "solve", "weight": "const:1", "gamma": 2, "grid_n": 64,
+            "max_iter": 3, "k_atoms": 2, "tol_eigen": 1, "tol_res": 1e-3,
+        }))
+        assert (cfg.grid_n, cfg.max_iter, cfg.k_atoms) == (64, 3, 2)
+        assert (cfg.tol_eigen, cfg.tol_res) == (1, 1e-3)
+        with pytest.raises(ParameterError, match="tol_res"):
+            SolverConfig(tol_res=-1e-6)
 
 
 class TestModes:
@@ -304,3 +365,149 @@ class TestWriters:
                              (["a", "b"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])):
             _write_csv(tmp_path / "t.csv", header, rows)
             assert (tmp_path / "t.csv").read_text() == csv_text_ref(header, rows)
+
+
+def _record(monkeypatch, name, calls):
+    """Replace cli.<name> by a wrapper that records each result."""
+    fn = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+
+
+def _read_all(out):
+    return {p.name: p.read_text() for p in out.iterdir()}
+
+
+class TestOutputsMatchTheReference:
+    """Every file of every mode holds the bytes that the value-by-value
+    writers of tests/reference.py make from the same report objects."""
+
+    def test_solve_with_atoms(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        q = {"grid_n": 64, "density": rng.uniform(0.0, 50.0, 64).tolist(),
+             "atoms": [{"pos": 0.3, "mass": 4.0}, {"pos": 0.71875, "mass": 9.5}]}
+        pairs = []
+        _record(monkeypatch, "eigenfunction", pairs)
+        path, _ = make_config(tmp_path, gamma=2, potential=q, n_max=3, grid_n=64)
+        assert main(["--config", str(path)]) == 0
+        assert [p.n for p in pairs] == [0, 1, 2, 3]
+        result = {"mode": "solve", "weight": "const:1",
+                  "lambdas": [p.lam for p in pairs],
+                  "eigenpairs": [p.to_dict() for p in pairs],
+                  "potential": potential_to_dict(potential_from_dict(q))}
+        want = {"result.json": dumps_deterministic_ref(result) + "\n"}
+        for p in pairs:
+            name = "eigenfunction.csv" if p.n == 0 else f"eigenfunction.{p.n}.csv"
+            want[name] = csv_text_ref(
+                ["x", "y", "dy"],
+                zip(p.xs.tolist(), p.ys.tolist(), p.dys_right.tolist()))
+        assert _read_all(tmp_path / "out") == want
+
+    def test_extremal_gamma_gt1(self, tmp_path, monkeypatch):
+        reports = []
+        _record(monkeypatch, "solve_extremal_gamma_gt1", reports)
+        path, _ = make_config(tmp_path, mode="extremal", weight="power:1,1",
+                              gamma=2, grid_n=64)
+        assert main(["--config", str(path)]) == 0
+        (rep,) = reports
+        result = {"mode": "extremal", "weight": "power:1,1", "gamma": 2.0,
+                  **rep.to_dict()}
+        mids = rep.q_hat.midpoints()
+        yv = ShootingSolution(rep.q_hat, rep.M).values(mids)
+        rv = parse_weight("power:1,1").values_at(mids)
+        want = {
+            "result.json": dumps_deterministic_ref(result) + "\n",
+            "extremal.csv": csv_text_ref(
+                ["x", "y", "q", "y2_over_r"],
+                zip(mids.tolist(), yv.tolist(), rep.q_hat.density.tolist(),
+                    (yv * yv / rv).tolist())),
+            "trace.csv": csv_text_ref(["iter", "lambda0", "residual"], rep.trace),
+        }
+        assert _read_all(tmp_path / "out") == want
+
+    def test_oracle_gamma_one(self, tmp_path, monkeypatch):
+        results = []
+        _record(monkeypatch, "atom_grid_search", results)
+        path, _ = make_config(tmp_path, mode="oracle", gamma=1, grid_n=64)
+        assert main(["--config", str(path)]) == 0
+        (res,) = results
+        result = {"mode": "oracle", "weight": "const:1", "gamma": 1.0,
+                  **res.to_dict()}
+        want = {"result.json": dumps_deterministic_ref(result) + "\n",
+                "scan.csv": csv_text_ref(["zeta", "lambda0"], res.scan)}
+        assert _read_all(tmp_path / "out") == want
+
+    # bounds and perturb build their report in the CLI; 17 significant
+    # digits read back the same floats, so the parsed result is that report
+
+    def test_bounds(self, tmp_path):
+        q = {"grid_n": 32, "density": [float(v) for v in range(32)],
+             "atoms": [{"pos": 0.375, "mass": 0.5}]}
+        path, _ = make_config(tmp_path, mode="bounds", n_max=4, potential=q,
+                              grid_n=32)
+        assert main(["--config", str(path)]) == 0
+        files = _read_all(tmp_path / "out")
+        result = json.loads(files["result.json"])
+        header = ["n", "lambda", "upper_bound", "gap", "gap_lower_bound", "pass"]
+        rows = [tuple(r[k] for k in header) for r in result["rows"]]
+        assert [type(v) for v in rows[0]] == [int, float, float, float, float, bool]
+        want = {"result.json": dumps_deterministic_ref(result) + "\n",
+                "bounds.csv": csv_text_ref(header, rows)}
+        assert files == want
+
+    def test_perturb(self, tmp_path):
+        base = {"grid_n": 32, "density": [1.0] * 32, "atoms": []}
+        direction = {"grid_n": 32, "density": [0.5] * 16 + [1.5] * 16, "atoms": []}
+        path, _ = make_config(tmp_path, mode="perturb", gamma=2, potential=base,
+                              direction=direction, grid_n=32)
+        assert main(["--config", str(path)]) == 0
+        files = _read_all(tmp_path / "out")
+        result = json.loads(files["result.json"])
+        assert files == {"result.json": dumps_deterministic_ref(result) + "\n"}
+
+
+class TestStreaming:
+    def test_generator_and_column_values_match_lists(self):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal(9)
+        vals[2:5] = [math.nan, math.inf, -0.0]
+        dicts = [{"b": vals.tolist(), "a": i} for i in range(3)]
+        doc = {"gen": (d for d in dicts), "col": _Column(vals),
+               "none": (d for d in ())}
+        ref = {"gen": dicts, "col": vals.tolist(), "none": []}
+        assert dumps_deterministic(doc, 2) == dumps_deterministic_ref(ref, 2)
+        doc = {"col": [_Column(vals), _Column(vals[:0])]}
+        assert dumps_deterministic(doc) == dumps_deterministic_ref(
+            {"col": [vals.tolist(), []]})
+        with pytest.raises(TypeError):
+            dumps_deterministic({"gen": (v for v in [1.0, 2.0])})
+
+    def test_solve_write_stage_holds_less_than_its_output(self, tmp_path,
+                                                           monkeypatch):
+        # eigenpairs are computed before tracing starts, so the peak is the
+        # write stage's alone; it stays below the size of the result.json
+        rng = np.random.default_rng(5)
+        q = {"grid_n": 1024, "density": rng.uniform(0.0, 100.0, 1024).tolist(),
+             "atoms": [{"pos": 0.4, "mass": 3.0}]}
+        path, _ = make_config(tmp_path, gamma=2, potential=q, n_max=16,
+                              grid_n=1024)
+        req, cfg = parse_config(path.read_text())
+        pot = req.potential
+        lams = [eigenvalue(pot, n, cfg.tol_eigen) for n in range(req.n_max + 1)]
+        pairs = [cli.eigenfunction(pot, lam, n) for n, lam in enumerate(lams)]
+        monkeypatch.setattr(cli, "eigenvalue", lambda q, n, tol: lams[n])
+        monkeypatch.setattr(cli, "eigenfunction", lambda q, lam, n: pairs[n])
+        tracemalloc.start()
+        try:
+            assert run(req, cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "out" / "result.json").stat().st_size
+        print(f"write-stage peak {peak} B, result.json {size} B")
+        assert size > 500_000
+        assert peak < size
