@@ -27,13 +27,23 @@ down the levels.  The angle increments are then summed in numpy.  The
 two agree to rounding (about 1e-13 relative in theta), not bit for bit.
 
 One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
-atoms, and gives each piece the density of the cell its right end closes,
-found by searchsorted on the cut nodes.  node_mesh cuts at every node, so
-each piece lies in its right-open cell; build_segments cuts only where the
-density changes, fusing runs of equal density for the phase sweep (cached
-per potential as Potential.fused_mesh).  A grid below FUSE_MIN_CELLS of one
-density is a single run, built from Python lists.  sweep_mesh hands a mesh
-to phase in the form its dispatch on SCAN_MIN_SEGMENTS takes.
+atoms, and gives each piece the density of the cell its right end closes
+(an atom is inserted into the run it falls in).  node_mesh cuts at every
+node, so each piece lies in its right-open cell; build_segments cuts only
+where the density changes, fusing runs of equal density for the phase
+sweep (cached per potential as Potential.fused_mesh).  A grid below
+FUSE_MIN_CELLS of one density is a single run, cut only at the atoms:
+one_run builds its lists of floats, which build_segments turns into
+arrays.  sweep_mesh hands a mesh to phase in the form its dispatch on
+SCAN_MIN_SEGMENTS takes, and one_run_sweep hands one_run's lists
+straight to phase when the scalar loop takes them.
+
+The atom-mesh path: the gamma = 1 solvers sweep 16-cell grids of density
+0 with 1-3 atoms, meshes of 2-4 segments, about 17k solves of about 9
+sweeps each per benchmark pass.  A sweep there is a few microseconds, so
+what surrounds it counts as much: their solves take one_run's lists
+(one_run_sweep) straight to _phase_loop, with no numpy array, and
+_phase_loop is written out with its basis values and angles inlined.
 """
 
 from __future__ import annotations
@@ -66,22 +76,35 @@ _LN2 = math.log(2.0)
 
 def _mesh(grid_n, dens, atoms, starts):
     """Mesh cut at the nodes starts / grid_n (ascending cells in
-    1..grid_n-1) and at the atoms.
+    1..grid_n-1) and at the atoms (ascending and distinct, as a
+    Potential's are).
 
     Returns (xs, lens, qs, masses): xs of length nseg + 1, and masses[i]
     the atom mass at xs[i + 1].  Each piece takes the density of the cell
-    its right end closes, found by searchsorted on the cut nodes: a cut
-    every node places each piece in its right-open cell [j, j + 1) / grid_n.
+    its right end closes: a cut every node places each piece in its
+    right-open cell [j, j + 1) / grid_n.  The densities are gathered once,
+    one per run; an atom inside a run is inserted before the run's end
+    with the run's density, and an atom on a cut node only puts its mass
+    there.
     """
     ends = np.append(starts, grid_n) / grid_n
     xs, qs = ends, dens[np.append(0, starts)]
-    masses = np.zeros(len(ends))
-    if atoms:
+    if not atoms:
+        masses = np.zeros(len(ends))
+    else:
         pos, mass = np.array(atoms).T
-        xs = np.union1d(ends, pos)
-        qs = qs[np.searchsorted(ends, xs)]
-        masses = np.zeros(len(xs))
-        masses[np.searchsorted(xs, pos)] = mass
+        run = np.searchsorted(ends, pos)
+        inside = ends[run] != pos
+        # each atom's index among the right ends: its run end's, moved on
+        # by the atoms inserted before it
+        slot = run + (np.cumsum(inside) - inside)
+        node = np.ones(len(ends) + np.count_nonzero(inside), dtype=bool)
+        node[slot[inside]] = False
+        xs, run_qs, qs = np.empty(len(node)), qs, np.empty(len(node))
+        xs[node], xs[~node] = ends, pos[inside]
+        qs[node], qs[~node] = run_qs, run_qs[run[inside]]
+        masses = np.zeros(len(node))
+        masses[slot] = mass
     xs = np.concatenate(([0.0], xs))
     return xs, xs[1:] - xs[:-1], qs, masses
 
@@ -94,6 +117,25 @@ def node_mesh(grid_n, density, atoms):
                  np.arange(1, grid_n))
 
 
+def one_run(grid_n, density, atoms):
+    """The fused mesh of a grid below FUSE_MIN_CELLS of one density, as
+    lists of floats (xs, lens, qs, masses), or None for any other grid.
+
+    The one run is split at the atoms only; that relies on atoms being a
+    Potential's: ascending, distinct and inside (0, 1).  The lists feed
+    build_segments' arrays and, through one_run_sweep with no arrays at
+    all, the phase sweeps of the gamma = 1 atom potentials.
+    """
+    if grid_n >= FUSE_MIN_CELLS:
+        return None
+    vals = density.tolist()
+    if vals.count(vals[0]) != grid_n:
+        return None
+    xs = [0.0, *[p for p, _ in atoms], 1.0]
+    lens = [b - a for a, b in zip(xs, xs[1:])]
+    return xs, lens, [vals[0]] * len(lens), [*[m for _, m in atoms], 0.0]
+
+
 def build_segments(grid_n, density, atoms):
     """Fused mesh for the phase sweep: maximal runs of equal density,
     split at atoms.
@@ -101,17 +143,12 @@ def build_segments(grid_n, density, atoms):
     Returns (xs, lens, qs, masses) like node_mesh, whose breakpoints
     include these.  A run ends at j / grid_n where the density changes;
     an atom inside a run splits it, and one at a run end closes that run.
-    A grid below FUSE_MIN_CELLS of one density is a single run, built from
-    Python lists; that relies on atoms being a Potential's: ascending,
-    distinct and inside (0, 1).
+    A one-run grid comes from one_run's lists.
     """
     dens = np.asarray(density, dtype=float)
-    if grid_n < FUSE_MIN_CELLS:
-        vals = dens.tolist()
-        if vals.count(vals[0]) == grid_n:
-            xs = np.array([0.0, *[p for p, _ in atoms], 1.0])
-            masses = np.array([*[m for _, m in atoms], 0.0])
-            return xs, xs[1:] - xs[:-1], np.full(len(masses), vals[0]), masses
+    lists = one_run(grid_n, dens, atoms)
+    if lists is not None:
+        return tuple(np.array(v, dtype=float) for v in lists)
     return _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
 
 
@@ -123,6 +160,17 @@ def sweep_mesh(mesh):
     if len(lens) < SCAN_MIN_SEGMENTS:
         return lens.tolist(), qs.tolist(), masses.tolist()
     return lens, qs, masses
+
+
+def one_run_sweep(grid_n, density, atoms):
+    """(lens, qs, masses) of one_run's lists as phase sweeps take them,
+    with no arrays at all; None for a grid one_run does not take, or one
+    with SCAN_MIN_SEGMENTS segments or more, which the scan sweeps as
+    arrays: sweep_mesh of the fused mesh then gives them."""
+    if len(atoms) + 1 >= SCAN_MIN_SEGMENTS:
+        return None
+    lists = one_run(grid_n, density, atoms)
+    return None if lists is None else lists[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -268,47 +316,82 @@ def propagate(lens, qs, masses, lam: float):
 # short meshes: one segment at a time
 
 
-def _frac_angle(y: float, dy: float) -> float:
-    if y == 0.0:
-        return 0.0
-    a = math.atan2(y, dy)
-    if a < 0.0:
-        a += _PI
-    return a
-
-
 def _phase_loop(lens, qs, masses, lam: float) -> float:
+    """theta(1; lam) one segment at a time, renormalizing the state after
+    each.
+
+    On an oscillatory segment the rescaled angle atan2(omega y, y')
+    advances by omega t; on any other segment (the 4-term series below
+    TAYLOR_CUT, cosh/sinh, or the exp-scaled pair past BIG_ARG, whose
+    log-scale the renormalization drops) the increment is the change of
+    the angle taken in [0, pi), plus pi for a sign change of y.  An atom
+    turns the angle at fixed y, from the atan2(y, y') its segment has
+    already computed.  Everything is inlined with the math functions bound
+    locally: the gamma = 1 atom meshes have 2-4 segments, so the per-call
+    cost is most of a sweep.
+    """
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
+    atan2, sqrt, cos, sin, hypot = math.atan2, math.sqrt, math.cos, math.sin, math.hypot
+    pi = _PI
     y = 0.0
     dy = 1.0
     theta = 0.0
+    a1 = 0.0   # atan2(y, dy) of the state before its atom jump, when y != 0
     for t, qv, m in zip(lens, qs, masses):
         if t > 0.0:
             d = qv - lam
-            if d < -TAYLOR_CUT and abs(d) * t * t >= TAYLOR_CUT:
-                om = math.sqrt(-d)
-                delta0 = math.atan2(om * y, dy) - math.atan2(y, dy)
-                c = math.cos(om * t)
-                s = math.sin(om * t) / om
+            x = d * t * t
+            if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+                om = sqrt(-d)
+                ot = om * t
+                c = cos(ot)
+                s = sin(ot) / om
                 y1 = c * y + s * dy
                 dy1 = d * s * y + c * dy
-                delta1 = math.atan2(om * y1, dy1) - math.atan2(y1, dy1)
-                theta += delta0 + om * t - delta1
+                a1 = atan2(y1, dy1)
+                # at y = 0 both start angles are equal, so their difference is 0
+                delta0 = 0.0 if y == 0.0 else atan2(om * y, dy) - atan2(y, dy)
+                theta += delta0 + ot - (atan2(om * y1, dy1) - a1)
             else:
-                c, s, _ = cs_scalar(d, t)
+                if -TAYLOR_CUT < x < TAYLOR_CUT:
+                    c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))
+                    s = t * (1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)))
+                elif d < 0.0:
+                    om = sqrt(-d)
+                    c = cos(om * t)
+                    s = sin(om * t) / om
+                else:
+                    k = sqrt(d)
+                    kt = k * t
+                    if kt <= BIG_ARG:
+                        c = math.cosh(kt)
+                        s = math.sinh(kt) / k
+                    else:
+                        e = math.exp(-2.0 * kt)
+                        c = 0.5 * (1.0 + e)
+                        s = 0.5 * (1.0 - e) / k
                 y1 = c * y + s * dy
                 dy1 = d * s * y + c * dy
-                z = 0
-                if y != 0.0 and (y1 == 0.0 or (y > 0.0) != (y1 > 0.0)):
-                    z = 1
-                theta += z * _PI + _frac_angle(y1, dy1) - _frac_angle(y, dy)
+                inc = 0.0
+                if y1 != 0.0:
+                    a1 = atan2(y1, dy1)
+                    inc = a1 + pi if a1 < 0.0 else a1
+                if y != 0.0:
+                    # at most one zero, counted from the sign change of y
+                    if y1 == 0.0 or (y > 0.0) != (y1 > 0.0):
+                        inc = pi + inc
+                    a0 = atan2(y, dy)
+                    inc -= a0 + pi if a0 < 0.0 else a0
+                theta += inc
             y, dy = y1, dy1
+        elif y != 0.0:
+            a1 = atan2(y, dy)
         if m != 0.0 and y != 0.0:
-            dy_new = dy + m * y
-            theta += _frac_angle(y, dy_new) - _frac_angle(y, dy)
-            dy = dy_new
-        r = math.hypot(y, dy)
+            dy += m * y
+            a = atan2(y, dy)
+            theta += (a + pi if a < 0.0 else a) - (a1 + pi if a1 < 0.0 else a1)
+        r = hypot(y, dy)
         if r != 0.0:
             y /= r
             dy /= r
@@ -419,7 +502,7 @@ def _scan(lens, qs, masses, lam: float):
 
 
 def _frac_angles(y, dy):
-    """_frac_angle of each state."""
+    """atan2(y, dy) of each state, taken in [0, pi), and 0 where y = 0."""
     a = np.arctan2(y, dy)
     a[a < 0.0] += _PI
     a[y == 0.0] = 0.0

@@ -8,6 +8,12 @@ Brackets come from the computable spectral upper bound, which guarantees
 the root is bracketed; the bracket is asserted on every solve, and Brent's
 method (_brent) finds the root inside it.  A solve sweeps each lam at most
 once (see _gap_fn).
+
+On the short atom meshes of the gamma = 1 solvers a sweep costs a few
+microseconds, so a solve's own work is kept to what its sweeps need: the
+sweep lists of a short one-run grid come from _propagate.one_run_sweep
+with no numpy array (_sweep_mesh), and the phase values live in one
+dict.
 """
 
 from __future__ import annotations
@@ -171,8 +177,18 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
+def _sweep_mesh(q: Potential):
+    """(lens, qs, masses) of q's fused mesh as prop.phase takes them: the
+    lists of a short one-run grid (the gamma = 1 atom potentials) from
+    prop.one_run_sweep, with no arrays; any other mesh from q.fused_mesh."""
+    lists = prop.one_run_sweep(q.grid_n, q.density, q.atoms)
+    if lists is not None:
+        return lists
+    return prop.sweep_mesh(q.fused_mesh)
+
+
 def _phase_fn(q: Potential):
-    lens, qs, masses = prop.sweep_mesh(q.fused_mesh)
+    lens, qs, masses = _sweep_mesh(q)
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -188,7 +204,7 @@ def _gap_fn(q: Potential, n: int):
     starts by evaluating the bracket ends, which the bracket search has
     swept).  prop.phase is looked up at each sweep, so that a wrapper
     installed on it sees every one."""
-    lens, qs, masses = prop.sweep_mesh(q.fused_mesh)
+    lens, qs, masses = _sweep_mesh(q)
     target = (n + 1) * PI
     seen: dict[float, float] = {}
 

@@ -272,20 +272,25 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
 
 
 def _atom_potential(w, zs, shares, grid_n=16) -> Potential:
-    atoms = tuple(
-        (z, s / float(w(z))) for z, s in zip(zs, shares) if s > 0.0
-    )
-    return Potential.from_atoms(atoms, grid_n)
+    """Atoms at zs with the saturating masses share / r(z).  The solves
+    pass Python floats: a weight on a numpy scalar gives the same value at
+    about twice the cost."""
+    return Potential.from_atoms(
+        [(z, s / w(z)) for z, s in zip(zs, shares) if s > 0.0], grid_n)
+
+
+_PROBE_DELTA = 1e-6   # the probe stays this far inside (0, 1)
+_PROBE = np.linspace(_PROBE_DELTA, 1.0 - _PROBE_DELTA, PROBE_POINTS)
+_PROBE.setflags(write=False)
 
 
 def _sup_y2_over_r(w: Weight, sol: ShootingSolution):
     """Supremum of y^2 / r over (0, 1) and where it is attained: a dense
-    probe of PROBE_POINTS points, then zoom rounds of ZOOM_POINTS points on
-    the bracket around each round's best point, each about 16 times
-    narrower, down to 1e-12; the best value seen wins."""
-    delta = 1e-6
-    grid = np.linspace(delta, 1.0 - delta, PROBE_POINTS)
-    xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
+    probe of PROBE_POINTS points (built once), then zoom rounds of
+    ZOOM_POINTS points on the bracket around each round's best point, each
+    about 16 times narrower, down to 1e-12; the best value seen wins."""
+    delta = _PROBE_DELTA
+    xs = np.union1d(_PROBE, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
     x_star, v_star = 0.0, -math.inf
     while True:
         vals = sol.values(xs) ** 2 / w.values_at(xs)
@@ -322,7 +327,7 @@ def solve_extremal_gamma_eq1(
     scan_z = np.linspace(lo, hi, ATOM_SCAN_POINTS)
     scan_lam = np.empty_like(scan_z)
     guess = None
-    for i, z in enumerate(scan_z):
+    for i, z in enumerate(scan_z.tolist()):
         pot = _atom_potential(w, [z], [1.0])
         lam = (
             eigenvalue(pot, 0, cfg.tol_eigen)
@@ -353,7 +358,7 @@ def solve_extremal_gamma_eq1(
     shares = np.full(len(zs), 1.0 / len(zs))
 
     def lam_of(z_arr, s_arr, warm=None):
-        pot = _atom_potential(w, z_arr, s_arr)
+        pot = _atom_potential(w, z_arr.tolist(), s_arr.tolist())
         if warm is None:
             return eigenvalue(pot, 0, cfg.tol_eigen)
         return _eigenvalue_warm(pot, 0, cfg.tol_eigen, warm)

@@ -14,6 +14,15 @@ or better on grids, so the package needs numpy alone at run time.
 All values here are immutable after construction.  The one cache is
 ``Potential.fused_mesh``, built on first use and read-only after; two
 threads racing on it build the same arrays.
+
+Constructing a ``Potential`` is part of every gamma = 1 atom solve (about
+17k per benchmark pass, on 16-cell grids), so its checks are cheap there:
+a grid below ``FUSE_MIN_CELLS`` cells (the short grids that the mesh
+builder also handles in Python) checks its density with Python's ``min``
+and ``sum`` instead of two numpy reductions, and falls back to them only
+to report a bad value.  The bound is not a measured crossover: Python
+was timed cheaper on 16 cells and dearer on 4096, and the bound only has
+to separate the 16-cell atom grids from the grids of 256 cells and more.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._propagate import build_segments, node_mesh
+from ._propagate import FUSE_MIN_CELLS, build_segments, node_mesh
 
 __all__ = [
     "DomainError",
@@ -360,26 +369,31 @@ class Potential:
             raise InvalidPotentialError(
                 f"density must have shape ({self.grid_n},), got {d.shape}"
             )
-        # NaN propagates into min and max, so one pair of reductions finds
-        # a non-finite value before a negative one
-        lo, hi = float(d.min()), float(d.max())
-        if not (-math.inf < lo and hi < math.inf):
-            raise InvalidPotentialError("density values must be finite")
-        if lo < 0.0:
-            raise InvalidPotentialError("density values must be nonnegative")
-        merged: list[list[float]] = []
-        for pos, mass in sorted((float(p), float(m)) for p, m in self.atoms):
+        # on a short grid Python's min and sum of the values are cheaper
+        # than two numpy reductions: values none below zero with a finite
+        # sum are all finite.  Anything else (a NaN, an infinity, a negative
+        # value or a sum that overflows) takes the numpy check, where NaN
+        # propagates into min and max, so it is found before a negative value
+        vals = d.tolist() if self.grid_n < FUSE_MIN_CELLS else None
+        if vals is None or not (min(vals) >= 0.0 and math.isfinite(sum(vals))):
+            lo, hi = float(d.min()), float(d.max())
+            if not (-math.inf < lo and hi < math.inf):
+                raise InvalidPotentialError("density values must be finite")
+            if lo < 0.0:
+                raise InvalidPotentialError("density values must be nonnegative")
+        merged: list[tuple[float, float]] = []
+        for pos, mass in sorted([(float(p), float(m)) for p, m in self.atoms]):
             if not (0.0 < pos < 1.0):
                 raise InvalidPotentialError(f"atom position {pos} outside (0, 1)")
-            if not (mass > 0.0 and math.isfinite(mass)):
+            if not (0.0 < mass < math.inf):
                 raise InvalidPotentialError(f"atom mass {mass} must be positive")
             if merged and pos - merged[-1][0] < COINCIDENT_TOL:
-                merged[-1][1] += mass
+                merged[-1] = (merged[-1][0], merged[-1][1] + mass)
             else:
-                merged.append([pos, mass])
+                merged.append((pos, mass))
         d.setflags(write=False)
         object.__setattr__(self, "density", d)
-        object.__setattr__(self, "atoms", tuple((p, m) for p, m in merged))
+        object.__setattr__(self, "atoms", tuple(merged))
 
     # -- constructors ------------------------------------------------------
 

@@ -13,6 +13,13 @@ the same floats (and the same bytes), bit for bit, except that
 vectorized integral and agrees to rounding.  The golden-section
 supremum of y**2 / r is kept as an oracle for the vectorized zoom, which
 agrees with it to the 1e-12 bracket both stop at, not bit for bit.
+
+The gamma = 1 atom solves are kept in the form they had before their
+per-call costs were cut, and must give the same floats: the scalar phase
+loop that calls cs_scalar and a per-angle helper on every segment, the
+atom potential built from numpy scalars, its sweep lists taken from the
+fused mesh arrays, and the zoom supremum with its probe grid built on
+every call.
 """
 
 import json
@@ -25,7 +32,7 @@ from slmajorant import _propagate as prop
 from slmajorant.eigensolver import MAX_INDEX, InternalSolverError
 from slmajorant.cli import _fmt_float
 from slmajorant.extremal import _golden_max
-from slmajorant.measures import ParameterError, PrimitiveFn, primitive
+from slmajorant.measures import ParameterError, Potential, PrimitiveFn, primitive
 
 PI = math.pi
 PI2 = math.pi**2
@@ -268,3 +275,86 @@ def csv_text_ref(header, rows) -> str:
                 cells.append(_fmt_float(float(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _frac_angle_ref(y: float, dy: float) -> float:
+    if y == 0.0:
+        return 0.0
+    a = math.atan2(y, dy)
+    if a < 0.0:
+        a += PI
+    return a
+
+
+def phase_loop_ref(lens, qs, masses, lam: float) -> float:
+    """theta(1; lam) one segment at a time, through cs_scalar and a
+    per-angle helper."""
+    if isinstance(lens, np.ndarray):
+        lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
+    y = 0.0
+    dy = 1.0
+    theta = 0.0
+    for t, qv, m in zip(lens, qs, masses):
+        if t > 0.0:
+            d = qv - lam
+            if d < -prop.TAYLOR_CUT and abs(d) * t * t >= prop.TAYLOR_CUT:
+                om = math.sqrt(-d)
+                delta0 = math.atan2(om * y, dy) - math.atan2(y, dy)
+                c = math.cos(om * t)
+                s = math.sin(om * t) / om
+                y1 = c * y + s * dy
+                dy1 = d * s * y + c * dy
+                delta1 = math.atan2(om * y1, dy1) - math.atan2(y1, dy1)
+                theta += delta0 + om * t - delta1
+            else:
+                c, s, _ = prop.cs_scalar(d, t)
+                y1 = c * y + s * dy
+                dy1 = d * s * y + c * dy
+                z = 0
+                if y != 0.0 and (y1 == 0.0 or (y > 0.0) != (y1 > 0.0)):
+                    z = 1
+                theta += z * PI + _frac_angle_ref(y1, dy1) - _frac_angle_ref(y, dy)
+            y, dy = y1, dy1
+        if m != 0.0 and y != 0.0:
+            dy_new = dy + m * y
+            theta += _frac_angle_ref(y, dy_new) - _frac_angle_ref(y, dy)
+            dy = dy_new
+        r = math.hypot(y, dy)
+        if r != 0.0:
+            y /= r
+            dy /= r
+    return theta
+
+
+def atom_potential_ref(w, zs, shares, grid_n=16):
+    """The k-atom potential with the weight evaluated on numpy scalars."""
+    atoms = tuple(
+        (z, s / float(w(z))) for z, s in zip(np.asarray(zs), np.asarray(shares))
+        if s > 0.0
+    )
+    return Potential.from_atoms(atoms, grid_n)
+
+
+def sweep_mesh_ref(q):
+    """(lens, qs, masses) of q as phase sweeps them, from the arrays of the
+    cell-loop fused mesh."""
+    _, lens, qs, masses = fuse_loop_ref(q.grid_n, q.density, q.atoms)
+    return prop.sweep_mesh((None, lens, qs, masses))
+
+
+def sup_y2_over_r_zoom_ref(w, sol, probes: int = 2049, zoom: int = 33):
+    """Supremum of y**2 / r: dense probe, then np.linspace zoom rounds
+    around each round's best point down to 1e-12; the best value wins."""
+    delta = 1e-6
+    grid = np.linspace(delta, 1.0 - delta, probes)
+    xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
+    x_star, v_star = 0.0, -math.inf
+    while True:
+        vals = sol.values(xs) ** 2 / w.values_at(xs)
+        i = int(np.argmax(vals))
+        if vals[i] > v_star:
+            x_star, v_star = float(xs[i]), float(vals[i])
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if hi - lo <= 1e-12:
+            return x_star, v_star
+        xs = np.linspace(lo, hi, zoom)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slmajorant import eigenvalue, constraint_value, potential_from_dict, parse_weight
-from slmajorant import cli
+from slmajorant import cli, eigensolver
 from slmajorant.cli import (
     RunRequest,
     UsageError,
@@ -21,7 +21,7 @@ from slmajorant.config import SolverConfig
 from slmajorant.eigensolver import EigenPair, ShootingSolution
 from slmajorant.measures import ParameterError, potential_to_dict
 from conftest import PI2, centered_atom_lambda
-from reference import csv_text_ref, dumps_deterministic_ref
+from reference import csv_text_ref, dumps_deterministic_ref, sweep_mesh_ref
 
 
 def make_config(tmp_path, **overrides):
@@ -406,6 +406,25 @@ class TestOutputsMatchTheReference:
                 ["x", "y", "dy"],
                 zip(p.xs.tolist(), p.ys.tolist(), p.dys_right.tolist()))
         assert _read_all(tmp_path / "out") == want
+
+    def test_solve_one_run_grid_of_scan_length(self, tmp_path, monkeypatch):
+        # 600 atoms on a 16-cell grid of density 0 make a one-run mesh of
+        # 601 segments, which the scan sweeps: the same bytes as through
+        # the cell-loop fused mesh
+        rng = np.random.default_rng(4)
+        pos = np.linspace(0.01, 0.99, 600) + rng.uniform(-1e-4, 1e-4, 600)
+        q = {"grid_n": 16, "density": [0.0] * 16,
+             "atoms": [{"pos": p, "mass": m} for p, m in
+                       zip(pos.tolist(), rng.uniform(0.01, 0.1, 600).tolist())]}
+        outs = []
+        for name in ("new", "ref"):
+            if name == "ref":
+                monkeypatch.setattr(eigensolver, "_sweep_mesh", sweep_mesh_ref)
+            path, _ = make_config(tmp_path, potential=q, n_max=1,
+                                  output_dir=str(tmp_path / name))
+            assert main(["--config", str(path)]) == 0
+            outs.append(_read_all(tmp_path / name))
+        assert outs[0] == outs[1]
 
     def test_extremal_gamma_gt1(self, tmp_path, monkeypatch):
         reports = []

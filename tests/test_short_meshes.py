@@ -1,0 +1,209 @@
+"""The gamma = 1 atom-solve path against the forms it replaced, bit for
+bit: the inlined scalar phase loop on every branch, the one-run sweep
+lists (and the arrays of a one-run mesh long enough for the scan), the
+zoom supremum, and the k-atom solves and the single-atom scan built from
+all of them."""
+
+import math
+
+import numpy as np
+import pytest
+
+import slmajorant.eigensolver as es
+import slmajorant.extremal as ex
+from slmajorant import (
+    ConstantWeight,
+    InvalidPotentialError,
+    Potential,
+    PowerWeight,
+    SolverConfig,
+    atom_grid_search,
+    solve_extremal_gamma_eq1,
+)
+from slmajorant import _propagate as prop
+from slmajorant.eigensolver import ShootingSolution, eigenvalue
+
+from reference import (
+    atom_potential_ref,
+    phase_loop_ref,
+    sup_y2_over_r_zoom_ref,
+    sweep_mesh_ref,
+)
+
+TC = prop.TAYLOR_CUT
+
+
+def _mesh(rng, branch, nseg):
+    """(lens, qs, masses, lam) of nseg segments that all take one branch of
+    the loop; about half of the segments end in an atom."""
+    lam = float(rng.uniform(5.0, 60.0))
+    lens = rng.uniform(0.01, 1.0, nseg)
+    if branch == "taylor":      # |(q - lam) t^2| < TAYLOR_CUT
+        qs = lam + rng.uniform(-0.5, 0.5, nseg) * TC
+    elif branch == "oscillatory":
+        qs = lam - rng.uniform(1.0, lam, nseg)
+    elif branch == "hyperbolic":   # kappa t <= BIG_ARG
+        qs = lam + rng.uniform(1.0, 400.0, nseg)
+    elif branch == "big_arg":      # kappa t > BIG_ARG
+        lens = rng.uniform(0.5, 1.0, nseg)
+        qs = lam + 10.0 ** rng.uniform(4.0, 8.0, nseg)
+    else:                          # every branch, and empty segments
+        qs = lam + rng.choice([-30.0, 0.0, 200.0, 1e6], nseg) * rng.uniform(0.5, 1.0, nseg)
+        lens = np.where(rng.random(nseg) < 0.15, 0.0, lens)
+    masses = np.where(rng.random(nseg) < 0.5, rng.uniform(0.1, 50.0, nseg), 0.0)
+    return lens, qs, masses, lam
+
+
+BRANCHES = ("taylor", "oscillatory", "hyperbolic", "big_arg", "mixed")
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_loop_equals_the_reference_on_every_branch(branch, seed):
+    rng = np.random.default_rng([seed, BRANCHES.index(branch)])
+    for nseg in (1, 2, 3, 5, 17, 100):
+        lens, qs, masses, lam = _mesh(rng, branch, nseg)
+        want = phase_loop_ref(lens.tolist(), qs.tolist(), masses.tolist(), lam)
+        assert math.isfinite(want)
+        assert prop._phase_loop(lens.tolist(), qs.tolist(), masses.tolist(), lam) == want
+        assert prop._phase_loop(lens, qs, masses, lam) == want
+        assert prop.phase(lens, qs, masses, lam) == want
+
+
+def test_cos_sin_basis_under_the_non_oscillatory_rule():
+    # q - lam = -TAYLOR_CUT on a unit segment: not oscillatory by the
+    # loop's rule, and just outside the series, so cs_scalar's cos/sin
+    for q, lam in ((0.0, TC), (TC, 2.0 * TC)):
+        args = ([1.0], [q], [0.0], lam)
+        assert q - lam == -TC
+        assert prop._phase_loop(*args) == phase_loop_ref(*args)
+
+
+def test_zero_exactly_at_a_boundary():
+    # a linear segment (q = lam), an atom of mass -4 that turns y' to -1,
+    # then a second linear segment that lands on y = 0 exactly
+    lens, qs, masses, lam = [0.5, 0.5, 0.3], [5.0, 5.0, 5.0], [-4.0, 3.0, 0.0], 5.0
+    r = math.hypot(0.5, -1.0)
+    assert 0.5 / r + 0.5 * (-1.0 / r) == 0.0
+    want = phase_loop_ref(lens, qs, masses, lam)
+    assert prop._phase_loop(lens, qs, masses, lam) == want
+    assert prop._phase_loop(*map(np.asarray, (lens, qs, masses)), lam) == want
+    # and the same zero followed by oscillatory and hyperbolic segments
+    for tail_q in (-40.0, 400.0):
+        args = (lens + [0.2], qs + [tail_q], masses[:2] + [2.0, 0.0], lam)
+        assert prop._phase_loop(*args) == phase_loop_ref(*args)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_atom_potential_sweeps_equal_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    for w in (ConstantWeight(1.3), PowerWeight(1.5, 1.25)):
+        for k in (1, 2, 3):
+            zs = np.sort(rng.uniform(0.02, 0.98, k))
+            shares = rng.dirichlet(np.ones(k))
+            q = ex._atom_potential(w, zs.tolist(), shares.tolist())
+            ref = atom_potential_ref(w, zs, shares)
+            assert q.atoms == ref.atoms
+            assert all(type(v) is float for atom in q.atoms for v in atom)
+            lists = es._sweep_mesh(q)
+            assert lists == sweep_mesh_ref(ref)
+            for lam in (5.0, 20.0, 80.0, 1e4):
+                assert prop.phase(*lists, lam) == phase_loop_ref(*sweep_mesh_ref(ref), lam)
+
+
+def test_sweep_lists_of_other_grids_come_from_the_fused_mesh():
+    rng = np.random.default_rng(5)
+    for q in (Potential(16, rng.uniform(0.0, 5.0, 16), ((0.5, 1.0),)),
+              Potential.constant(2.0, 64), Potential.constant(2.0, 63),
+              Potential(600, rng.uniform(0.0, 5.0, 600))):
+        got, want = es._sweep_mesh(q), sweep_mesh_ref(q)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert type(got[0]) is type(want[0])
+
+
+def _many_atoms(count, seed=11):
+    rng = np.random.default_rng(seed)
+    pos = np.linspace(0.01, 0.99, count) + rng.uniform(-1e-4, 1e-4, count)
+    return tuple(zip(pos.tolist(), rng.uniform(0.01, 0.1, count).tolist()))
+
+
+def test_one_run_lists_stop_where_the_scan_starts():
+    # a one-run grid with SCAN_MIN_SEGMENTS - 1 segments is swept from
+    # lists; one more atom makes a mesh that the scan sweeps as arrays
+    zero = np.zeros(16)
+    n = prop.SCAN_MIN_SEGMENTS - 1
+    lists = prop.one_run_sweep(16, zero, _many_atoms(n - 1))
+    assert len(lists[0]) == n and type(lists[0]) is list
+    assert prop.one_run_sweep(16, zero, _many_atoms(n)) is None
+
+
+def test_a_one_run_grid_of_scan_length_solves_as_the_fused_mesh(monkeypatch):
+    # 600 atoms on a 16-cell grid of density 0: one run of 601 segments
+    q = Potential.from_atoms(_many_atoms(600))
+    assert len(q.atoms) == 600
+    got, want = es._sweep_mesh(q), sweep_mesh_ref(q)
+    assert all(type(g) is np.ndarray and np.array_equal(g, w)
+               for g, w in zip(got, want))
+    lams = [eigenvalue(q, n) for n in (0, 2)]
+    monkeypatch.setattr(es, "_sweep_mesh", sweep_mesh_ref)
+    assert lams == [eigenvalue(q, n) for n in (0, 2)]
+
+
+def test_zoom_supremum_equals_the_reference():
+    rng = np.random.default_rng(9)
+    cases = [(ConstantWeight(1.0), Potential.from_atoms(((0.5, 1.0),))),
+             (PowerWeight(1.5, 1.25), Potential.from_atoms(((0.3, 2.0), (0.6, 1.5)))),
+             (PowerWeight(1.0, 1.0), Potential(64, rng.uniform(0.0, 30.0, 64)))]
+    for w, q in cases:
+        sol = ShootingSolution(q, eigenvalue(q, 0))
+        assert ex._sup_y2_over_r(w, sol) == sup_y2_over_r_zoom_ref(w, sol)
+
+
+@pytest.mark.parametrize("grid_n", [4, 16, 63, 64, 100])
+def test_density_check_on_short_and_long_grids(grid_n):
+    cases = [({1: math.nan}, "finite"), ({0: math.nan, 1: -1.0}, "finite"),
+             ({0: -1.0, 1: math.nan}, "finite"), ({2: math.inf}, "finite"),
+             ({0: -math.inf}, "finite"), ({3: -0.5}, "nonnegative")]
+    for bad, word in cases:
+        d = np.ones(grid_n)
+        for i, v in bad.items():
+            d[i] = v
+        with pytest.raises(InvalidPotentialError, match=f"must be {word}"):
+            Potential(grid_n, d)
+    # a sum that overflows is still a finite density
+    assert Potential(grid_n, np.full(grid_n, 1e308)).density[0] == 1e308
+    assert Potential(grid_n, -np.zeros(grid_n)).density.tolist() == [0.0] * grid_n
+
+
+def _oracle_path(monkeypatch):
+    """Route the atom solves through the forms they replaced."""
+    monkeypatch.setattr(prop, "_phase_loop", phase_loop_ref)
+    monkeypatch.setattr(es, "_sweep_mesh", sweep_mesh_ref)
+    monkeypatch.setattr(ex, "_atom_potential", atom_potential_ref)
+    monkeypatch.setattr(ex, "_sup_y2_over_r", sup_y2_over_r_zoom_ref)
+
+
+WEIGHTS = {"const": ConstantWeight(1.3), "power": PowerWeight(1.5, 1.25)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_k_atom_solve_equals_the_oracle_path(monkeypatch, weight, k):
+    w, cfg = WEIGHTS[weight], SolverConfig(k_atoms=k)
+    new = solve_extremal_gamma_eq1(w, k, cfg)
+    _oracle_path(monkeypatch)
+    ref = solve_extremal_gamma_eq1(w, k, cfg)
+    assert (new.M, new.residual, new.trace, new.converged) == (
+        ref.M, ref.residual, ref.trace, ref.converged)
+    assert new.q_hat.atoms == ref.q_hat.atoms
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_atom_scan_equals_the_oracle_path(monkeypatch, weight):
+    w = WEIGHTS[weight]
+    new = atom_grid_search(w, 201)
+    _oracle_path(monkeypatch)
+    ref = atom_grid_search(w, 201)
+    assert (new.M_hat, new.iterations, new.kkt_residual, new.scan) == (
+        ref.M_hat, ref.iterations, ref.kkt_residual, ref.scan)
+    assert new.q_hat.atoms == ref.q_hat.atoms
