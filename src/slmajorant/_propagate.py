@@ -31,19 +31,18 @@ atoms, and gives each piece the density of the cell its right end closes
 (an atom is inserted into the run it falls in).  node_mesh cuts at every
 node, so each piece lies in its right-open cell; build_segments cuts only
 where the density changes, fusing runs of equal density for the phase
-sweep (cached per potential as Potential.fused_mesh).  A grid below
-FUSE_MIN_CELLS of one density is a single run, cut only at the atoms:
-one_run builds its lists of floats, which build_segments turns into
-arrays.  sweep_mesh hands a mesh to phase in the form its dispatch on
-SCAN_MIN_SEGMENTS takes, and one_run_sweep hands one_run's lists
-straight to phase when the scalar loop takes them.
+sweep (cached per potential as Potential.fused_mesh).
 
-The atom-mesh path: the gamma = 1 solvers sweep 16-cell grids of density
-0 with 1-3 atoms, meshes of 2-4 segments, about 17k solves of about 9
-sweeps each per benchmark pass.  A sweep there is a few microseconds, so
-what surrounds it counts as much: their solves take one_run's lists
-(one_run_sweep) straight to _phase_loop, with no numpy array, and
-_phase_loop is written out with its basis values and angles inlined.
+build_segments is also the one place where a mesh takes the form its
+sweep reads: below SCAN_MIN_SEGMENTS segments, tuples of floats, which
+phase's scalar loop reads with no conversion; from there on, read-only
+arrays for the scan.  The gamma = 1 solvers sweep 16-cell grids of
+density 0 with 1-3 atoms, meshes of 2-4 segments, about 17k solves of
+about 9 sweeps each per benchmark pass.  A sweep there is a few
+microseconds, so what surrounds it counts as much: a grid below
+FUSE_MIN_CELLS of one density is a single run, cut only at the atoms, and
+its tuples are built straight from the floats with no numpy array; and
+phase's loop is written out with its basis values and angles inlined.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ BIG_ARG = 40.0      # kappa * t beyond this switches to exp-scaled transfer
 # about 1.5 times faster and at 4096 about 5 times.
 SCAN_MIN_SEGMENTS = 512
 # A grid with fewer cells than this and one density is fused as a single
-# run from Python lists: the 16-cell atom-only potentials of the gamma = 1
+# run in Python floats: the 16-cell atom-only potentials of the gamma = 1
 # solvers take 4-7 us that way against 7-24 us through _mesh (0-3 atoms,
 # 2 CPUs).  Every other grid takes _mesh: with 2 atoms, 40 us at 64 cells
 # and 0.16 ms at 4096.
@@ -117,60 +116,33 @@ def node_mesh(grid_n, density, atoms):
                  np.arange(1, grid_n))
 
 
-def one_run(grid_n, density, atoms):
-    """The fused mesh of a grid below FUSE_MIN_CELLS of one density, as
-    lists of floats (xs, lens, qs, masses), or None for any other grid.
-
-    The one run is split at the atoms only; that relies on atoms being a
-    Potential's: ascending, distinct and inside (0, 1).  The lists feed
-    build_segments' arrays and, through one_run_sweep with no arrays at
-    all, the phase sweeps of the gamma = 1 atom potentials.
-    """
-    if grid_n >= FUSE_MIN_CELLS:
-        return None
-    vals = density.tolist()
-    if vals.count(vals[0]) != grid_n:
-        return None
-    xs = [0.0, *[p for p, _ in atoms], 1.0]
-    lens = [b - a for a, b in zip(xs, xs[1:])]
-    return xs, lens, [vals[0]] * len(lens), [*[m for _, m in atoms], 0.0]
-
-
 def build_segments(grid_n, density, atoms):
     """Fused mesh for the phase sweep: maximal runs of equal density,
-    split at atoms.
+    split at atoms, in the form phase sweeps.
 
     Returns (xs, lens, qs, masses) like node_mesh, whose breakpoints
     include these.  A run ends at j / grid_n where the density changes;
     an atom inside a run splits it, and one at a run end closes that run.
-    A one-run grid comes from one_run's lists.
+    A mesh below SCAN_MIN_SEGMENTS segments comes as tuples of floats, one
+    from SCAN_MIN_SEGMENTS on as read-only arrays.  A grid below
+    FUSE_MIN_CELLS of one density is one run, split at the atoms only;
+    that relies on density and atoms being a Potential's: a float array,
+    and atoms ascending, distinct and inside (0, 1).
     """
+    if grid_n < FUSE_MIN_CELLS and len(atoms) + 1 < SCAN_MIN_SEGMENTS:
+        vals = density.tolist()
+        if vals.count(vals[0]) == grid_n:
+            pos, masses = zip(*atoms) if atoms else ((), ())
+            xs = (0.0, *pos, 1.0)
+            lens = tuple([b - a for a, b in zip(xs, xs[1:])])
+            return xs, lens, (vals[0],) * len(lens), (*masses, 0.0)
     dens = np.asarray(density, dtype=float)
-    lists = one_run(grid_n, dens, atoms)
-    if lists is not None:
-        return tuple(np.array(v, dtype=float) for v in lists)
-    return _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
-
-
-def sweep_mesh(mesh):
-    """(lens, qs, masses) of a mesh (xs, lens, qs, masses) as phase sweeps
-    take them: a mesh short enough for the scalar loop as lists, built
-    once by the caller instead of on every sweep."""
-    _, lens, qs, masses = mesh
-    if len(lens) < SCAN_MIN_SEGMENTS:
-        return lens.tolist(), qs.tolist(), masses.tolist()
-    return lens, qs, masses
-
-
-def one_run_sweep(grid_n, density, atoms):
-    """(lens, qs, masses) of one_run's lists as phase sweeps take them,
-    with no arrays at all; None for a grid one_run does not take, or one
-    with SCAN_MIN_SEGMENTS segments or more, which the scan sweeps as
-    arrays: sweep_mesh of the fused mesh then gives them."""
-    if len(atoms) + 1 >= SCAN_MIN_SEGMENTS:
-        return None
-    lists = one_run(grid_n, density, atoms)
-    return None if lists is None else lists[1:]
+    mesh = _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
+    if len(mesh[1]) < SCAN_MIN_SEGMENTS:
+        return tuple(tuple(v.tolist()) for v in mesh)
+    for v in mesh:
+        v.setflags(write=False)
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -287,49 +259,38 @@ def seg_sq(y0, dy0, icc, ics, iss):
 # phase and propagation: entry points
 
 
-def phase(lens, qs, masses, lam: float) -> float:
-    """Continuously unwound Pruefer angle theta(1; lam) for y(0)=0, y'(0)=1.
-
-    lens, qs and masses are arrays; a mesh shorter than SCAN_MIN_SEGMENTS
-    may also come as lists of floats, which the scalar loop reads directly.
-    """
-    if len(lens) < SCAN_MIN_SEGMENTS:
-        return _phase_loop(lens, qs, masses, lam)
-    return _phase_scan(lens, qs, masses, lam)
-
-
 def propagate(lens, qs, masses, lam: float):
     """March (y, y') across all segments with per-boundary renormalization.
 
-    Returns (y_b, dy_arr, dy_dep, logscale): boundary arrays of length
-    nseg + 1.  True values at boundary j are exp(logscale[j]) times the
-    stored ones, and (y_b[j], dy_arr[j]) has unit length; dy_arr is the
-    arriving derivative (left limit), dy_dep the departing one (after an
-    atom jump, if any).
+    lens, qs and masses are arrays.  Returns (y_b, dy_arr, dy_dep,
+    logscale): boundary arrays of length nseg + 1.  True values at
+    boundary j are exp(logscale[j]) times the stored ones, and (y_b[j],
+    dy_arr[j]) has unit length; dy_arr is the arriving derivative (left
+    limit), dy_dep the departing one (after an atom jump, if any).
     """
     if len(lens) < SCAN_MIN_SEGMENTS:
         return _propagate_loop(lens, qs, masses, lam)
     return _propagate_scan(lens, qs, masses, lam)
 
 
-# ---------------------------------------------------------------------------
-# short meshes: one segment at a time
+def phase(lens, qs, masses, lam: float) -> float:
+    """Continuously unwound Pruefer angle theta(1; lam) for y(0)=0, y'(0)=1.
 
-
-def _phase_loop(lens, qs, masses, lam: float) -> float:
-    """theta(1; lam) one segment at a time, renormalizing the state after
-    each.
-
-    On an oscillatory segment the rescaled angle atan2(omega y, y')
-    advances by omega t; on any other segment (the 4-term series below
-    TAYLOR_CUT, cosh/sinh, or the exp-scaled pair past BIG_ARG, whose
-    log-scale the renormalization drops) the increment is the change of
-    the angle taken in [0, pi), plus pi for a sign change of y.  An atom
-    turns the angle at fixed y, from the atan2(y, y') its segment has
-    already computed.  Everything is inlined with the math functions bound
-    locally: the gamma = 1 atom meshes have 2-4 segments, so the per-call
-    cost is most of a sweep.
+    A mesh of SCAN_MIN_SEGMENTS segments or more, as arrays, goes to the
+    scan.  A shorter one, as build_segments gives it (tuples of floats) or
+    as arrays, is swept here one segment at a time, renormalizing the
+    state after each.  On an oscillatory segment the rescaled angle
+    atan2(omega y, y') advances by omega t; on any other segment (the
+    4-term series below TAYLOR_CUT, cosh/sinh, or the exp-scaled pair past
+    BIG_ARG, whose log-scale the renormalization drops) the increment is
+    the change of the angle taken in [0, pi), plus pi for a sign change of
+    y.  An atom turns the angle at fixed y, from the atan2(y, y') its
+    segment has already computed.  Everything is inlined with the math
+    functions bound locally: the gamma = 1 atom meshes have 2-4 segments,
+    so the per-call cost is most of a sweep.
     """
+    if len(lens) >= SCAN_MIN_SEGMENTS:
+        return _phase_scan(lens, qs, masses, lam)
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
     atan2, sqrt, cos, sin, hypot = math.atan2, math.sqrt, math.cos, math.sin, math.hypot
@@ -396,6 +357,10 @@ def _phase_loop(lens, qs, masses, lam: float) -> float:
             y /= r
             dy /= r
     return theta
+
+
+# ---------------------------------------------------------------------------
+# short meshes: one segment at a time
 
 
 def _propagate_loop(lens, qs, masses, lam: float):
@@ -510,7 +475,7 @@ def _frac_angles(y, dy):
 
 
 def _phase_scan(lens, qs, masses, lam: float) -> float:
-    """_phase_loop's increments, segment by segment, from _scan's states."""
+    """phase's loop increments, segment by segment, from _scan's states."""
     y, dy_arr, _, _ = _scan(lens, qs, masses, lam)
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]

@@ -10,10 +10,9 @@ method (_brent) finds the root inside it.  A solve sweeps each lam at most
 once (see _gap_fn).
 
 On the short atom meshes of the gamma = 1 solvers a sweep costs a few
-microseconds, so a solve's own work is kept to what its sweeps need: the
-sweep lists of a short one-run grid come from _propagate.one_run_sweep
-with no numpy array (_sweep_mesh), and the phase values live in one
-dict.
+microseconds, so a solve's own work is kept to what its sweeps need: it
+sweeps the potential's fused mesh as build_segments gives it (tuples of
+floats below the scan's length), and the phase values live in one dict.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class ShootingSolution:
     def __init__(self, q: Potential, lam: float):
         self.q = q
         self.lam = float(lam)
-        self._xs, lens, self._qs, masses = q.fused_mesh
+        self._xs, lens, self._qs, masses = map(np.asarray, q.fused_mesh)
         self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
             lens, self._qs, masses, lam
         )
@@ -155,8 +154,10 @@ class ShootingSolution:
         """Pairing of the measure v with the normalized y**2: the cell
         masses of its density plus each atom's mass times y**2 there."""
         total = float(np.dot(v.density, self.cell_square_masses(v.edges())))
-        for pos, mass in v.atoms:
-            total += mass * float(self.values([pos])[0]) ** 2
+        if v.atoms:
+            ys = self.values([pos for pos, _ in v.atoms]).tolist()
+            for (_, mass), y in zip(v.atoms, ys):
+                total += mass * y**2
         return total
 
     def _cum_indefinite(self, x: np.ndarray) -> np.ndarray:
@@ -177,18 +178,8 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
-def _sweep_mesh(q: Potential):
-    """(lens, qs, masses) of q's fused mesh as prop.phase takes them: the
-    lists of a short one-run grid (the gamma = 1 atom potentials) from
-    prop.one_run_sweep, with no arrays; any other mesh from q.fused_mesh."""
-    lists = prop.one_run_sweep(q.grid_n, q.density, q.atoms)
-    if lists is not None:
-        return lists
-    return prop.sweep_mesh(q.fused_mesh)
-
-
 def _phase_fn(q: Potential):
-    lens, qs, masses = _sweep_mesh(q)
+    _, lens, qs, masses = q.fused_mesh
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -204,7 +195,7 @@ def _gap_fn(q: Potential, n: int):
     starts by evaluating the bracket ends, which the bracket search has
     swept).  prop.phase is looked up at each sweep, so that a wrapper
     installed on it sees every one."""
-    lens, qs, masses = _sweep_mesh(q)
+    _, lens, qs, masses = q.fused_mesh
     target = (n + 1) * PI
     seen: dict[float, float] = {}
 
@@ -312,10 +303,6 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
             f"phase bracket violated: theta({lo})={g_lo + target}, "
             f"theta({hi})={g_hi + target}, target={target}"
         )
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
     return _root(g, lo, hi, tol)
 
 
@@ -331,7 +318,10 @@ def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
     anyway), so the kept step is the first where both pass, whether or not
     the computed phase is monotone.  The upper bound is at least
     4 pi^2 (n+1)^2, so it is computed only once guess + w goes past that.
+    A numpy scalar guess is taken as a float, so that the sweeps run in
+    Python float arithmetic.
     """
+    guess = float(guess)
     g = _gap_fn(q, n)
     lo_glob = _lower_end(n)
     base = _upper_base(n)

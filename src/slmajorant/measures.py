@@ -12,8 +12,11 @@ integrals, computed here per interval (``_beta_cells``) to 1e-13 relative
 or better on grids, so the package needs numpy alone at run time.
 
 All values here are immutable after construction.  The one cache is
-``Potential.fused_mesh``, built on first use and read-only after; two
-threads racing on it build the same arrays.
+``Potential.fused_mesh``, built on first use in the form phase sweeps and
+immutable after.  It is a plain property over the instance dict, since
+``functools.cached_property`` takes a lock on first access in Python 3.11
+and every gamma = 1 atom solve reads a new potential's mesh once.  Two
+threads racing on it build equal meshes, and either one is kept.
 
 Constructing a ``Potential`` is part of every gamma = 1 atom solve (about
 17k per benchmark pass, on 16-cell grids), so its checks are cheap there:
@@ -28,7 +31,6 @@ to separate the 16-cell atom grids from the grids of 256 cells and more.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -445,14 +447,15 @@ class Potential:
         atoms = tuple((p, m * t) for p, m in self.atoms) if t > 0 else ()
         return Potential(self.grid_n, self.density * t, atoms)
 
-    @functools.cached_property
-    def fused_mesh(self) -> tuple[np.ndarray, ...]:
+    @property
+    def fused_mesh(self) -> tuple:
         """build_segments of this potential, (xs, lens, qs, masses), built
-        once and read-only: every phase sweep and ShootingSolution of the
-        same potential shares it."""
-        mesh = build_segments(self.grid_n, self.density, self.atoms)
-        for arr in mesh:
-            arr.setflags(write=False)
+        once in the form phase sweeps: every phase sweep and
+        ShootingSolution of the same potential shares it."""
+        mesh = self.__dict__.get("_fused_mesh")
+        if mesh is None:
+            mesh = self.__dict__["_fused_mesh"] = build_segments(
+                self.grid_n, self.density, self.atoms)
         return mesh
 
     def total_mass(self) -> float:

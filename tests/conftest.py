@@ -36,6 +36,16 @@ def random_potential(rng, grid_n=64, max_density=2.0, max_atoms=0, snap=4096):
     return Potential(grid_n, dens, tuple(atoms))
 
 
+def assert_fused_form(mesh):
+    """A fused mesh is in the form phase sweeps: tuples of floats below
+    SCAN_MIN_SEGMENTS segments, read-only arrays from there on."""
+    if len(mesh[1]) < prop.SCAN_MIN_SEGMENTS:
+        assert all(type(v) is tuple and all(type(x) is float for x in v)
+                   for v in mesh)
+    else:
+        assert all(type(v) is np.ndarray and not v.flags.writeable for v in mesh)
+
+
 def non_dyadic_potential() -> Potential:
     """Density uniform in [0, 2000] on 100 cells (seed 0).  On this grid
     (j/n)*n rounds below j at the nodes j = 29, 57 and 58, so a piece placed

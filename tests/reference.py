@@ -17,8 +17,8 @@ agrees with it to the 1e-12 bracket both stop at, not bit for bit.
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
 loop that calls cs_scalar and a per-angle helper on every segment, the
-atom potential built from numpy scalars, its sweep lists taken from the
-fused mesh arrays, and the zoom supremum with its probe grid built on
+atom potential built from numpy scalars, its fused mesh taken from the
+cell loop's arrays, and the zoom supremum with its probe grid built on
 every call.
 """
 
@@ -335,11 +335,15 @@ def atom_potential_ref(w, zs, shares, grid_n=16):
     return Potential.from_atoms(atoms, grid_n)
 
 
-def sweep_mesh_ref(q):
-    """(lens, qs, masses) of q as phase sweeps them, from the arrays of the
-    cell-loop fused mesh."""
-    _, lens, qs, masses = fuse_loop_ref(q.grid_n, q.density, q.atoms)
-    return prop.sweep_mesh((None, lens, qs, masses))
+def fused_mesh_ref(q):
+    """q's fused mesh (xs, lens, qs, masses) from the cell loop's arrays,
+    in the form phase sweeps: tuples of floats below SCAN_MIN_SEGMENTS
+    segments, arrays from there on.  As a property on Potential it routes
+    every sweep and ShootingSolution through the cell loop."""
+    mesh = fuse_loop_ref(q.grid_n, q.density, q.atoms)
+    if len(mesh[1]) < prop.SCAN_MIN_SEGMENTS:
+        return tuple(tuple(v.tolist()) for v in mesh)
+    return mesh
 
 
 def sup_y2_over_r_zoom_ref(w, sol, probes: int = 2049, zoom: int = 33):

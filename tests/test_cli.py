@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slmajorant import eigenvalue, constraint_value, potential_from_dict, parse_weight
-from slmajorant import cli, eigensolver
+from slmajorant import cli
 from slmajorant.cli import (
     RunRequest,
     UsageError,
@@ -19,9 +19,9 @@ from slmajorant.cli import (
 )
 from slmajorant.config import SolverConfig
 from slmajorant.eigensolver import EigenPair, ShootingSolution
-from slmajorant.measures import ParameterError, potential_to_dict
+from slmajorant.measures import ParameterError, Potential, potential_to_dict
 from conftest import PI2, centered_atom_lambda
-from reference import csv_text_ref, dumps_deterministic_ref, sweep_mesh_ref
+from reference import csv_text_ref, dumps_deterministic_ref, fused_mesh_ref
 
 
 def make_config(tmp_path, **overrides):
@@ -419,7 +419,8 @@ class TestOutputsMatchTheReference:
         outs = []
         for name in ("new", "ref"):
             if name == "ref":
-                monkeypatch.setattr(eigensolver, "_sweep_mesh", sweep_mesh_ref)
+                monkeypatch.setattr(Potential, "fused_mesh",
+                                    property(fused_mesh_ref))
             path, _ = make_config(tmp_path, potential=q, n_max=1,
                                   output_dir=str(tmp_path / name))
             assert main(["--config", str(path)]) == 0

@@ -301,15 +301,22 @@ class TestMeshes:
 
 
     def test_fused_mesh_is_built_once_and_read_only(self):
-        q = self._potential(100)
-        mesh = q.fused_mesh
-        assert q.fused_mesh is mesh
-        ref = prop.build_segments(q.grid_n, q.density, q.atoms)
-        for got, want in zip(mesh, ref):
-            assert np.array_equal(got, want)
-            with pytest.raises(ValueError):
-                got[0] = 1.0
-        assert ShootingSolution(q, 50.0).breakpoints is mesh[0]
+        # a short mesh is tuples, a mesh the scan sweeps read-only arrays
+        for q, form, error in ((self._potential(100), tuple, TypeError),
+                               (self._potential(600), tuple, TypeError),
+                               (Potential(600, np.arange(600.0)), np.ndarray,
+                                ValueError)):
+            mesh = q.fused_mesh
+            assert q.fused_mesh is mesh
+            ref = prop.build_segments(q.grid_n, q.density, q.atoms)
+            for got, want in zip(mesh, ref):
+                assert type(got) is form
+                assert np.array_equal(got, want)
+                with pytest.raises(error):
+                    got[0] = 1.0
+            xs = ShootingSolution(q, 50.0).breakpoints
+            assert np.array_equal(xs, mesh[0])
+            assert (xs is mesh[0]) == (form is np.ndarray)
 
 
 class TestShootingPair:
@@ -329,6 +336,21 @@ class TestShootingPair:
         v = Potential.from_atoms([(0.3, 1.5), (0.71, 0.4)], 16)
         expected = sum(m * float(sol.values([p])[0]) ** 2 for p, m in v.atoms)
         assert sol.pair(v) == pytest.approx(expected, rel=1e-14)
+
+    def test_one_values_call_equals_the_per_atom_sum(self, rng):
+        # the atoms' y**2 come from one values() call, and give the same
+        # floats as one call per atom
+        for _ in range(40):
+            q = random_potential(rng, grid_n=16, max_density=20.0, max_atoms=3)
+            sol = ShootingSolution(q, eigenvalue(q, 0))
+            k = int(rng.integers(1, 6))
+            v = Potential(16, rng.uniform(0.0, 3.0, 16),
+                          tuple(zip(np.sort(rng.uniform(0.01, 0.99, k)).tolist(),
+                                    rng.uniform(0.1, 5.0, k).tolist())))
+            want = float(np.dot(v.density, sol.cell_square_masses(v.edges())))
+            for pos, mass in v.atoms:
+                want += mass * float(sol.values([pos])[0]) ** 2
+            assert sol.pair(v) == want
 
     def test_atom_free_matches_cell_masses(self, rng):
         q = random_potential(rng, grid_n=40, max_atoms=0)

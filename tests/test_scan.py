@@ -1,5 +1,6 @@
 """Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
-against the one-segment-at-a-time loops, and the mesh builders
+against the one-segment-at-a-time loops (the phase loop through its
+reference, bit for bit equal to phase's own), and the mesh builders
 (build_segments, node_mesh) against the reference builders they replaced."""
 
 import math
@@ -13,7 +14,8 @@ from hypothesis import given, strategies as st
 from slmajorant import Potential, eigenvalue
 from slmajorant import _propagate as prop
 
-from reference import fuse_loop_ref, fuse_runs_ref, node_mesh_ref
+from conftest import assert_fused_form
+from reference import fuse_loop_ref, fuse_runs_ref, node_mesh_ref, phase_loop_ref
 
 
 def _long_potential(seed, grid_n, max_density, n_atoms, max_mass=2.0):
@@ -60,7 +62,7 @@ def test_scan_phase_agrees_with_the_loop(q, frac):
     _, lens, qs, masses = q.fused_mesh
     assert len(lens) >= prop.SCAN_MIN_SEGMENTS
     for lam in _lams(q, frac):
-        loop = prop._phase_loop(lens, qs, masses, lam)
+        loop = phase_loop_ref(lens, qs, masses, lam)
         assert prop._phase_scan(lens, qs, masses, lam) == pytest.approx(
             loop, rel=1e-12, abs=0.0)
 
@@ -90,7 +92,7 @@ def test_eigenvalues_agree_with_the_loop(monkeypatch, seed, grid_n, n_atoms):
 
 
 def _phase_mp(lens, qs, masses, lam):
-    """_phase_loop's recurrence in 30-digit arithmetic."""
+    """The phase loop's recurrence in 30-digit arithmetic."""
     with mpmath.workdps(30):
         lam = mpmath.mpf(lam)
         y, dy, theta = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
@@ -148,23 +150,25 @@ def test_barrier_phase_is_no_further_from_30_digits_than_the_loop(monkeypatch):
         scan = prop._phase_scan(lens, qs, masses, x)
         assert scan == pytest.approx(exact, rel=1e-13, abs=0.0)
         err_scan += abs(scan - exact)
-        err_loop += abs(prop._phase_loop(lens, qs, masses, x) - exact)
+        err_loop += abs(phase_loop_ref(lens, qs, masses, x) - exact)
     assert err_scan <= err_loop
 
 
 def test_dispatch_at_scan_min_segments():
+    # one segment short of the scan, the fused mesh is tuples, which phase
+    # sweeps in its loop; at SCAN_MIN_SEGMENTS it is arrays for the scan
     rng = np.random.default_rng(11)
-    for nseg, kernel, sweep in ((prop.SCAN_MIN_SEGMENTS - 1, prop._phase_loop,
-                                 prop._propagate_loop),
-                                (prop.SCAN_MIN_SEGMENTS, prop._phase_scan,
-                                 prop._propagate_scan)):
+    for nseg, kernel, sweep, form in ((prop.SCAN_MIN_SEGMENTS - 1, phase_loop_ref,
+                                       prop._propagate_loop, tuple),
+                                      (prop.SCAN_MIN_SEGMENTS, prop._phase_scan,
+                                       prop._propagate_scan, np.ndarray)):
         q = Potential(nseg, rng.uniform(0.0, 100.0, nseg))
         _, lens, qs, masses = q.fused_mesh
-        assert len(lens) == nseg
+        assert len(lens) == nseg and type(lens) is form
+        arrays = tuple(map(np.asarray, (lens, qs, masses)))
         for lam in (5.0, 300.0, 4000.0):
             assert prop.phase(lens, qs, masses, lam) == kernel(lens, qs, masses, lam)
-            for got, want in zip(prop.propagate(lens, qs, masses, lam),
-                                 sweep(lens, qs, masses, lam)):
+            for got, want in zip(prop.propagate(*arrays, lam), sweep(*arrays, lam)):
                 assert np.array_equal(got, want)
 
 
@@ -175,7 +179,7 @@ def test_short_meshes_stay_on_the_loop():
               Potential.from_atoms(((0.3, 1.0), (0.6, 2.0)))):
         _, lens, qs, masses = q.fused_mesh
         for lam in (5.0, 300.0, 4000.0):
-            assert prop.phase(lens, qs, masses, lam) == prop._phase_loop(
+            assert prop.phase(lens, qs, masses, lam) == phase_loop_ref(
                 lens, qs, masses, lam)
 
 
@@ -202,8 +206,15 @@ def test_scan_raises_no_warning_up_to_1e8():
 def _assert_same_mesh(got, want):
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def _assert_fused_mesh(got, want):
+    """build_segments' mesh equals want, in the form phase sweeps."""
+    _assert_same_mesh(got, want)
+    assert_fused_form(got)
 
 
 def _runs_potential(rng, grid_n, n_levels, n_atoms):
@@ -232,7 +243,7 @@ def test_fused_runs_equal_the_loop(seed, grid_n, n_levels, n_atoms):
                                   n_atoms)
     want = fuse_loop_ref(grid_n, dens, atoms)
     _assert_same_mesh(fuse_runs_ref(grid_n, dens, atoms), want)
-    _assert_same_mesh(prop.build_segments(grid_n, dens, atoms), want)
+    _assert_fused_mesh(prop.build_segments(grid_n, dens, atoms), want)
     _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
                       node_mesh_ref(grid_n, dens, atoms))
 
@@ -242,8 +253,8 @@ def test_fused_runs_equal_the_loop_on_every_small_grid(grid_n):
     rng = np.random.default_rng(grid_n)
     for n_levels, n_atoms in ((1, 0), (1, 3), (2, 2), (grid_n, 0), (grid_n, 3)):
         dens, atoms = _runs_potential(rng, grid_n, n_levels, n_atoms)
-        _assert_same_mesh(prop.build_segments(grid_n, dens, atoms),
-                          fuse_loop_ref(grid_n, dens, atoms))
+        _assert_fused_mesh(prop.build_segments(grid_n, dens, atoms),
+                           fuse_loop_ref(grid_n, dens, atoms))
         _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
                           node_mesh_ref(grid_n, dens, atoms))
 
@@ -267,7 +278,7 @@ def test_one_run_mesh_equals_the_loop(grid_n):
                     pos.add(float((rng.integers(0, grid_n) + rng.uniform(0.01, 0.99))
                                   / grid_n))
             atoms = tuple((p, float(rng.uniform(0.1, 2.0))) for p in sorted(pos))
-            _assert_same_mesh(prop.build_segments(grid_n, dens, atoms),
-                              fuse_loop_ref(grid_n, dens, atoms))
+            _assert_fused_mesh(prop.build_segments(grid_n, dens, atoms),
+                               fuse_loop_ref(grid_n, dens, atoms))
             _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
                               node_mesh_ref(grid_n, dens, atoms))

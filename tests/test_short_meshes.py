@@ -1,15 +1,14 @@
 """The gamma = 1 atom-solve path against the forms it replaced, bit for
-bit: the inlined scalar phase loop on every branch, the one-run sweep
-lists (and the arrays of a one-run mesh long enough for the scan), the
-zoom supremum, and the k-atom solves and the single-atom scan built from
-all of them."""
+bit: phase's inlined scalar loop on every branch, the one-run fused mesh
+as tuples (and the arrays of a one-run mesh long enough for the scan),
+the zoom supremum, and the k-atom solves and the single-atom scan built
+from all of them."""
 
 import math
 
 import numpy as np
 import pytest
 
-import slmajorant.eigensolver as es
 import slmajorant.extremal as ex
 from slmajorant import (
     ConstantWeight,
@@ -23,11 +22,12 @@ from slmajorant import (
 from slmajorant import _propagate as prop
 from slmajorant.eigensolver import ShootingSolution, eigenvalue
 
+from conftest import assert_fused_form
 from reference import (
     atom_potential_ref,
+    fused_mesh_ref,
     phase_loop_ref,
     sup_y2_over_r_zoom_ref,
-    sweep_mesh_ref,
 )
 
 TC = prop.TAYLOR_CUT
@@ -65,8 +65,8 @@ def test_phase_loop_equals_the_reference_on_every_branch(branch, seed):
         lens, qs, masses, lam = _mesh(rng, branch, nseg)
         want = phase_loop_ref(lens.tolist(), qs.tolist(), masses.tolist(), lam)
         assert math.isfinite(want)
-        assert prop._phase_loop(lens.tolist(), qs.tolist(), masses.tolist(), lam) == want
-        assert prop._phase_loop(lens, qs, masses, lam) == want
+        assert prop.phase(*(tuple(v.tolist()) for v in (lens, qs, masses)), lam) == want
+        assert prop.phase(lens.tolist(), qs.tolist(), masses.tolist(), lam) == want
         assert prop.phase(lens, qs, masses, lam) == want
 
 
@@ -76,7 +76,7 @@ def test_cos_sin_basis_under_the_non_oscillatory_rule():
     for q, lam in ((0.0, TC), (TC, 2.0 * TC)):
         args = ([1.0], [q], [0.0], lam)
         assert q - lam == -TC
-        assert prop._phase_loop(*args) == phase_loop_ref(*args)
+        assert prop.phase(*args) == phase_loop_ref(*args)
 
 
 def test_zero_exactly_at_a_boundary():
@@ -86,12 +86,12 @@ def test_zero_exactly_at_a_boundary():
     r = math.hypot(0.5, -1.0)
     assert 0.5 / r + 0.5 * (-1.0 / r) == 0.0
     want = phase_loop_ref(lens, qs, masses, lam)
-    assert prop._phase_loop(lens, qs, masses, lam) == want
-    assert prop._phase_loop(*map(np.asarray, (lens, qs, masses)), lam) == want
+    assert prop.phase(lens, qs, masses, lam) == want
+    assert prop.phase(*map(np.asarray, (lens, qs, masses)), lam) == want
     # and the same zero followed by oscillatory and hyperbolic segments
     for tail_q in (-40.0, 400.0):
         args = (lens + [0.2], qs + [tail_q], masses[:2] + [2.0, 0.0], lam)
-        assert prop._phase_loop(*args) == phase_loop_ref(*args)
+        assert prop.phase(*args) == phase_loop_ref(*args)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -105,10 +105,11 @@ def test_atom_potential_sweeps_equal_the_reference(seed):
             ref = atom_potential_ref(w, zs, shares)
             assert q.atoms == ref.atoms
             assert all(type(v) is float for atom in q.atoms for v in atom)
-            lists = es._sweep_mesh(q)
-            assert lists == sweep_mesh_ref(ref)
+            mesh, want = q.fused_mesh, fused_mesh_ref(ref)
+            assert mesh == want
+            assert_fused_form(mesh)
             for lam in (5.0, 20.0, 80.0, 1e4):
-                assert prop.phase(*lists, lam) == phase_loop_ref(*sweep_mesh_ref(ref), lam)
+                assert prop.phase(*mesh[1:], lam) == phase_loop_ref(*want[1:], lam)
 
 
 def test_sweep_lists_of_other_grids_come_from_the_fused_mesh():
@@ -116,8 +117,10 @@ def test_sweep_lists_of_other_grids_come_from_the_fused_mesh():
     for q in (Potential(16, rng.uniform(0.0, 5.0, 16), ((0.5, 1.0),)),
               Potential.constant(2.0, 64), Potential.constant(2.0, 63),
               Potential(600, rng.uniform(0.0, 5.0, 600))):
-        got, want = es._sweep_mesh(q), sweep_mesh_ref(q)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got, want = q.fused_mesh, fused_mesh_ref(q)
+        assert all(np.array_equal(np.asarray(g), np.asarray(w))
+                   for g, w in zip(got, want))
+        assert_fused_form(got)
         assert type(got[0]) is type(want[0])
 
 
@@ -129,23 +132,28 @@ def _many_atoms(count, seed=11):
 
 def test_one_run_lists_stop_where_the_scan_starts():
     # a one-run grid with SCAN_MIN_SEGMENTS - 1 segments is swept from
-    # lists; one more atom makes a mesh that the scan sweeps as arrays
+    # tuples; one more atom makes a mesh that the scan sweeps as arrays
     zero = np.zeros(16)
     n = prop.SCAN_MIN_SEGMENTS - 1
-    lists = prop.one_run_sweep(16, zero, _many_atoms(n - 1))
-    assert len(lists[0]) == n and type(lists[0]) is list
-    assert prop.one_run_sweep(16, zero, _many_atoms(n)) is None
+    for count, nseg in ((n - 1, n), (n, n + 1)):
+        atoms = _many_atoms(count)
+        mesh = prop.build_segments(16, zero, atoms)
+        assert len(mesh[1]) == nseg
+        assert_fused_form(mesh)
+        want = fused_mesh_ref(Potential.from_atoms(atoms))
+        assert all(np.array_equal(np.asarray(g), np.asarray(w))
+                   for g, w in zip(mesh, want))
 
 
 def test_a_one_run_grid_of_scan_length_solves_as_the_fused_mesh(monkeypatch):
     # 600 atoms on a 16-cell grid of density 0: one run of 601 segments
     q = Potential.from_atoms(_many_atoms(600))
     assert len(q.atoms) == 600
-    got, want = es._sweep_mesh(q), sweep_mesh_ref(q)
-    assert all(type(g) is np.ndarray and np.array_equal(g, w)
-               for g, w in zip(got, want))
+    got, want = q.fused_mesh, fused_mesh_ref(q)
+    assert_fused_form(got)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
     lams = [eigenvalue(q, n) for n in (0, 2)]
-    monkeypatch.setattr(es, "_sweep_mesh", sweep_mesh_ref)
+    monkeypatch.setattr(Potential, "fused_mesh", property(fused_mesh_ref))
     assert lams == [eigenvalue(q, n) for n in (0, 2)]
 
 
@@ -177,8 +185,8 @@ def test_density_check_on_short_and_long_grids(grid_n):
 
 def _oracle_path(monkeypatch):
     """Route the atom solves through the forms they replaced."""
-    monkeypatch.setattr(prop, "_phase_loop", phase_loop_ref)
-    monkeypatch.setattr(es, "_sweep_mesh", sweep_mesh_ref)
+    monkeypatch.setattr(prop, "phase", phase_loop_ref)
+    monkeypatch.setattr(Potential, "fused_mesh", property(fused_mesh_ref))
     monkeypatch.setattr(ex, "_atom_potential", atom_potential_ref)
     monkeypatch.setattr(ex, "_sup_y2_over_r", sup_y2_over_r_zoom_ref)
 
@@ -207,3 +215,12 @@ def test_atom_scan_equals_the_oracle_path(monkeypatch, weight):
     assert (new.M_hat, new.iterations, new.kkt_residual, new.scan) == (
         ref.M_hat, ref.iterations, ref.kkt_residual, ref.scan)
     assert new.q_hat.atoms == ref.q_hat.atoms
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_atom_scan_sweeps_python_floats(sweep_counter, weight):
+    # the scan's warm guesses are numpy scalars; the solves take them as
+    # floats, so every sweep runs in Python float arithmetic
+    atom_grid_search(WEIGHTS[weight], 41)
+    assert sweep_counter
+    assert all(type(lam) is float for lam in sweep_counter)
