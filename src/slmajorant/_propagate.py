@@ -17,9 +17,11 @@ non-oscillatory segments the solution has at most one zero, counted from
 the sign change of y.  A zero landing exactly on a segment boundary is
 counted once, in the segment it terminates.
 
-phase and propagate sweep a mesh in one of two ways with the same rules.
-Below SCAN_MIN_SEGMENTS segments a scalar loop steps one segment at a
-time and renormalizes the state after each.  Longer meshes take every
+phase and propagate take a mesh in one form and sweep it in one of two
+ways with the same rules, picked at their top by its length.  Below
+SCAN_MIN_SEGMENTS segments each steps one segment at a time in its own
+scalar loop (phase renormalizes the state after an atom jump, propagate
+before it, keeping the norm in a log-scale).  Longer meshes take every
 boundary state from one prefix product of the segment matrices (Blelloch,
 "Prefix sums and their applications", 1990): pairs multiply level by
 level, each product rescaled by a power of two, and the states come back
@@ -30,16 +32,17 @@ One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
 atoms, and gives each piece the density of the cell its right end closes
 (an atom is inserted into the run it falls in).  node_mesh cuts at every
 node, so each piece lies in its right-open cell; build_segments cuts only
-where the density changes, fusing runs of equal density for the phase
-sweep (cached per potential as Potential.fused_mesh).
+where the density changes, fusing runs of equal density (cached per
+potential as Potential.fused_mesh).  Neither makes a piece of length 0.
 
-build_segments is also the one place where a mesh takes the form its
-sweep reads: below SCAN_MIN_SEGMENTS segments, tuples of floats, which
-phase's scalar loop reads with no conversion; from there on, read-only
-arrays for the scan.  The gamma = 1 solvers sweep 16-cell grids of
-density 0 with 1-3 atoms, meshes of 2-4 segments, about 17k solves of
-about 9 sweeps each per benchmark pass.  A sweep there is a few
-microseconds, so what surrounds it counts as much: a grid below
+build_segments is also the one place where a mesh takes the form the
+sweeps read: below SCAN_MIN_SEGMENTS segments, tuples of floats, which
+the scalar loops read with no conversion; from there on, read-only
+arrays for the scan.  A short array mesh, as node_mesh gives it, is
+converted once with .tolist().  The gamma = 1 solvers sweep 16-cell
+grids of density 0 with 1-3 atoms, meshes of 2-4 segments, about 17k
+solves of about 9 sweeps each per benchmark pass.  A sweep there is a
+few microseconds, so what surrounds it counts as much: a grid below
 FUSE_MIN_CELLS of one density is a single run, cut only at the atoms, and
 its tuples are built straight from the floats with no numpy array; and
 phase's loop is written out with its basis values and angles inlined.
@@ -262,15 +265,42 @@ def seg_sq(y0, dy0, icc, ics, iss):
 def propagate(lens, qs, masses, lam: float):
     """March (y, y') across all segments with per-boundary renormalization.
 
-    lens, qs and masses are arrays.  Returns (y_b, dy_arr, dy_dep,
-    logscale): boundary arrays of length nseg + 1.  True values at
-    boundary j are exp(logscale[j]) times the stored ones, and (y_b[j],
-    dy_arr[j]) has unit length; dy_arr is the arriving derivative (left
-    limit), dy_dep the departing one (after an atom jump, if any).
+    Takes and dispatches a mesh as phase does; a short one is stepped here
+    through cs_scalar, renormalized before its atom jump with the norm
+    kept in the log-scale.  Returns (y_b, dy_arr, dy_dep, logscale):
+    boundary arrays of length nseg + 1.  True values at boundary j are
+    exp(logscale[j]) times the stored ones, and (y_b[j], dy_arr[j]) has
+    unit length; dy_arr is the arriving derivative (left limit), dy_dep
+    the departing one (after an atom jump, if any).
     """
-    if len(lens) < SCAN_MIN_SEGMENTS:
-        return _propagate_loop(lens, qs, masses, lam)
-    return _propagate_scan(lens, qs, masses, lam)
+    if len(lens) >= SCAN_MIN_SEGMENTS:
+        return _propagate_scan(lens, qs, masses, lam)
+    if isinstance(lens, np.ndarray):
+        lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
+    hypot, log = math.hypot, math.log
+    y = 0.0
+    dy = 1.0
+    ls = 0.0
+    y_b, dy_arr, dy_dep, logsc = [y], [dy], [dy], [ls]
+    for t, qv, m in zip(lens, qs, masses):
+        d = qv - lam
+        c, s, sc = cs_scalar(d, t)
+        y1 = c * y + s * dy
+        dy1 = d * s * y + c * dy
+        ls += sc
+        r = hypot(y1, dy1)
+        if r != 0.0:
+            y1 /= r
+            dy1 /= r
+            ls += log(r)
+        y_b.append(y1)
+        dy_arr.append(dy1)
+        if m != 0.0:
+            dy1 = dy1 + m * y1
+        dy_dep.append(dy1)
+        logsc.append(ls)
+        y, dy = y1, dy1
+    return np.array(y_b), np.array(dy_arr), np.array(dy_dep), np.array(logsc)
 
 
 def phase(lens, qs, masses, lam: float) -> float:
@@ -300,54 +330,51 @@ def phase(lens, qs, masses, lam: float) -> float:
     theta = 0.0
     a1 = 0.0   # atan2(y, dy) of the state before its atom jump, when y != 0
     for t, qv, m in zip(lens, qs, masses):
-        if t > 0.0:
-            d = qv - lam
-            x = d * t * t
-            if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+        d = qv - lam
+        x = d * t * t
+        if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+            om = sqrt(-d)
+            ot = om * t
+            c = cos(ot)
+            s = sin(ot) / om
+            y1 = c * y + s * dy
+            dy1 = d * s * y + c * dy
+            a1 = atan2(y1, dy1)
+            # at y = 0 both start angles are equal, so their difference is 0
+            delta0 = 0.0 if y == 0.0 else atan2(om * y, dy) - atan2(y, dy)
+            theta += delta0 + ot - (atan2(om * y1, dy1) - a1)
+        else:
+            if -TAYLOR_CUT < x < TAYLOR_CUT:
+                c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))
+                s = t * (1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)))
+            elif d < 0.0:
                 om = sqrt(-d)
-                ot = om * t
-                c = cos(ot)
-                s = sin(ot) / om
-                y1 = c * y + s * dy
-                dy1 = d * s * y + c * dy
-                a1 = atan2(y1, dy1)
-                # at y = 0 both start angles are equal, so their difference is 0
-                delta0 = 0.0 if y == 0.0 else atan2(om * y, dy) - atan2(y, dy)
-                theta += delta0 + ot - (atan2(om * y1, dy1) - a1)
+                c = cos(om * t)
+                s = sin(om * t) / om
             else:
-                if -TAYLOR_CUT < x < TAYLOR_CUT:
-                    c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))
-                    s = t * (1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)))
-                elif d < 0.0:
-                    om = sqrt(-d)
-                    c = cos(om * t)
-                    s = sin(om * t) / om
+                k = sqrt(d)
+                kt = k * t
+                if kt <= BIG_ARG:
+                    c = math.cosh(kt)
+                    s = math.sinh(kt) / k
                 else:
-                    k = sqrt(d)
-                    kt = k * t
-                    if kt <= BIG_ARG:
-                        c = math.cosh(kt)
-                        s = math.sinh(kt) / k
-                    else:
-                        e = math.exp(-2.0 * kt)
-                        c = 0.5 * (1.0 + e)
-                        s = 0.5 * (1.0 - e) / k
-                y1 = c * y + s * dy
-                dy1 = d * s * y + c * dy
-                inc = 0.0
-                if y1 != 0.0:
-                    a1 = atan2(y1, dy1)
-                    inc = a1 + pi if a1 < 0.0 else a1
-                if y != 0.0:
-                    # at most one zero, counted from the sign change of y
-                    if y1 == 0.0 or (y > 0.0) != (y1 > 0.0):
-                        inc = pi + inc
-                    a0 = atan2(y, dy)
-                    inc -= a0 + pi if a0 < 0.0 else a0
-                theta += inc
-            y, dy = y1, dy1
-        elif y != 0.0:
-            a1 = atan2(y, dy)
+                    e = math.exp(-2.0 * kt)
+                    c = 0.5 * (1.0 + e)
+                    s = 0.5 * (1.0 - e) / k
+            y1 = c * y + s * dy
+            dy1 = d * s * y + c * dy
+            inc = 0.0
+            if y1 != 0.0:
+                a1 = atan2(y1, dy1)
+                inc = a1 + pi if a1 < 0.0 else a1
+            if y != 0.0:
+                # at most one zero, counted from the sign change of y
+                if y1 == 0.0 or (y > 0.0) != (y1 > 0.0):
+                    inc = pi + inc
+                a0 = atan2(y, dy)
+                inc -= a0 + pi if a0 < 0.0 else a0
+            theta += inc
+        y, dy = y1, dy1
         if m != 0.0 and y != 0.0:
             dy += m * y
             a = atan2(y, dy)
@@ -357,48 +384,6 @@ def phase(lens, qs, masses, lam: float) -> float:
             y /= r
             dy /= r
     return theta
-
-
-# ---------------------------------------------------------------------------
-# short meshes: one segment at a time
-
-
-def _propagate_loop(lens, qs, masses, lam: float):
-    n = len(lens)
-    y_b = np.zeros(n + 1)
-    dy_arr = np.zeros(n + 1)
-    dy_dep = np.zeros(n + 1)
-    logsc = np.zeros(n + 1)
-    y = 0.0
-    dy = 1.0
-    ls = 0.0
-    y_b[0] = y
-    dy_arr[0] = dy
-    dy_dep[0] = dy
-    lens_l = lens.tolist()
-    qs_l = qs.tolist()
-    ms_l = masses.tolist()
-    for i in range(n):
-        t = lens_l[i]
-        d = qs_l[i] - lam
-        c, s, sc = cs_scalar(d, t)
-        y1 = c * y + s * dy
-        dy1 = d * s * y + c * dy
-        ls += sc
-        r = math.hypot(y1, dy1)
-        if r != 0.0:
-            y1 /= r
-            dy1 /= r
-            ls += math.log(r)
-        y_b[i + 1] = y1
-        dy_arr[i + 1] = dy1
-        m = ms_l[i]
-        if m != 0.0:
-            dy1 = dy1 + m * y1
-        dy_dep[i + 1] = dy1
-        logsc[i + 1] = ls
-        y, dy = y1, dy1
-    return y_b, dy_arr, dy_dep, logsc
 
 
 # ---------------------------------------------------------------------------

@@ -330,13 +330,12 @@ def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         pairs.append(eigenfunction(q, lam, n))
 
     def entries():
-        # x is formatted once per distinct node mesh; each pair's y and dy
-        # live in _solve_entry's entry alone, which _json_block lets go once
-        # written, so one pair's text is held at a time
-        x = x_bits = None
+        # every pair is sampled on q's node mesh, so x is formatted once;
+        # each pair's y and dy live in _solve_entry's entry alone, which
+        # _json_block lets go once written, so one pair's text is held at
+        # a time
+        x = _Column(pairs[0].xs)
         for p in pairs:
-            if p.xs.tobytes() != x_bits:
-                x, x_bits = _Column(p.xs), p.xs.tobytes()
             yield _solve_entry(out, p, x)
 
     result = {
@@ -394,8 +393,8 @@ def _run_oracle(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
 def _run_bounds(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     q = _default_potential(req, cfg)
     lams = [eigenvalue(q, n, cfg.tol_eigen) for n in range(req.n_max + 2)]
+    header = ["n", "lambda", "upper_bound", "gap", "gap_lower_bound", "pass"]
     rows = []
-    all_pass = True
     for n in range(req.n_max + 1):
         ub = upper_bound(q, n)
         gap = lams[n + 1] - lams[n]
@@ -404,26 +403,12 @@ def _run_bounds(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         if not q.atoms:
             ok = ok and gap >= glb * (1.0 - 1e-12) - 1e-12
         rows.append((n, lams[n], ub, gap, glb, ok))
-        all_pass = all_pass and ok
-    _write_csv(
-        out / "bounds.csv",
-        ["n", "lambda", "upper_bound", "gap", "gap_lower_bound", "pass"],
-        rows,
-    )
+    all_pass = all(ok for *_, ok in rows)
+    _write_csv(out / "bounds.csv", header, rows)
     result = {
         "mode": "bounds",
         "weight": req.weight.literal(),
-        "rows": [
-            {
-                "n": n,
-                "lambda": lam,
-                "upper_bound": ub,
-                "gap": gap,
-                "gap_lower_bound": glb,
-                "pass": ok,
-            }
-            for n, lam, ub, gap, glb, ok in rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
         "all_pass": all_pass,
     }
     _write_json(out / "result.json", result)

@@ -13,6 +13,8 @@ On the short atom meshes of the gamma = 1 solvers a sweep costs a few
 microseconds, so a solve's own work is kept to what its sweeps need: it
 sweeps the potential's fused mesh as build_segments gives it (tuples of
 floats below the scan's length), and the phase values live in one dict.
+ShootingSolution propagates the same mesh as is, and makes arrays only
+of the breakpoints and densities it indexes.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class EigenPair:
 
 def _shoot(lens, qs, masses, lam: float):
     """propagate's boundary arrays plus (seg, ref): the y**2 mass of each
-    segment times exp(-2 * ref), ref being the largest log-scale."""
+    segment times exp(-2 * ref), ref being the largest log-scale.  The
+    mesh comes in any form propagate takes."""
     y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-    icc, ics, iss, ils = prop.sq_integrals(qs - lam, lens)
+    icc, ics, iss, ils = prop.sq_integrals(np.subtract(qs, lam), lens)
     expo = logsc[:-1] + ils
     ref = float(np.max(expo))
     seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
@@ -110,9 +113,10 @@ class ShootingSolution:
     def __init__(self, q: Potential, lam: float):
         self.q = q
         self.lam = float(lam)
-        self._xs, lens, self._qs, masses = map(np.asarray, q.fused_mesh)
+        xs, lens, qs, masses = q.fused_mesh
+        self._xs, self._qs = np.asarray(xs), np.asarray(qs)
         self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
-            lens, self._qs, masses, lam
+            lens, qs, masses, lam
         )
         self._cum_sq = np.concatenate(([0.0], np.cumsum(seg)))
         total = self._cum_sq[-1]
@@ -178,15 +182,11 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
-def _phase_fn(q: Potential):
-    _, lens, qs, masses = q.fused_mesh
-    return lambda lam: prop.phase(lens, qs, masses, lam)
-
-
 def prufer_phase(q: Potential, lam: float) -> float:
     """Continuously unwound Pruefer angle theta(1; lam) of the shooting
     solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n."""
-    return _phase_fn(q)(lam)
+    _, lens, qs, masses = q.fused_mesh
+    return prop.phase(lens, qs, masses, lam)
 
 
 def _gap_fn(q: Potential, n: int):
@@ -357,16 +357,14 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
     forward shooting meets late, the phase climbs by about pi in a window
     narrower than the root-finder tolerance.
     """
-    theta = _phase_fn(q)
-    target = (n + 1) * PI
-    phase = theta(lam)
-    if abs(phase - target) > 1e-2 and not (
-        theta(lam * (1.0 - EIGEN_WINDOW)) <= target
-        <= theta(lam * (1.0 + EIGEN_WINDOW))
+    g = _gap_fn(q, n)
+    gap = g(lam)
+    if abs(gap) > 1e-2 and not (
+        g(lam * (1.0 - EIGEN_WINDOW)) <= 0.0 <= g(lam * (1.0 + EIGEN_WINDOW))
     ):
         raise InternalSolverError(
             f"lambda={lam} is not the index-{n} eigenvalue "
-            f"(phase {phase} vs {target})"
+            f"(phase - (n+1) pi = {gap})"
         )
     xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
     y_b, dy_arr, dy_dep, logsc, seg, ref = _shoot(lens, qs, masses, lam)

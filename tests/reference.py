@@ -14,9 +14,14 @@ vectorized integral and agrees to rounding.  The golden-section
 supremum of y**2 / r is kept as an oracle for the vectorized zoom, which
 agrees with it to the 1e-12 bracket both stop at, not bit for bit.
 
+The scalar propagation loop is kept as it was before propagate took
+the fused mesh's tuples: it reads arrays and stores each state into a
+preallocated array, and propagate must give the same floats.
+
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
-loop that calls cs_scalar and a per-angle helper on every segment, the
+loop that calls cs_scalar and a per-angle helper on every segment (and
+skips a segment of length 0), the
 atom potential built from numpy scalars, its fused mesh taken from the
 cell loop's arrays, and the zoom supremum with its probe grid built on
 every call.
@@ -324,6 +329,47 @@ def phase_loop_ref(lens, qs, masses, lam: float) -> float:
             y /= r
             dy /= r
     return theta
+
+
+def propagate_loop_ref(lens, qs, masses, lam: float):
+    """propagate's boundary arrays one segment at a time through
+    cs_scalar, each value stored into a preallocated array; lens, qs and
+    masses are arrays."""
+    n = len(lens)
+    y_b = np.zeros(n + 1)
+    dy_arr = np.zeros(n + 1)
+    dy_dep = np.zeros(n + 1)
+    logsc = np.zeros(n + 1)
+    y = 0.0
+    dy = 1.0
+    ls = 0.0
+    y_b[0] = y
+    dy_arr[0] = dy
+    dy_dep[0] = dy
+    lens_l = lens.tolist()
+    qs_l = qs.tolist()
+    ms_l = masses.tolist()
+    for i in range(n):
+        t = lens_l[i]
+        d = qs_l[i] - lam
+        c, s, sc = prop.cs_scalar(d, t)
+        y1 = c * y + s * dy
+        dy1 = d * s * y + c * dy
+        ls += sc
+        r = math.hypot(y1, dy1)
+        if r != 0.0:
+            y1 /= r
+            dy1 /= r
+            ls += math.log(r)
+        y_b[i + 1] = y1
+        dy_arr[i + 1] = dy1
+        m = ms_l[i]
+        if m != 0.0:
+            dy1 = dy1 + m * y1
+        dy_dep[i + 1] = dy1
+        logsc[i + 1] = ls
+        y, dy = y1, dy1
+    return y_b, dy_arr, dy_dep, logsc
 
 
 def atom_potential_ref(w, zs, shares, grid_n=16):

@@ -1,6 +1,6 @@
 """Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
-against the one-segment-at-a-time loops (the phase loop through its
-reference, bit for bit equal to phase's own), and the mesh builders
+against the one-segment-at-a-time loops (through their references, bit
+for bit equal to phase's and propagate's own), and the mesh builders
 (build_segments, node_mesh) against the reference builders they replaced."""
 
 import math
@@ -15,7 +15,13 @@ from slmajorant import Potential, eigenvalue
 from slmajorant import _propagate as prop
 
 from conftest import assert_fused_form
-from reference import fuse_loop_ref, fuse_runs_ref, node_mesh_ref, phase_loop_ref
+from reference import (
+    fuse_loop_ref,
+    fuse_runs_ref,
+    node_mesh_ref,
+    phase_loop_ref,
+    propagate_loop_ref,
+)
 
 
 def _long_potential(seed, grid_n, max_density, n_atoms, max_mass=2.0):
@@ -71,7 +77,7 @@ def test_scan_phase_agrees_with_the_loop(q, frac):
 def test_scan_states_agree_with_the_loop(q, frac):
     _, lens, qs, masses = q.fused_mesh
     for lam in _lams(q, frac):
-        loop = prop._propagate_loop(lens, qs, masses, lam)
+        loop = propagate_loop_ref(lens, qs, masses, lam)
         scan = prop._propagate_scan(lens, qs, masses, lam)
         assert np.allclose(scan[0] ** 2 + scan[1] ** 2, 1.0, rtol=0.0, atol=1e-15)
         for got, want in zip(scan[:3], loop[:3]):
@@ -156,10 +162,11 @@ def test_barrier_phase_is_no_further_from_30_digits_than_the_loop(monkeypatch):
 
 def test_dispatch_at_scan_min_segments():
     # one segment short of the scan, the fused mesh is tuples, which phase
-    # sweeps in its loop; at SCAN_MIN_SEGMENTS it is arrays for the scan
+    # and propagate sweep in their loops; at SCAN_MIN_SEGMENTS it is
+    # arrays for the scan
     rng = np.random.default_rng(11)
     for nseg, kernel, sweep, form in ((prop.SCAN_MIN_SEGMENTS - 1, phase_loop_ref,
-                                       prop._propagate_loop, tuple),
+                                       propagate_loop_ref, tuple),
                                       (prop.SCAN_MIN_SEGMENTS, prop._phase_scan,
                                        prop._propagate_scan, np.ndarray)):
         q = Potential(nseg, rng.uniform(0.0, 100.0, nseg))
@@ -168,8 +175,10 @@ def test_dispatch_at_scan_min_segments():
         arrays = tuple(map(np.asarray, (lens, qs, masses)))
         for lam in (5.0, 300.0, 4000.0):
             assert prop.phase(lens, qs, masses, lam) == kernel(lens, qs, masses, lam)
-            for got, want in zip(prop.propagate(*arrays, lam), sweep(*arrays, lam)):
-                assert np.array_equal(got, want)
+            want = sweep(*arrays, lam)
+            for mesh in ((lens, qs, masses), arrays):
+                got = prop.propagate(*mesh, lam)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_short_meshes_stay_on_the_loop():

@@ -1,5 +1,6 @@
 """The gamma = 1 atom-solve path against the forms it replaced, bit for
-bit: phase's inlined scalar loop on every branch, the one-run fused mesh
+bit: phase's inlined scalar loop on every branch, propagate's loop on the
+fused mesh's tuples and on arrays, the one-run fused mesh
 as tuples (and the arrays of a one-run mesh long enough for the scan),
 the zoom supremum, and the k-atom solves and the single-atom scan built
 from all of them."""
@@ -27,6 +28,7 @@ from reference import (
     atom_potential_ref,
     fused_mesh_ref,
     phase_loop_ref,
+    propagate_loop_ref,
     sup_y2_over_r_zoom_ref,
 )
 
@@ -68,6 +70,59 @@ def test_phase_loop_equals_the_reference_on_every_branch(branch, seed):
         assert prop.phase(*(tuple(v.tolist()) for v in (lens, qs, masses)), lam) == want
         assert prop.phase(lens.tolist(), qs.tolist(), masses.tolist(), lam) == want
         assert prop.phase(lens, qs, masses, lam) == want
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("seed", range(2))
+def test_propagate_loop_equals_the_reference_on_every_branch(branch, seed):
+    """propagate on tuples, lists and arrays of 1 to SCAN_MIN_SEGMENTS - 1
+    segments, with and without atoms, gives the reference loop's arrays:
+    every cs_scalar branch, densities up to 1e8 past BIG_ARG, and (in the
+    mixed meshes) segments of length 0."""
+    rng = np.random.default_rng([seed, BRANCHES.index(branch), 1])
+    for nseg in (1, 2, 3, 17, 100, prop.SCAN_MIN_SEGMENTS - 1):
+        lens, qs, masses, lam = _mesh(rng, branch, nseg)
+        for ms in (masses, np.zeros(nseg)):
+            want = propagate_loop_ref(lens, qs, ms, lam)
+            assert all(np.all(np.isfinite(w)) for w in want)
+            arrays = (lens, qs, ms)
+            for mesh in (tuple(tuple(v.tolist()) for v in arrays),
+                         [v.tolist() for v in arrays], arrays):
+                got = prop.propagate(*mesh, lam)
+                assert all(g.dtype == w.dtype and np.array_equal(g, w)
+                           for g, w in zip(got, want))
+
+
+def _fused_mesh_arrays(q):
+    """q's fused mesh as writable arrays, whatever its length."""
+    return tuple(np.array(v) for v in prop.build_segments(q.grid_n, q.density, q.atoms))
+
+
+def test_propagate_and_shooting_take_the_fused_mesh_as_it_is(monkeypatch):
+    """propagate on q.fused_mesh (tuples on an atom potential and a
+    256-cell grid, read-only arrays on a 600-cell grid) gives the array
+    call's arrays, and ShootingSolution the values it gave from arrays."""
+    rng = np.random.default_rng(17)
+    cases = [Potential.from_atoms(((0.2, 3.0), (0.55, 1.5), (0.8, 4.0))),
+             Potential(256, rng.uniform(0.0, 1e3, 256)),
+             Potential(256, rng.uniform(0.0, 1e3, 256), ((0.3, 2.0),)),
+             Potential(600, rng.uniform(0.0, 1e3, 600))]
+    points = rng.uniform(0.0, 1.0, 50)
+    lams = [eigenvalue(q, 1) for q in cases]
+    sols = []
+    for q, lam in zip(cases, lams):
+        mesh, arrays = q.fused_mesh[1:], _fused_mesh_arrays(q)[1:]
+        for x in (5.0, lam, 4000.0):
+            want = prop.propagate(*arrays, x)
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(prop.propagate(*mesh, x), want))
+        sol = ShootingSolution(q, lam)
+        sols.append((sol.values(points), sol.cell_square_masses(q.edges())))
+    monkeypatch.setattr(Potential, "fused_mesh", property(_fused_mesh_arrays))
+    for q, lam, (values, masses) in zip(cases, lams, sols):
+        sol = ShootingSolution(q, lam)
+        assert np.array_equal(sol.values(points), values)
+        assert np.array_equal(sol.cell_square_masses(q.edges()), masses)
 
 
 def test_cos_sin_basis_under_the_non_oscillatory_rule():
