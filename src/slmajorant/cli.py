@@ -81,6 +81,10 @@ class RunRequest:
     n_max: int = 0
     alpha: float | None = None
 
+    def __post_init__(self):
+        if self.mode == "perturb" and self.direction is None:
+            raise UsageError("mode 'perturb' requires key 'direction'")
+
 
 _REQUEST_KEYS = {f.name for f in fields(RunRequest)}
 _CONFIG_KEYS = {f.name for f in fields(SolverConfig)}
@@ -150,8 +154,6 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
         if not is_finite_real(alpha):
             raise UsageError("key 'alpha': must be a finite real number")
         alpha = float(alpha)
-    if mode == "perturb" and direction is None:
-        raise UsageError("mode 'perturb' requires key 'direction'")
     return (
         RunRequest(
             mode=mode,
@@ -477,14 +479,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         request, cfg = parse_config(text)
+        if args.mode:
+            request = replace(request, mode=args.mode)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.mode:
-        request = replace(request, mode=args.mode)
-        if request.mode == "perturb" and request.direction is None:
-            print("error: mode 'perturb' requires key 'direction'", file=sys.stderr)
-            return 2
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
     try:

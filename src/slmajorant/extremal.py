@@ -23,6 +23,13 @@ exactly at a maximizer of y^2/r, and the characterization defect of a
 finite-atom potential stays bounded away from zero for smooth weights.
 The defect shrinks only as the atom count grows toward the density-type
 limit.
+
+Each outer step is written once: ``_ground`` (a cold or a warm ground
+solve), ``_atom_lam`` and ``_atom_scan`` (one saturating atom, and a warm
+scan of such atoms), ``_best_response`` (the gamma > 1 best response and
+its distance from the iterate), ``_tangent`` (the ascent direction of the
+gamma > 1 oracle) and ``_report``.  The ``oracle`` module calls all but
+``_best_response`` and ``_report``.
 """
 
 from __future__ import annotations
@@ -136,12 +143,35 @@ def _char_map(
     return u * d_hat ** (-1.0 / gamma)
 
 
-def _rel_dist_lgamma(
-    cell_r: np.ndarray, q: np.ndarray, v: np.ndarray, gamma: float
-) -> float:
+def _best_response(w, gamma, sol, mids, cell_r, q) -> tuple[np.ndarray, float]:
+    """Best response v to the eigenfunction of sol, and the relative
+    weighted-L^gamma distance from the cell values q to it."""
+    v = _char_map(w, gamma, mids, cell_r, sol.values(mids))
     num = float(np.dot(cell_r, np.abs(q - v) ** gamma)) ** (1.0 / gamma)
     den = float(np.dot(cell_r, q**gamma)) ** (1.0 / gamma)
-    return num / den
+    return v, num / den
+
+
+def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
+    """Ground eigenvalue of pot: a cold solve, or a warm one from guess."""
+    if guess is None:
+        return eigenvalue(pot, 0, tol)
+    return _eigenvalue_warm(pot, 0, tol, guess)
+
+
+def _tangent(grad, cell_r, gamma, dens) -> np.ndarray:
+    """Component of the cell gradient grad orthogonal to the constraint
+    gradient gamma r q^(gamma-1) at the cell values dens (least squares);
+    it vanishes at a KKT point."""
+    cgrad = gamma * cell_r * dens ** (gamma - 1.0)
+    denom = float(np.dot(cgrad, cgrad))
+    mu = float(np.dot(grad, cgrad)) / denom if denom > 0 else 0.0
+    return grad - mu * cgrad
+
+
+def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport:
+    return ExtremalReport(pair.lam, q_hat, pair, residual,
+                          constraint_value(w, gamma, q_hat), tuple(trace), converged)
 
 
 def _eq1_precheck(w: Weight) -> None:
@@ -194,20 +224,12 @@ def solve_extremal_gamma_gt1(
 
     tau = DAMPING
     lam_prev = None
-    guess = None
     trace: list[tuple[int, float, float]] = []
     converged = False
-    lam = math.nan
     for k in range(cfg.max_iter):
         pot = Potential(n, q)
-        if guess is None:
-            lam = eigenvalue(pot, 0, cfg.tol_eigen)
-        else:
-            lam = _eigenvalue_warm(pot, 0, cfg.tol_eigen, guess)
-        sol = ShootingSolution(pot, lam)
-        ymid = sol.values(mids)
-        v = _char_map(w, gamma, mids, cell_r, ymid)
-        res = _rel_dist_lgamma(cell_r, q, v, gamma)
+        lam = _ground(pot, cfg.tol_eigen, lam_prev)
+        v, res = _best_response(w, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
             if lam < lam_prev - 1e-12 * max(lam, 1.0):
@@ -216,27 +238,16 @@ def solve_extremal_gamma_gt1(
                 converged = True
                 break
         lam_prev = lam
-        guess = lam
         q = (1.0 - tau) * q + tau * v
 
     # snap to the exact best response: its constraint integral is one by
     # construction and its own residual is a contraction of the last one
     q_hat = Potential(n, v)
     lam = _eigenvalue_warm(q_hat, 0, cfg.tol_eigen, lam)
-    sol = ShootingSolution(q_hat, lam)
-    v_final = _char_map(w, gamma, mids, cell_r, sol.values(mids))
-    res = _rel_dist_lgamma(cell_r, v, v_final, gamma)
+    _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
     trace.append((len(trace), lam, res))
-    pair = eigenfunction(q_hat, lam, 0)
-    return ExtremalReport(
-        M=lam,
-        q_hat=q_hat,
-        ground_state=pair,
-        residual=res,
-        constraint=constraint_value(w, gamma, q_hat),
-        trace=tuple(trace),
-        converged=converged,
-    )
+    return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
+                   converged)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +288,20 @@ def _atom_potential(w, zs, shares, grid_n=16) -> Potential:
     about twice the cost."""
     return Potential.from_atoms(
         [(z, s / w(z)) for z, s in zip(zs, shares) if s > 0.0], grid_n)
+
+
+def _atom_lam(w: Weight, z: float, tol: float, guess: float | None = None) -> float:
+    """Ground eigenvalue of one saturating atom at z: mass 1/r(z)."""
+    return _ground(_atom_potential(w, [z], [1.0]), tol, guess)
+
+
+def _atom_scan(w: Weight, zs: list[float], tol: float) -> list[float]:
+    """Single-atom ground eigenvalues at the Python floats zs, each solve
+    warm from the one before."""
+    lams: list[float] = []
+    for z in zs:
+        lams.append(_atom_lam(w, z, tol, lams[-1] if lams else None))
+    return lams
 
 
 _PROBE_DELTA = 1e-6   # the probe stays this far inside (0, 1)
@@ -325,17 +350,7 @@ def solve_extremal_gamma_eq1(
 
     # coarse scan of the single-atom eigenvalue
     scan_z = np.linspace(lo, hi, ATOM_SCAN_POINTS)
-    scan_lam = np.empty_like(scan_z)
-    guess = None
-    for i, z in enumerate(scan_z.tolist()):
-        pot = _atom_potential(w, [z], [1.0])
-        lam = (
-            eigenvalue(pot, 0, cfg.tol_eigen)
-            if guess is None
-            else _eigenvalue_warm(pot, 0, cfg.tol_eigen, guess)
-        )
-        scan_lam[i] = lam
-        guess = lam
+    scan_lam = np.array(_atom_scan(w, scan_z.tolist(), cfg.tol_eigen))
 
     # initial positions: interior local maxima of the scan, best first
     maxima = [
@@ -358,10 +373,8 @@ def solve_extremal_gamma_eq1(
     shares = np.full(len(zs), 1.0 / len(zs))
 
     def lam_of(z_arr, s_arr, warm=None):
-        pot = _atom_potential(w, z_arr.tolist(), s_arr.tolist())
-        if warm is None:
-            return eigenvalue(pot, 0, cfg.tol_eigen)
-        return _eigenvalue_warm(pot, 0, cfg.tol_eigen, warm)
+        return _ground(_atom_potential(w, z_arr.tolist(), s_arr.tolist()),
+                       cfg.tol_eigen, warm)
 
     lam = lam_of(zs, shares)
     trace: list[tuple[int, float, float]] = []
@@ -418,16 +431,8 @@ def solve_extremal_gamma_eq1(
             break
 
     q_hat = _atom_potential(w, zs, shares, grid_n=cfg.grid_n)
-    pair = eigenfunction(q_hat, lam, 0)
-    return ExtremalReport(
-        M=lam,
-        q_hat=q_hat,
-        ground_state=pair,
-        residual=trace[-1][2],
-        constraint=constraint_value(w, 1.0, q_hat),
-        trace=tuple(trace),
-        converged=converged,
-    )
+    return _report(w, 1.0, q_hat, eigenfunction(q_hat, lam, 0), trace[-1][2],
+                   trace, converged)
 
 
 def _eq1_defect(w: Weight, q: Potential, sol: ShootingSolution) -> float:
@@ -572,15 +577,7 @@ def solve_measure_gamma_eq1(
     M = eigenvalue(q_hat, 0, cfg.tol_eigen)
     pair = eigenfunction(q_hat, M, 0)
     res = characterization_residual(w, 1.0, q_hat, pair)
-    return ExtremalReport(
-        M=M,
-        q_hat=q_hat,
-        ground_state=pair,
-        residual=res,
-        constraint=constraint_value(w, 1.0, q_hat),
-        trace=((0, M, res),),
-        converged=True,
-    )
+    return _report(w, 1.0, q_hat, pair, res, [(0, M, res)], True)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +604,8 @@ def characterization_residual(
             raise InvalidPotentialError(
                 "the gamma > 1 characterization applies to atom-free q"
             )
-        mids = q.midpoints()
         cell_r = w.cell_pow_integrals(q.edges())
-        v = _char_map(w, gamma, mids, cell_r, sol.values(mids))
-        return _rel_dist_lgamma(cell_r, q.density, v, gamma)
+        return _best_response(w, gamma, sol, q.midpoints(), cell_r, q.density)[1]
     return _eq1_defect(w, q, sol)
 
 

@@ -2,11 +2,14 @@
 
 Certifies the extremal module at desk scale by a different route:
 projected super-gradient ascent on the cell values for gamma > 1 (the
-ascent direction is the Hellmann-Feynman gradient, the per-cell mass of
-the squared ground state), and an exhaustive single-atom position scan for
-gamma = 1.  A concave objective over a convex feasible set makes any
-stationary point global, so the reported KKT residual quantifies how
-certified the answer is.
+ascent direction is the tangent part of the Hellmann-Feynman gradient,
+the per-cell mass of the squared ground state), and an exhaustive
+single-atom position scan for gamma = 1.  A concave objective over a
+convex feasible set makes any stationary point global, so the reported
+KKT residual quantifies how certified the answer is.
+
+The route differs, the steps do not: the ground solve, the single-atom
+solve and scan, and the tangent direction are the extremal module's.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import extremal
 from .config import SolverConfig
-from .eigensolver import ShootingSolution, _eigenvalue_warm, eigenvalue
-from .extremal import POS_TOL, _golden_max
+from .eigensolver import ShootingSolution
+from .extremal import POS_TOL, _atom_lam, _atom_scan, _golden_max, _ground, _tangent
 from .measures import ParameterError, Potential, Weight, potential_to_dict
 
 __all__ = ["OracleResult", "brute_force_max", "atom_grid_search"]
@@ -62,25 +66,17 @@ def _project(dens: np.ndarray, cell_r: np.ndarray, gamma: float) -> np.ndarray:
     return dens
 
 
-def _kkt_residual(
-    grad: np.ndarray, cell_r: np.ndarray, gamma: float, dens: np.ndarray
-) -> float:
-    """Relative least-squares defect of grad = mu * constraint-gradient."""
-    cgrad = gamma * cell_r * dens ** (gamma - 1.0)
-    denom = float(np.dot(cgrad, cgrad))
-    mu = float(np.dot(grad, cgrad)) / denom if denom > 0 else 0.0
-    return float(np.linalg.norm(grad - mu * cgrad) / np.linalg.norm(grad))
-
-
 def brute_force_max(
     w: Weight, gamma: float, n_cells: int, cfg: SolverConfig | None = None
 ) -> OracleResult:
     """Projected gradient ascent on the cell values of a piecewise-constant
     potential, at most n_cells <= 256 cells.
 
-    The ascent direction is the exact eigenvalue gradient (per-cell mass of
-    y^2); steps use Armijo backtracking on the eigenvalue itself, and the
-    feasible projection is exact scalar rescaling plus clipping.  The run
+    The ascent direction is the tangent part of the exact eigenvalue
+    gradient (per-cell mass of y^2), and its norm relative to the
+    gradient's is the KKT residual; steps use Armijo backtracking on the
+    eigenvalue itself, and the feasible projection is exact scalar
+    rescaling plus clipping.  The run
     is deterministic; no randomized multi-start is needed because the
     objective is concave over a convex set.
     """
@@ -95,32 +91,28 @@ def brute_force_max(
     dens = np.full(n_cells, float(np.sum(cell_r)) ** (-1.0 / gamma))
 
     pot = Potential(n_cells, dens)
-    lam = eigenvalue(pot, 0, tol)
+    lam = _ground(pot, tol)
     grad = ShootingSolution(pot, lam).cell_square_masses(edges)
     step = 1.0 / float(np.max(grad))
-    kkt = _kkt_residual(grad, cell_r, gamma, dens)
-    iterations = 0
+    # ascent along the tangent component of the eigenvalue gradient;
+    # stepping along the raw gradient stalls on the radial-stationary set
+    # (gradient parallel to q), which is the KKT set only at gamma = 2
+    # under a constant weight
+    tangent = _tangent(grad, cell_r, gamma, dens)
     stalled = False
     flat_streak = 0
-    for it in range(cfg.max_iter):
+    for it in range(cfg.max_iter):   # SolverConfig keeps max_iter >= 1
         iterations = it + 1
-        # ascent along the tangent component of the eigenvalue gradient;
-        # stepping along the raw gradient stalls on the radial-stationary
-        # set (gradient parallel to q), which is the KKT set only at
-        # gamma = 2 under a constant weight
-        cgrad = gamma * cell_r * dens ** (gamma - 1.0)
-        mu = float(np.dot(grad, cgrad)) / float(np.dot(cgrad, cgrad))
-        direction = grad - mu * cgrad
         accepted = False
         gain = 0.0
         for halving in range(MAX_HALVINGS):
-            trial = _project(dens + step * direction, cell_r, gamma)
+            trial = _project(dens + step * tangent, cell_r, gamma)
             predicted = float(np.dot(grad, trial - dens))
             if predicted <= 0.0:
                 step *= 0.5
                 continue
             pot_t = Potential(n_cells, trial)
-            lam_t = _eigenvalue_warm(pot_t, 0, tol, lam)
+            lam_t = _ground(pot_t, tol, lam)
             gain = lam_t - lam
             if gain >= ARMIJO * predicted:
                 dens, lam, pot = trial, lam_t, pot_t
@@ -130,7 +122,8 @@ def brute_force_max(
                 accepted = True
                 break
             step *= 0.5
-        kkt = _kkt_residual(grad, cell_r, gamma, dens)
+        tangent = _tangent(grad, cell_r, gamma, dens)
+        kkt = float(np.linalg.norm(tangent) / np.linalg.norm(grad))
         if not accepted:
             stalled = kkt > STALL_KKT
             break
@@ -161,35 +154,27 @@ def atom_grid_search(
     cfg = cfg or SolverConfig()
     if not (1 <= grid_points <= MAX_GRID_POINTS):
         raise ParameterError(f"grid_points must lie in [1, {MAX_GRID_POINTS}]")
+    tol = cfg.tol_eigen
     zs = (np.arange(grid_points) + 1.0) / (grid_points + 1.0)
-    lams = np.empty_like(zs)
-    evals = 0
-    warm = None
-
-    def lam_at(z, warm_from=None):
-        nonlocal evals
-        evals += 1
-        pot = Potential.from_atoms([(float(z), 1.0 / float(w(float(z))))])
-        if warm_from is None:
-            return eigenvalue(pot, 0, cfg.tol_eigen)
-        return _eigenvalue_warm(pot, 0, cfg.tol_eigen, warm_from)
-
-    for i, z in enumerate(zs):
-        lams[i] = lam_at(z, warm)
-        warm = lams[i]
+    lams = np.array(_atom_scan(w, zs.tolist(), tol))
     best = int(np.argmax(lams))
     lo = zs[max(best - 1, 0)]
     hi = zs[min(best + 1, grid_points - 1)]
-    z_hat, m_hat = _golden_max(lambda z: lam_at(z, lams[best]), float(lo), float(hi),
-                               POS_TOL * 0.25)
+    evals = grid_points + 2   # the scan and the central difference
+
+    def refine(z):
+        nonlocal evals
+        evals += 1
+        return _atom_lam(w, z, tol, lams[best])
+
+    z_hat, m_hat = _golden_max(refine, float(lo), float(hi), POS_TOL * 0.25)
     if lams[best] > m_hat:
         z_hat, m_hat = float(zs[best]), float(lams[best])
     fd_step = max(10.0 * POS_TOL, 1e-6)
-    deriv = (lam_at(z_hat + fd_step, m_hat) - lam_at(z_hat - fd_step, m_hat)) / (
-        2.0 * fd_step
-    )
+    deriv = (_atom_lam(w, z_hat + fd_step, tol, m_hat)
+             - _atom_lam(w, z_hat - fd_step, tol, m_hat)) / (2.0 * fd_step)
     kkt = abs(deriv) * fd_step / m_hat
-    q_hat = Potential.from_atoms([(z_hat, 1.0 / float(w(z_hat)))], cfg.grid_n)
+    q_hat = extremal._atom_potential(w, [z_hat], [1.0], cfg.grid_n)
     return OracleResult(
         M_hat=m_hat,
         q_hat=q_hat,

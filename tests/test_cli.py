@@ -273,6 +273,53 @@ class TestModes:
         assert main(["--config", str(path), "--mode", "oracle"]) == 0
         assert (tmp_path / "out" / "scan.csv").exists()
 
+    def test_mode_override_to_perturb_needs_direction(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path, mode="solve", gamma=2)
+        assert main(["--config", str(path), "--mode", "perturb"]) == 2
+        assert ("mode 'perturb' requires key 'direction'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_bounds_gap_check_on_an_atom_free_potential(self, tmp_path,
+                                                        monkeypatch):
+        # without atoms each row also checks the gap against its lower
+        # bound: every row passes on the true bound, none on an inflated one
+        q = {"grid_n": 32, "density": [float(j % 5) for j in range(32)],
+             "atoms": []}
+        path, _ = make_config(tmp_path, mode="bounds", n_max=4, potential=q,
+                              grid_n=32)
+        assert main(["--config", str(path)]) == 0
+        res = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert all(r["pass"] and r["gap"] >= r["gap_lower_bound"]
+                   for r in res["rows"])
+        monkeypatch.setattr(cli, "gap_lower_bound", lambda q, n: (1e9, 0))
+        assert main(["--config", str(path)]) == 1
+        res = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert res["all_pass"] is False
+        assert not any(r["pass"] for r in res["rows"])
+
+    @pytest.mark.parametrize("gamma, extra, alpha", [
+        (2, {"alpha": 0.5}, 0.5),
+        (1, {}, 0.0),
+        (1, {"alpha": 0}, 0.0),
+    ])
+    def test_perturb_alpha(self, tmp_path, gamma, extra, alpha):
+        # an explicit alpha is used as given; at gamma = 1 it defaults to 0
+        base = {"grid_n": 32, "density": [1.0] * 32, "atoms": []}
+        direction = {"grid_n": 32, "density": [0.5] * 16 + [1.5] * 16, "atoms": []}
+        path, _ = make_config(tmp_path, mode="perturb", gamma=gamma, potential=base,
+                              direction=direction, grid_n=32, **extra)
+        assert main(["--config", str(path)]) == 0
+        res = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert (res["gamma"], res["alpha"], res["pass"]) == (gamma, alpha, True)
+
+    def test_perturb_nonzero_alpha_at_gamma_one_exits_2(self, tmp_path, capsys):
+        base = {"grid_n": 32, "density": [1.0] * 32, "atoms": []}
+        path, _ = make_config(tmp_path, mode="perturb", gamma=1, potential=base,
+                              direction=base, grid_n=32, alpha=0.5)
+        assert main(["--config", str(path)]) == 2
+        assert "alpha = 0" in capsys.readouterr().err
+
 
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_reruns(self, tmp_path):

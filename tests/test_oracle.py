@@ -73,6 +73,14 @@ class TestBruteForceMax:
             ) / (2.0 * step)
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
+    def test_one_cell_accepts_no_step(self):
+        # one cell has no tangent direction: the saturated start is the
+        # answer, every halving predicts no gain, and the run stops after
+        # one iteration at zero KKT residual without counting as stalled
+        res = brute_force_max(ConstantWeight(1.0), 2.0, 1)
+        assert (res.iterations, res.kkt_residual, res.stalled) == (1, 0.0, False)
+        assert res.M_hat == eigenvalue(Potential.constant(1.0, 1), 0, 1e-12)
+
     def test_validation(self):
         w = ConstantWeight(1.0)
         with pytest.raises(ParameterError):

@@ -266,7 +266,24 @@ def test_atom_scan_equals_the_oracle_path(monkeypatch, weight):
     w = WEIGHTS[weight]
     new = atom_grid_search(w, 201)
     _oracle_path(monkeypatch)
+    # every potential the search builds is an atom_potential_ref potential:
+    # one per eigen-solve, and q_hat
+    built, refs = [], []
+    post_init = Potential.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_ref(*args):
+        refs.append(atom_potential_ref(*args))
+        return refs[-1]
+
+    monkeypatch.setattr(Potential, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ex, "_atom_potential", counted_ref)
     ref = atom_grid_search(w, 201)
+    assert len(refs) == ref.iterations + 1
+    assert [id(q) for q in built] == [id(q) for q in refs]
     assert (new.M_hat, new.iterations, new.kkt_residual, new.scan) == (
         ref.M_hat, ref.iterations, ref.kkt_residual, ref.scan)
     assert new.q_hat.atoms == ref.q_hat.atoms

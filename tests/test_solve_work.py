@@ -7,7 +7,7 @@ import pytest
 import slmajorant.eigensolver as es
 import slmajorant.extremal as ex
 import slmajorant.measures as ms
-from slmajorant import PowerWeight, SolverConfig, solve_extremal_gamma_gt1
+from slmajorant import Potential, PowerWeight, SolverConfig, solve_extremal_gamma_gt1
 from conftest import PI2, random_potential
 from reference import eigenvalue_ref, eigenvalue_warm_ref
 
@@ -123,3 +123,20 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
     # each iterate's potential builds its fused mesh once, shared by its
     # solve, its ShootingSolution and the final eigenfunction's phase check
     assert len(builds) == solves_n
+
+
+def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch):
+    # a NaN guess passes no bracket end, so after its 80 expansions the
+    # warm solve returns the cold solve's answer
+    q = Potential(16, np.zeros(16), ((0.3, 5.0),))
+    want = es.eigenvalue(q, 0, 1e-10)
+    calls = []
+    cold = es.eigenvalue
+
+    def counted(*args):
+        calls.append(args)
+        return cold(*args)
+
+    monkeypatch.setattr(es, "eigenvalue", counted)
+    assert es._eigenvalue_warm(q, 0, 1e-10, float("nan")) == want
+    assert len(calls) == 1
