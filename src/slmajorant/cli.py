@@ -133,17 +133,14 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
     except (ParameterError, TypeError) as exc:
         raise UsageError(f"bad solver configuration: {exc}") from exc
 
-    potential = direction = None
-    if "potential" in doc:
+    potentials = {}
+    for key in ("potential", "direction"):
+        if key in doc and not isinstance(doc[key], dict):
+            raise UsageError(f"key {key!r}: must be an object")
         try:
-            potential = potential_from_dict(doc["potential"])
+            potentials[key] = potential_from_dict(doc[key]) if key in doc else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"key 'potential': {exc}") from exc
-    if "direction" in doc:
-        try:
-            direction = potential_from_dict(doc["direction"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"key 'direction': {exc}") from exc
+            raise UsageError(f"key {key!r}: {exc}") from exc
     # bool is a subclass of int, but true is no count and no real number
     n_max = doc.get("n_max", 0)
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
@@ -159,8 +156,8 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
             mode=mode,
             weight=weight,
             gamma=gamma,
-            potential=potential,
-            direction=direction,
+            potential=potentials["potential"],
+            direction=potentials["direction"],
             n_max=n_max,
             alpha=alpha,
         ),
@@ -365,7 +362,7 @@ def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     sol = ShootingSolution(report.q_hat, report.M)
     mids = report.q_hat.midpoints()
     yv = sol.values(mids)
-    rv = req.weight.values_at(mids)
+    rv = req.weight(mids)
     _write_columns(
         out / "extremal.csv",
         ["x", "y", "q", "y2_over_r"],

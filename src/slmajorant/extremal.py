@@ -135,7 +135,7 @@ def _char_map(
     """Best-response density: (y^2/r)^(1/(gamma-1)), normalized so the
     discrete constraint integral equals one exactly.  Evaluated in log
     space so that gamma close to 1 cannot overflow."""
-    rv = w.values_at(mids)
+    rv = w(mids)
     s = (2.0 * np.log(np.maximum(ymid, 1e-300)) - np.log(rv)) / (gamma - 1.0)
     s -= s.max()
     u = np.exp(s)
@@ -174,19 +174,11 @@ def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport
                           constraint_value(w, gamma, q_hat), tuple(trace), converged)
 
 
-def _eq1_precheck(w: Weight) -> None:
-    # y^2/r must stay bounded near the endpoints for the gamma = 1 sup
-    if isinstance(w, PowerWeight) and (w.alpha >= 2.0 or w.beta >= 2.0):
-        raise ParameterError(
-            "power weight exponents must be < 2 so that y^2/r stays "
-            "bounded near the endpoints"
-        )
-
-
 def _weight_precheck(w: Weight, gamma: float) -> None:
     # the normalization integral of the best response must converge:
     # y vanishes linearly at the endpoints, so power exponents must stay
-    # below 3*gamma - 1
+    # below 3*gamma - 1; at gamma = 1 that is 2, below which y^2/r stays
+    # bounded near the endpoints for the gamma = 1 sup
     if isinstance(w, PowerWeight):
         lim = 3.0 * gamma - 1.0
         if w.alpha >= lim or w.beta >= lim:
@@ -243,7 +235,7 @@ def solve_extremal_gamma_gt1(
     # snap to the exact best response: its constraint integral is one by
     # construction and its own residual is a contraction of the last one
     q_hat = Potential(n, v)
-    lam = _eigenvalue_warm(q_hat, 0, cfg.tol_eigen, lam)
+    lam = _ground(q_hat, cfg.tol_eigen, lam)
     _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
@@ -318,7 +310,7 @@ def _sup_y2_over_r(w: Weight, sol: ShootingSolution):
     xs = np.union1d(_PROBE, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
     x_star, v_star = 0.0, -math.inf
     while True:
-        vals = sol.values(xs) ** 2 / w.values_at(xs)
+        vals = sol.values(xs) ** 2 / w(xs)
         i = int(np.argmax(vals))
         if vals[i] > v_star:
             x_star, v_star = float(xs[i]), float(vals[i])
@@ -345,7 +337,7 @@ def solve_extremal_gamma_eq1(
     cfg = cfg or SolverConfig()
     if k_atoms < 1:
         raise ParameterError("k_atoms must be a positive integer")
-    _eq1_precheck(w)
+    _weight_precheck(w, 1.0)
     lo, hi = ATOM_MARGIN, 1.0 - ATOM_MARGIN
 
     # coarse scan of the single-atom eigenvalue
@@ -403,7 +395,7 @@ def solve_extremal_gamma_eq1(
         if len(zs) > 1:
             pot = _atom_potential(w, zs, shares)
             sol = ShootingSolution(pot, lam)
-            grad = sol.values(zs) ** 2 / w.values_at(zs)
+            grad = sol.values(zs) ** 2 / w(zs)
             step = 1.0 / max(float(np.max(np.abs(grad))), 1e-30)
             for _ in range(24):
                 trial = _simplex_project(shares + step * grad)
@@ -461,7 +453,7 @@ def _sqrt_weight_logder(w: Weight):
         raise ParameterError(
             "the measure solver supports constant and power weights only"
         )
-    _eq1_precheck(w)
+    _weight_precheck(w, 1.0)
     al, be = w.alpha, w.beta
 
     def d1(x):
@@ -507,8 +499,7 @@ def _support_cell_masses(w, d2, edges, lam, a, b):
     half = 0.5 * (np.clip(edges[1:], a, b) - lo)
     x = (lo + half)[:, None] + half[:, None] * _GL_X
     qx = lam + d2(x)
-    rx = w.values_at(x.ravel()).reshape(x.shape)
-    return half * ((rx * qx) @ _GL_W), qx
+    return half * ((w(x) * qx) @ _GL_W), qx
 
 
 def solve_measure_gamma_eq1(
@@ -566,8 +557,8 @@ def solve_measure_gamma_eq1(
     right = np.linspace(b, 1.0, SUPPORT_SCAN_POINTS)[:-1]
     # y^2/r off the support, relative to its plateau value at the edge
     off = np.concatenate((
-        np.sin(k * left) ** 2 / w.values_at(left) / (np.sin(k * a) ** 2 / w(a)),
-        np.sin(k * (1.0 - right)) ** 2 / w.values_at(right)
+        np.sin(k * left) ** 2 / w(left) / (np.sin(k * a) ** 2 / w(a)),
+        np.sin(k * (1.0 - right)) ** 2 / w(right)
         / (np.sin(k * (1.0 - b)) ** 2 / w(b)),
     ))
     if float(np.max(off)) > 1.0 + 1e-9:

@@ -6,10 +6,15 @@ functional the rest of the package applies to a potential -- the weighted
 constraint integral, the nondecreasing antiderivative, the compactness
 seminorm, bin averaging, convex combination -- reduces to exact arithmetic
 in this representation.  Weights are kept symbolic (constant / power /
-tabulated piecewise-linear).  Integrals of powers of constant and table
-weights have closed forms; those of a power weight are incomplete beta
-integrals, computed here per interval (``_beta_cells``) to 1e-13 relative
-or better on grids, so the package needs numpy alone at run time.
+tabulated piecewise-linear), and the problem reads them two ways only:
+``w(x)`` evaluates r at a Python float or elementwise on an array, and
+``w.cell_pow_integrals(edges, p)`` integrates r**p over each interval of
+an edge array.  Those integrals have closed forms for constant and table
+weights; for a power weight they are incomplete beta integrals, computed
+here per interval (``_beta_cells``) to 1e-13 relative or better on grids,
+so the package needs numpy alone at run time.  A weight refuses
+non-finite parameters when it is built, and ``parse_weight`` raises
+ParameterError on every malformed literal or table file.
 
 All values here are immutable after construction.  The one cache is
 ``Potential.fused_mesh``, built on first use in the form phase sweeps and
@@ -86,12 +91,15 @@ class ParameterError(ValueError):
 class Weight:
     """Positive weight on (0, 1).  Subclasses fix the functional form."""
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """r at a Python float, or elementwise on an array.  A constant
+        weight returns its value, which broadcasts against an array."""
         raise NotImplementedError
 
-    def pow_integral(self, p: float, a: float, b: float) -> float:
-        """Integral of r(x)**p over [a, b] within [0, 1]: a closed form for
-        constant and table weights, ``_beta_cells`` for a power weight.
+    def cell_pow_integrals(self, edges: np.ndarray, p: float = 1.0) -> np.ndarray:
+        """Integral of r(x)**p over each interval of a sorted edge array
+        within [0, 1]: a closed form for constant and table weights,
+        ``_beta_cells`` for a power weight.
 
         Constant and table weights take any real p.  A power weight takes
         p with alpha * p > -1 and beta * p > -1, where r**p is integrable
@@ -100,12 +108,6 @@ class Weight:
 
     def literal(self) -> str:
         raise NotImplementedError
-
-    def cell_pow_integrals(self, edges: np.ndarray, p: float = 1.0) -> np.ndarray:
-        """Integral of r**p over each interval of a sorted edge array."""
-        return np.array(
-            [self.pow_integral(p, a, b) for a, b in zip(edges[:-1], edges[1:])]
-        )
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,8 @@ class ConstantWeight(Weight):
     def __call__(self, x):
         return self.value
 
-    def pow_integral(self, p, a, b):
-        return self.value**p * (b - a)
-
     def cell_pow_integrals(self, edges, p=1.0):
         return self.value**p * np.diff(np.asarray(edges, dtype=float))
-
-    def values_at(self, xs):
-        return np.full_like(np.atleast_1d(np.asarray(xs, dtype=float)), self.value)
 
     def literal(self):
         return f"const:{self.value:.17g}"
@@ -203,8 +199,9 @@ class PowerWeight(Weight):
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("power weight exponents must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ParameterError(
+                "power weight exponents must be nonnegative finite reals")
 
     def __call__(self, x):
         return x**self.alpha * (1.0 - x) ** self.beta
@@ -221,16 +218,9 @@ class PowerWeight(Weight):
             )
         return s, t
 
-    def pow_integral(self, p, a, b):
-        return float(self.cell_pow_integrals(np.array([a, b], dtype=float), p)[0])
-
     def cell_pow_integrals(self, edges, p=1.0):
         s, t = self._beta_params(p)
         return _beta_cells(s, t, np.asarray(edges, dtype=float))
-
-    def values_at(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return xs**self.alpha * (1.0 - xs) ** self.beta
 
     def literal(self):
         return f"power:{self.alpha:.17g},{self.beta:.17g}"
@@ -251,7 +241,7 @@ class TableWeight(Weight):
             raise ParameterError("table weight needs matching nonempty x/r columns")
         if np.any(np.diff(xs) <= 0):
             raise ParameterError("table abscissae must be strictly increasing")
-        if xs[0] <= 0.0 or xs[-1] >= 1.0:
+        if not np.all((xs > 0.0) & (xs < 1.0)):  # false for NaN
             raise ParameterError("table abscissae must lie strictly inside (0, 1)")
         if np.any(vs <= 0.0) or not np.all(np.isfinite(vs)):
             raise ParameterError("table values must be positive finite reals")
@@ -266,13 +256,15 @@ class TableWeight(Weight):
 
     def __call__(self, x):
         xs, vs = self._pieces()
-        return float(np.interp(x, xs, vs))
+        return np.interp(x, xs, vs)
 
-    def values_at(self, xs):
-        pxs, pvs = self._pieces()
-        return np.interp(np.atleast_1d(np.asarray(xs, dtype=float)), pxs, pvs)
+    def cell_pow_integrals(self, edges, p=1.0):
+        edges = np.asarray(edges, dtype=float)
+        return np.array([self._interval_integral(p, a, b)
+                         for a, b in zip(edges[:-1], edges[1:])])
 
-    def pow_integral(self, p, a, b):
+    def _interval_integral(self, p, a, b):
+        """Integral of r**p over [a, b], in closed form on each piece."""
         if b <= a:
             return 0.0
         xs, vs = self._pieces()
@@ -308,40 +300,47 @@ def weight_eval(w: Weight, x: float) -> float:
 
 def parse_weight(text: str) -> Weight:
     """Parse a weight literal: const:<v>, power:<alpha>,<beta>, table:<path>,
-    or table-inline:<x,r;x,r;...> (the round-trip form of table weights)."""
+    or table-inline:<x,r;x,r;...> (the round-trip form of table weights).
+    A malformed literal or table file raises ParameterError."""
     kind, _, rest = text.partition(":")
+    where = f"weight literal {text!r}"
     if kind == "const":
-        try:
-            return ConstantWeight(float(rest))
-        except ValueError as exc:
-            raise ParameterError(f"bad constant weight literal {text!r}") from exc
+        return ConstantWeight(*_numbers(where, [rest], 1))
     if kind == "power":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ParameterError(f"bad power weight literal {text!r}")
-        return PowerWeight(float(parts[0]), float(parts[1]))
+        return PowerWeight(*_numbers(where, rest.split(","), 2))
     if kind == "table":
         return _read_table(Path(rest))
     if kind == "table-inline":
-        pairs = [p.split(",") for p in rest.split(";") if p]
-        xs = tuple(float(p[0]) for p in pairs)
-        vs = tuple(float(p[1]) for p in pairs)
-        return TableWeight(xs, vs)
+        return _table(where, [p.split(",") for p in rest.split(";") if p])
     raise ParameterError(f"unknown weight kind in literal {text!r}")
 
 
+def _numbers(where: str, fields: list[str], count: int) -> list[float]:
+    """The count fields as floats, or ParameterError naming where."""
+    if len(fields) != count:
+        raise ParameterError(f"bad {where}: expected {count} number(s), "
+                             f"got {len(fields)}")
+    try:
+        return [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParameterError(f"bad {where}: {exc}") from exc
+
+
+def _table(where: str, rows: list[list[str]]) -> TableWeight:
+    """Table weight through rows of two numbers each, x and r."""
+    pairs = [_numbers(where, row, 2) for row in rows]
+    return TableWeight(tuple(x for x, _ in pairs), tuple(v for _, v in pairs))
+
+
 def _read_table(path: Path) -> TableWeight:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParameterError(f"table file {path} is not CSV text: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["x", "r"]:
         raise ParameterError(f"table file {path} must have header 'x,r'")
-    xs, vs = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        xs.append(float(row[0]))
-        vs.append(float(row[1]))
-    return TableWeight(tuple(xs), tuple(vs))
+    return _table(f"table file {path}", [row for row in rows[1:] if row])
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +624,6 @@ class Bins:
     """Partition of a closed subinterval of [0, 1] into nonempty bins."""
 
     boundaries: np.ndarray
-    level: int | None = None
 
     def __post_init__(self):
         bs = np.array(self.boundaries, dtype=float)  # private, frozen below
@@ -635,8 +633,6 @@ class Bins:
             raise ParameterError("bin boundaries must be strictly increasing")
         if bs[0] < 0.0 or bs[-1] > 1.0:
             raise ParameterError("bin boundaries must lie within [0, 1]")
-        if self.level is not None and self.level < 2:
-            raise ParameterError("bin level must be >= 2")
         bs.setflags(write=False)
         object.__setattr__(self, "boundaries", bs)
 
@@ -651,7 +647,7 @@ class Bins:
         if count < 1:
             raise ParameterError("bin count must be positive")
         a = 2.0 ** (-ell)
-        return cls(np.linspace(a, 1.0 - a, count + 1), level=ell)
+        return cls(np.linspace(a, 1.0 - a, count + 1))
 
     def check_max_length(self, delta: float) -> None:
         """Validate that every bin is shorter than delta**2."""

@@ -129,7 +129,7 @@ def sup_y2_over_r_ref(w, sol, probes: int = 2049):
     delta = 1e-6
     grid = np.linspace(delta, 1.0 - delta, probes)
     xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
-    vals = sol.values(xs) ** 2 / w.values_at(xs)
+    vals = sol.values(xs) ** 2 / w(xs)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, len(xs) - 1)]
@@ -145,15 +145,16 @@ def sup_y2_over_r_ref(w, sol, probes: int = 2049):
 
 def alpha_lower_bound_loop(w, gamma: float, base, p) -> float:
     """alpha_lower_bound for gamma > 1, one piece of the union grid at a
-    time, with a scalar pow_integral per piece."""
+    time, each piece's integral read from one cell_pow_integrals call."""
     edges = np.union1d(base.edges(), p.edges())
+    cell_r = w.cell_pow_integrals(edges).tolist()
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, r_ab in zip(edges[:-1], edges[1:], cell_r):
         x = 0.5 * (a + b)
         pv = p.density_at(x)
         if pv == 0.0:
             continue
-        total += pv * base.density_at(x) ** (gamma - 1.0) * w.pow_integral(1.0, a, b)
+        total += pv * base.density_at(x) ** (gamma - 1.0) * r_ab
     for pos, mass in p.atoms:
         total += mass * float(w(pos)) * base.density_at(pos) ** (gamma - 1.0)
     return total - 1.0
@@ -400,7 +401,7 @@ def sup_y2_over_r_zoom_ref(w, sol, probes: int = 2049, zoom: int = 33):
     xs = np.union1d(grid, np.clip(sol.breakpoints[1:-1], delta, 1.0 - delta))
     x_star, v_star = 0.0, -math.inf
     while True:
-        vals = sol.values(xs) ** 2 / w.values_at(xs)
+        vals = sol.values(xs) ** 2 / w(xs)
         i = int(np.argmax(vals))
         if vals[i] > v_star:
             x_star, v_star = float(xs[i]), float(vals[i])

@@ -106,6 +106,10 @@ class TestParseConfig:
         ("n_max", True), ("n_max", -1), ("n_max", None),
         ("alpha", "abc"), ("alpha", True), ("alpha", [0.5]), ("alpha", None),
         ("alpha", float("inf")),
+        # the weight literal and the potentials name their key the same way
+        ("weight", "power:x,1"), ("weight", "table-inline:a,b"),
+        ("weight", "table-inline:0.5"), ("weight", "power:nan,1"),
+        ("potential", [1, 2]), ("direction", [1, 2]),
     ])
     def test_malformed_optional_key_exits_2(self, tmp_path, capsys, key, value):
         path, _ = make_config(tmp_path, mode="bounds", **{key: value})
@@ -141,6 +145,28 @@ class TestParseConfig:
         )
         assert req.weight(0.5) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("body", [
+        b"x,r\n0.25\n", b"x,r\n0.25,abc\n", b"x,r\n0.25,2.0,1.0\n",
+        b"x,r\nnan,2.0\n", b"x,r\n0.25,\xff\n", b"x,r\n0.25," + b"1" * 140000,
+    ], ids=["one-column", "not-a-number", "three-columns", "nan-node", "not-utf8",
+            "past-csv-field-limit"])
+    def test_malformed_table_csv_exits_2(self, tmp_path, capsys, body):
+        table = tmp_path / "w.csv"
+        table.write_bytes(body)
+        path, _ = make_config(tmp_path, weight=f"table:{table}")
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'weight'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text,match", [
+        ("[1, 2]", "JSON object"),
+        ('{"mode":"solve","gamma":1}', "missing required key: weight"),
+        ('{"mode":"frob","weight":"const:1","gamma":1}', "mode must be one of"),
+    ])
+    def test_malformed_config_rejected(self, text, match):
+        with pytest.raises(UsageError, match=match):
+            parse_config(text)
+
 
 class TestConfigTypes:
     """Integer fields take a Python int (not a bool); real values are
@@ -150,6 +176,8 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key,value", [
         ("grid_n", 64.5), ("grid_n", 64.0), ("grid_n", True), ("grid_n", "64"),
         ("max_iter", 2.5), ("max_iter", False), ("k_atoms", 1.5), ("k_atoms", True),
+        # an int below the field's minimum
+        ("grid_n", 8), ("max_iter", 0), ("k_atoms", 0),
     ])
     def test_integer_fields_need_an_int(self, tmp_path, capsys, key, value):
         with pytest.raises(ParameterError, match=key):
@@ -485,7 +513,7 @@ class TestOutputsMatchTheReference:
                   **rep.to_dict()}
         mids = rep.q_hat.midpoints()
         yv = ShootingSolution(rep.q_hat, rep.M).values(mids)
-        rv = parse_weight("power:1,1").values_at(mids)
+        rv = parse_weight("power:1,1")(mids)
         want = {
             "result.json": dumps_deterministic_ref(result) + "\n",
             "extremal.csv": csv_text_ref(

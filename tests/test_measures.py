@@ -66,6 +66,25 @@ class TestWeightEval:
         with pytest.raises(ParameterError):
             TableWeight((0.25, 0.75), (1.0, -1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: PowerWeight(math.nan, 1.0), lambda: PowerWeight(math.inf, 1.0),
+        lambda: PowerWeight(1.0, math.nan), lambda: TableWeight((math.nan,), (1.0,)),
+        lambda: TableWeight((0.5,), (math.inf,)), lambda: ConstantWeight(math.nan),
+    ], ids=["power-nan", "power-inf", "power-beta-nan", "table-nan-node",
+            "table-inf-value", "const-nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
+    @pytest.mark.parametrize("text", [
+        "power:x,1", "power:1", "power:1,2,3", "const:", "const:abc",
+        "table-inline:a,b", "table-inline:0.5", "table-inline:0.5,1,2",
+        "table-inline:", "spline:1",
+    ])
+    def test_malformed_literal_raises_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            parse_weight(text)
+
     def test_literal_round_trip(self):
         for w in (ConstantWeight(2.5), PowerWeight(1.0, 2.0),
                   TableWeight((0.25, 0.75), (2.0, 4.0))):
@@ -80,14 +99,14 @@ class TestPowIntegral:
         # alpha * p = -1: r**p = 1/x is not integrable at 0
         w = PowerWeight(2, 0)
         with pytest.raises(ParameterError):
-            w.pow_integral(-0.5, 0.25, 0.75)
+            w.cell_pow_integrals(np.array([0.25, 0.75]), -0.5)
         with pytest.raises(ParameterError):
             w.cell_pow_integrals(np.array([0.25, 0.5, 0.75]), -0.5)
 
     def test_negative_power_weight_exponent_in_range(self):
         # integral of x**-0.5 over [1/4, 1] is 2 * (1 - 1/2)
         w = PowerWeight(1, 0)
-        assert abs(w.pow_integral(-0.5, 0.25, 1.0) - 1.0) <= 1e-15
+        assert abs(w.cell_pow_integrals(np.array([0.25, 1.0]), -0.5)[0] - 1.0) <= 1e-15
         cells = w.cell_pow_integrals(np.array([0.25, 0.5, 1.0]), -0.5)
         assert np.allclose(cells, [2 * math.sqrt(0.5) - 1.0, 2 - 2 * math.sqrt(0.5)],
                            rtol=0.0, atol=1e-15)
@@ -96,9 +115,9 @@ class TestPowIntegral:
         # 1/r: flat 2 on [0, 1/4], linear 2 -> 4 on [1/4, 3/4], flat 4 after
         w = TableWeight((0.25, 0.75), (2.0, 4.0))
         exact = 0.25 / 2.0 + math.log(2.0) / 4.0 + 0.25 / 4.0
-        assert abs(w.pow_integral(-1.0, 0.0, 1.0) - exact) <= 1e-15
+        assert abs(w.cell_pow_integrals(np.array([0.0, 1.0]), -1.0)[0] - exact) <= 1e-15
         # a sub-interval of the linear piece: ln(r(b) / r(a)) / slope
-        part = w.pow_integral(-1.0, 0.375, 0.5)
+        part = w.cell_pow_integrals(np.array([0.375, 0.5]), -1.0)[0]
         assert abs(part - math.log(3.0 / 2.5) / 4.0) <= 1e-15
 
 
@@ -164,7 +183,7 @@ class TestPowerWeightIntegrals:
         edges = np.arange(4097) / 4096
         ref = _beta_cells_mp(3.0, 3.0, edges[-2:])[0]
         assert abs(w.cell_pow_integrals(edges)[-1] - ref) <= 1e-15 * ref
-        assert abs(w.pow_integral(1.0, edges[-2], 1.0) - ref) <= 1e-15 * ref
+        assert abs(w.cell_pow_integrals(np.array([edges[-2], 1.0]))[0] - ref) <= 1e-15 * ref
 
 
 class TestConstraintValue:
