@@ -2,94 +2,14 @@
 potential balls: exact measure-potential eigensolving, extremal-potential
 computation and independent brute-force certification."""
 
-from .config import SolverConfig
-from .eigensolver import (
-    EigenPair,
-    InternalSolverError,
-    ShootingSolution,
-    eigenfunction,
-    eigenvalue,
-    energy_form,
-    gap_lower_bound,
-    pencil_form,
-    prufer_phase,
-    upper_bound,
-)
-from .extremal import (
-    ExtremalReport,
-    PerturbationSpec,
-    characterization_residual,
-    directional_derivative,
-    perturbation_path,
-    solve_extremal_gamma_eq1,
-    solve_extremal_gamma_gt1,
-    solve_measure_gamma_eq1,
-)
-from .measures import (
-    Bins,
-    ConstantWeight,
-    DomainError,
-    InvalidPotentialError,
-    ParameterError,
-    Potential,
-    PowerWeight,
-    PrimitiveFn,
-    TableWeight,
-    Weight,
-    bin_project,
-    constraint_value,
-    convex_combination,
-    parse_weight,
-    potential_from_dict,
-    potential_to_dict,
-    primitive,
-    seminorm,
-    weight_eval,
-)
-from .oracle import OracleResult, atom_grid_search, brute_force_max
+from . import config, eigensolver, extremal, measures, oracle
+from .config import *  # noqa: F403 -- each module's __all__ is republished
+from .eigensolver import *  # noqa: F403
+from .extremal import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bins",
-    "ConstantWeight",
-    "DomainError",
-    "EigenPair",
-    "ExtremalReport",
-    "InternalSolverError",
-    "InvalidPotentialError",
-    "OracleResult",
-    "ParameterError",
-    "PerturbationSpec",
-    "Potential",
-    "PowerWeight",
-    "PrimitiveFn",
-    "ShootingSolution",
-    "SolverConfig",
-    "TableWeight",
-    "Weight",
-    "atom_grid_search",
-    "bin_project",
-    "brute_force_max",
-    "characterization_residual",
-    "constraint_value",
-    "convex_combination",
-    "directional_derivative",
-    "eigenfunction",
-    "eigenvalue",
-    "energy_form",
-    "gap_lower_bound",
-    "parse_weight",
-    "pencil_form",
-    "perturbation_path",
-    "potential_from_dict",
-    "potential_to_dict",
-    "primitive",
-    "prufer_phase",
-    "seminorm",
-    "solve_extremal_gamma_eq1",
-    "solve_extremal_gamma_gt1",
-    "solve_measure_gamma_eq1",
-    "upper_bound",
-    "weight_eval",
-]
+__all__ = sorted(config.__all__ + eigensolver.__all__ + extremal.__all__
+                 + measures.__all__ + oracle.__all__)

@@ -60,7 +60,6 @@ from .oracle import atom_grid_search, brute_force_max
 
 __all__ = ["RunRequest", "parse_config", "run", "main", "dumps_deterministic"]
 
-MODES = ("solve", "extremal", "oracle", "bounds", "perturb")
 ORACLE_CELLS = 64        # fixed desk-scale resolution for oracle mode
 ORACLE_SCAN_POINTS = 1001
 FD_EPS = 1e-4
@@ -445,18 +444,17 @@ def _run_perturb(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     return 0 if ok else 1
 
 
+# the one list of modes: each mode and its runner
+_RUNNERS = {"solve": _run_solve, "extremal": _run_extremal, "oracle": _run_oracle,
+            "bounds": _run_bounds, "perturb": _run_perturb}
+MODES = tuple(_RUNNERS)
+
+
 def run(request: RunRequest, cfg: SolverConfig) -> int:
     """Dispatch a run request; writes outputs into cfg.output_dir."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "solve": _run_solve,
-        "extremal": _run_extremal,
-        "oracle": _run_oracle,
-        "bounds": _run_bounds,
-        "perturb": _run_perturb,
-    }
-    return dispatch[request.mode](request, cfg, out)
+    return _RUNNERS[request.mode](request, cfg, out)
 
 
 def main(argv: list[str] | None = None) -> int:

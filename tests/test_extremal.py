@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -109,6 +110,64 @@ class TestSolveGammaGt1:
         assert m_eq1 - m101 < 5e-2
 
 
+_GL20_X, _GL20_W = np.polynomial.legendre.leggauss(20)
+
+
+def _euler_lagrange_m(gamma: float, lam0: float, c0: float) -> float:
+    """Continuum M for r = 1 at gamma > 1, at 20 digits.
+
+    The extremal is q = c y**m, m = 2/(gamma-1), and with y(1/2) = 1 the
+    equation -y'' + q y = lam y has the first integral
+    y'**2 = lam (1 - y**2) - kappa (1 - y**n), kappa = c (gamma-1)/gamma
+    and n = 2 gamma/(gamma-1).  After y = sin(phi) the half-length and the
+    constraint are smooth quadratures over [0, pi/2]:
+    integral of 1/sqrt(lam - kappa g) = 1/2 and
+    2 c**gamma * integral of sin(phi)**n / sqrt(lam - kappa g) = 1, with
+    g = (1 - y**n)/cos(phi)**2 written in expm1/log1p, finite at pi/2.
+    (lam, c) is their root from the guess (lam0, c0)."""
+    with mpmath.workdps(20):
+        g = mpmath.mpf(gamma)
+        n = 2 * g / (g - 1)
+
+        def ratio(phi):
+            c2 = mpmath.cos(phi) ** 2
+            return -mpmath.expm1(n / 2 * mpmath.log1p(-c2)) / c2
+
+        def equations(lam, c):
+            kappa = c * (g - 1) / g
+            f = lambda phi: 1 / mpmath.sqrt(lam - kappa * ratio(phi))
+            half = mpmath.quad(f, [0, mpmath.pi / 2])
+            mass = mpmath.quad(lambda phi: mpmath.sin(phi) ** n * f(phi),
+                               [0, mpmath.pi / 2])
+            return half - mpmath.mpf(1) / 2, 2 * c**g * mass - 1
+
+        lam, _ = mpmath.findroot(equations, (mpmath.mpf(lam0), mpmath.mpf(c0)))
+        return float(lam)
+
+
+class TestContinuumBracket:
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+    def test_unit_weight_bracket(self, gamma):
+        # M_grid <= M_EL <= M_up: the grid answer is attained by an
+        # admissible potential, and for any unit phi the dual bound
+        # integral of phi'**2 + (integral of phi**n)**((gamma-1)/gamma)
+        # is an upper one; phi'**2 integrates to M - <q_hat, phi**2>, and
+        # phi**n takes 20-point Gauss-Legendre per cell, where phi is
+        # analytic
+        rep = solve_extremal_gamma_gt1(ConstantWeight(1.0), gamma, CFG)
+        m_el = _euler_lagrange_m(gamma, rep.M, float(np.max(rep.q_hat.density)))
+        sol = ShootingSolution(rep.q_hat, rep.M)
+        edges = rep.q_hat.edges()
+        half = 0.5 * np.diff(edges)
+        x = (edges[:-1] + half)[:, None] + half[:, None] * _GL20_X
+        n = 2.0 * gamma / (gamma - 1.0)
+        phi_n = np.abs(sol.values(x.ravel()).reshape(x.shape)) ** n
+        m_up = rep.M - sol.pair(rep.q_hat) + float(
+            np.sum(half * (phi_n @ _GL20_W))) ** ((gamma - 1.0) / gamma)
+        assert rep.M <= m_el <= m_up
+        assert m_up - m_el <= 1e-10 * m_el
+
+
 class TestSolveGammaEq1:
     def test_unit_weight_single_atom(self):
         rep = solve_extremal_gamma_eq1(ConstantWeight(1.0), 1, CFG_SMALL)
@@ -211,11 +270,20 @@ def measure_reports():
 
 
 class TestSolveMeasureGammaEq1:
-    def test_unit_weight_matches_t_squared(self, measure_reports):
-        # flat-top eigenfunction: q = t^2 on [pi/(2t), 1 - pi/(2t)] with
-        # t^2 - pi t - 1 = 0
-        t = 0.5 * (math.pi + math.sqrt(math.pi**2 + 4.0))
-        assert measure_reports[0].M == pytest.approx(t * t, rel=1e-9)
+    def test_unit_weight_matches_t_squared(self):
+        # r = v, flat-top eigenfunction: q = t^2 on [pi/(2t), 1 - pi/(2t)]
+        # with t^2 - pi t - 1/v = 0.  M is a lower bound on t^2, and the
+        # dual bound M + sup y^2/r - <q_hat, y^2> an upper one.  v = 1e-3
+        # needs the bracket doubling of the eigenvalue search, and its
+        # support edges leave the 4096-cell M 1.6e-9 low
+        for v, rel in ((1e-3, 2e-9), (0.05, 1e-9), (1.0, 1e-9), (20.0, 1e-9)):
+            w = ConstantWeight(v)
+            rep = solve_measure_gamma_eq1(w, SolverConfig())
+            t = 0.5 * (math.pi + math.sqrt(math.pi**2 + 4.0 / v))
+            assert rep.M == pytest.approx(t * t, rel=rel)
+            sol = ShootingSolution(rep.q_hat, rep.M)
+            upper = rep.M + _sup_y2_over_r(w, sol)[1] - sol.pair(rep.q_hat)
+            assert rep.M <= t * t <= upper
 
     def test_parabolic_weight_matches_closed_form(self, measure_reports):
         assert measure_reports[1].M == pytest.approx(

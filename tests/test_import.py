@@ -5,6 +5,18 @@ import sys
 from pathlib import Path
 
 import slmajorant
+from slmajorant import config, eigensolver, extremal, measures, oracle
+
+MODULES = (config, eigensolver, extremal, measures, oracle)
+
+
+def test_all_republishes_each_module_list_once():
+    names = slmajorant.__all__
+    assert len(set(names)) == len(names)
+    assert set(names) == {n for m in MODULES for n in m.__all__}
+    for m in MODULES:
+        for name in m.__all__:
+            assert getattr(slmajorant, name) is getattr(m, name)
 
 
 def test_runtime_loads_no_scipy(tmp_path):
