@@ -25,8 +25,12 @@ before it, keeping the norm in a log-scale).  Longer meshes take every
 boundary state from one prefix product of the segment matrices (Blelloch,
 "Prefix sums and their applications", 1990): pairs multiply level by
 level, each product rescaled by a power of two, and the states come back
-down the levels.  The angle increments are then summed in numpy.  The
-two agree to rounding (about 1e-13 relative in theta), not bit for bit.
+down the levels, bit for bit as if the mesh were padded with identities
+to a power of two, though a level with an odd count only pairs its last
+block with one identity.  The angle increments are then summed in numpy,
+on the whole arrays when every segment is oscillatory (d t^2 <=
+-TAYLOR_CUT), else through one mask per branch.  The two agree to
+rounding (about 1e-13 relative in theta), not bit for bit.
 
 One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
 atoms, and gives each piece the density of the cell its right end closes
@@ -56,9 +60,11 @@ import numpy as np
 
 TAYLOR_CUT = 1e-8   # |q - lam| below this uses the 4-term series branch
 BIG_ARG = 40.0      # kappa * t beyond this switches to exp-scaled transfer
-# Meshes with fewer segments than this are swept by the scalar loops; at
-# 256 segments the loop is about as fast as the scan, at 512 the scan is
-# about 1.5 times faster and at 4096 about 5 times.
+# Meshes with fewer segments than this are swept by the scalar loops.  At
+# 256 / 384 / 512 / 1024 / 4096 segments the loop takes 0.7 / 1.0 / 1.1 /
+# 1.6 / 2.3 times the scan's time on mixed meshes and 0.9 / 1.2 / 1.4 /
+# 2.1 / 3.2 times on all-oscillatory ones (two atoms; Xeon, 2 CPUs); 512
+# keeps the bits of the 256-cell grids, which the loop sweeps.
 SCAN_MIN_SEGMENTS = 512
 # A grid with fewer cells than this and one density is fused as a single
 # run in Python floats: the 16-cell atom-only potentials of the gamma = 1
@@ -70,6 +76,7 @@ _SCAN_TOP = 64      # the scan's top level: blocks left to a scalar loop
 
 _PI = math.pi
 _LN2 = math.log(2.0)
+_EYE = np.eye(2)[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +178,14 @@ def cs_scalar(d: float, t: float) -> tuple[float, float, float]:
 
 
 def cs_arrays(d: np.ndarray, t: np.ndarray):
-    """Vectorized cs_scalar; returns (c, s, log_scale) arrays."""
+    """Vectorized cs_scalar; returns (c, s, log_scale) arrays, on the
+    whole arrays when all are oscillatory, else through a mask per branch."""
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
     x = d * t * t
+    if (x <= -TAYLOR_CUT).all():
+        om = np.sqrt(-d)
+        return np.cos(om * t), np.sin(om * t) / om, np.zeros_like(x)
     c = np.empty_like(x)
     s = np.empty_like(x)
     ls = np.zeros_like(x)
@@ -397,58 +408,61 @@ def _scan(lens, qs, masses, lam: float):
     Element k is T_k [[1, 0], [m, 1]]: the jump of the atom at the start
     of segment k, then the segment.  Pairs of elements multiply level by
     level down to at most _SCAN_TOP blocks; one short loop gives the state
-    at each block's start, and each level down gives the states at its
-    right halves from its left halves.  Every product and state is
-    rescaled by a power of two (exact), counted in an integer exponent.
+    at each block's start and after the last, and each level down gives
+    the states at its right halves from its left halves.  Every product
+    and state is rescaled by a power of two (exact), counted in an integer
+    exponent.  A level with an odd count pairs its last block with the
+    block a padding to a power of two would put there (I, and 0.5 I with
+    exponent 1 above the first level), so every bit is the padded scan's.
 
     Returns (y, dy, expo, ls): boundary arrays of length nseg + 1 whose
     true values are (y, dy) * 2**expo * exp(sum of ls before it), ls being
     cs_arrays' log-scale of each segment.
     """
-    n = len(lens)
+    k = len(lens)
     d = qs - lam
     c, s, ls = cs_arrays(d, lens)
     m = np.concatenate(([0.0], masses[:-1]))
-    size = 1 << (n - 1).bit_length()   # padded with identities
-    blk = np.zeros((2, 2, size))
-    blk[0, 0, n:] = blk[1, 1, n:] = 1.0
-    blk[0, 0, :n] = c + s * m
-    blk[0, 1, :n] = s
-    blk[1, 0, :n] = d * s + c * m
-    blk[1, 1, :n] = c
-    expo = np.zeros(size, dtype=np.int64)
+    blk = np.empty((2, 2, k))
+    blk[0, 0] = c + s * m
+    blk[0, 1] = s
+    blk[1, 0] = d * s + c * m
+    blk[1, 1] = c
+    expo = np.zeros(k, dtype=np.int64)
     levels = []
-    while blk.shape[2] > _SCAN_TOP:
-        levels.append((blk, expo))
+    pad, pad_e = _EYE, 0
+    while k > _SCAN_TOP:
+        levels.append((k, blk, expo))
+        if k % 2:
+            blk, expo = np.concatenate((blk, pad), axis=2), np.append(expo, pad_e)
         left, right = blk[:, :, 0::2], blk[:, :, 1::2]
         prod = (right[:, :, None, :] * left[None, :, :, :]).sum(axis=1)
         _, e = np.frexp(np.abs(prod).max(axis=(0, 1)))
         blk = np.ldexp(prod, -e)
         expo = expo[0::2] + expo[1::2] + e
+        k, pad, pad_e = len(e), 0.5 * _EYE, 1
     y, dy, x = 0.0, 1.0, 0
-    top = [[], [], []]
+    top = [[y], [dy], [x]]
     for (p00, p01, p10, p11), e in zip(blk.reshape(4, -1).T.tolist(), expo.tolist()):
-        top[0].append(y)
-        top[1].append(dy)
-        top[2].append(x)
         y, dy = p00 * y + p01 * dy, p10 * y + p11 * dy
         _, j = math.frexp(max(abs(y), abs(dy)))
         y, dy, x = math.ldexp(y, -j), math.ldexp(dy, -j), x + e + j
+        top[0].append(y)
+        top[1].append(dy)
+        top[2].append(x)
     state = np.array(top[:2])
     sx = np.array(top[2], dtype=np.int64)
-    for blk, expo in reversed(levels):
-        v = (blk[:, :, 0::2] * state[None, :, :]).sum(axis=1)
+    for k, blk, expo in reversed(levels):
+        v = (blk[:, :, 0::2] * state[None, :, :-1]).sum(axis=1)
         _, j = np.frexp(np.abs(v).max(axis=0))
-        nxt = np.empty((2, 2 * state.shape[1]))
-        nxt[:, 0::2] = state
+        nxt = np.empty((2, k + 1))
+        nxt[:, 0::2] = state[:, : k // 2 + 1]
         nxt[:, 1::2] = np.ldexp(v, -j)
-        nx = np.empty(2 * len(sx), dtype=np.int64)
-        nx[0::2] = sx
-        nx[1::2] = sx + expo[0::2] + j
+        nx = np.empty(k + 1, dtype=np.int64)
+        nx[0::2] = sx[: k // 2 + 1]
+        nx[1::2] = sx[:-1] + expo[0::2] + j
         state, sx = nxt, nx
-    y_b = np.append(state[0], y)[: n + 1]
-    dy_b = np.append(state[1], dy)[: n + 1]
-    return y_b, dy_b, np.append(sx, x)[: n + 1], ls
+    return state[0], state[1], sx, ls
 
 
 def _frac_angles(y, dy):
@@ -460,28 +474,34 @@ def _frac_angles(y, dy):
 
 
 def _phase_scan(lens, qs, masses, lam: float) -> float:
-    """phase's loop increments, segment by segment, from _scan's states."""
+    """phase's loop increments, segment by segment, from _scan's states;
+    on an all-oscillatory mesh, with no angle in [0, pi) but at the atoms."""
     y, dy_arr, _, _ = _scan(lens, qs, masses, lam)
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
     d = qs - lam
     y0, dy0, y1, dy1 = y[:-1], dy_dep[:-1], y[1:], dy_arr[1:]
-    f_arr = _frac_angles(y, dy_arr)
-    f_dep = f_arr.copy()
     jump = np.flatnonzero(masses) + 1
-    f_dep[jump] = _frac_angles(y[jump], dy_dep[jump])
-    # non-oscillatory rule: at most one zero, counted from the sign change
-    z = (y0 != 0.0) & ((y1 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
-    inc = z * _PI + f_arr[1:] - f_dep[:-1]
+    f_jump = _frac_angles(y[jump], dy_dep[jump])
+    osc = (d < -TAYLOR_CUT) & (np.abs(d) * lens * lens >= TAYLOR_CUT)
+    if osc.all():
+        inc, osc = np.empty_like(d), slice(None)
+    else:
+        f_arr = _frac_angles(y, dy_arr)
+        f_dep = f_arr.copy()
+        f_dep[jump] = f_jump
+        # non-oscillatory rule: at most one zero, counted from the sign change
+        z = (y0 != 0.0) & ((y1 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
+        inc = z * _PI + f_arr[1:] - f_dep[:-1]
+        osc = np.flatnonzero(osc)
     # oscillatory rule: the scaled angle atan2(om y, y') advances by om t
-    osc = np.flatnonzero((d < -TAYLOR_CUT) & (np.abs(d) * lens * lens >= TAYLOR_CUT))
     om = np.sqrt(-d[osc])
     ya, da, yb, db = y0[osc], dy0[osc], y1[osc], dy1[osc]
     inc[osc] = (np.arctan2(om * ya, da) - np.arctan2(ya, da)) + om * lens[osc] - (
         np.arctan2(om * yb, db) - np.arctan2(yb, db)
     )
     # atom jumps turn the angle at fixed y
-    return float(np.sum(inc) + np.sum(f_dep[jump] - f_arr[jump]))
+    return float(np.sum(inc) + np.sum(f_jump - _frac_angles(y[jump], dy_arr[jump])))
 
 
 def _propagate_scan(lens, qs, masses, lam: float):

@@ -18,6 +18,13 @@ The scalar propagation loop is kept as it was before propagate took
 the fused mesh's tuples: it reads arrays and stores each state into a
 preallocated array, and propagate must give the same floats.
 
+The long-mesh sweep is kept as it was before it stopped paying for
+padding and masked gathers: the prefix scan over the mesh padded with
+identities to the next power of two, cs_arrays with every branch taken
+through a boolean mask, and the scan phase with the angle of every
+boundary in [0, pi).  _scan's four arrays, cs_arrays' three and the
+phase must be the same floats.
+
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
 loop that calls cs_scalar and a per-angle helper on every segment (and
@@ -409,3 +416,131 @@ def sup_y2_over_r_zoom_ref(w, sol, probes: int = 2049, zoom: int = 33):
         if hi - lo <= 1e-12:
             return x_star, v_star
         xs = np.linspace(lo, hi, zoom)
+
+
+# ---------------------------------------------------------------------------
+# the long-mesh sweep with its power-of-two padding and masked gathers
+
+
+def cs_arrays_ref(d: np.ndarray, t: np.ndarray):
+    """cs_arrays with every branch gathered and scattered through a mask."""
+    d = np.asarray(d, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = d * t * t
+    c = np.empty_like(x)
+    s = np.empty_like(x)
+    ls = np.zeros_like(x)
+
+    tiny = np.abs(x) < prop.TAYLOR_CUT
+    osc = (~tiny) & (d < 0.0)
+    hyp = (~tiny) & (d >= 0.0)
+
+    xt = x[tiny]
+    c[tiny] = 1.0 + xt * (0.5 + xt * (1.0 / 24.0 + xt / 720.0))
+    s[tiny] = t[tiny] * (
+        1.0 + xt * (1.0 / 6.0 + xt * (1.0 / 120.0 + xt / 5040.0))
+    )
+
+    om = np.sqrt(-d[osc])
+    c[osc] = np.cos(om * t[osc])
+    s[osc] = np.sin(om * t[osc]) / om
+
+    k = np.sqrt(d[hyp])
+    kt = k * t[hyp]
+    small = kt <= prop.BIG_ARG
+    ch = np.empty_like(kt)
+    sh = np.empty_like(kt)
+    lsh = np.zeros_like(kt)
+    ch[small] = np.cosh(kt[small])
+    sh[small] = np.sinh(kt[small]) / k[small]
+    e = np.exp(-2.0 * kt[~small])
+    ch[~small] = 0.5 * (1.0 + e)
+    sh[~small] = 0.5 * (1.0 - e) / k[~small]
+    lsh[~small] = kt[~small]
+    c[hyp] = ch
+    s[hyp] = sh
+    ls[hyp] = lsh
+    return c, s, ls
+
+
+def scan_ref(lens, qs, masses, lam: float):
+    """_scan on the mesh padded with identities to a power of two."""
+    n = len(lens)
+    d = qs - lam
+    c, s, ls = cs_arrays_ref(d, lens)
+    m = np.concatenate(([0.0], masses[:-1]))
+    size = 1 << (n - 1).bit_length()   # padded with identities
+    blk = np.zeros((2, 2, size))
+    blk[0, 0, n:] = blk[1, 1, n:] = 1.0
+    blk[0, 0, :n] = c + s * m
+    blk[0, 1, :n] = s
+    blk[1, 0, :n] = d * s + c * m
+    blk[1, 1, :n] = c
+    expo = np.zeros(size, dtype=np.int64)
+    levels = []
+    while blk.shape[2] > prop._SCAN_TOP:
+        levels.append((blk, expo))
+        left, right = blk[:, :, 0::2], blk[:, :, 1::2]
+        prod = (right[:, :, None, :] * left[None, :, :, :]).sum(axis=1)
+        _, e = np.frexp(np.abs(prod).max(axis=(0, 1)))
+        blk = np.ldexp(prod, -e)
+        expo = expo[0::2] + expo[1::2] + e
+    y, dy, x = 0.0, 1.0, 0
+    top = [[], [], []]
+    for (p00, p01, p10, p11), e in zip(blk.reshape(4, -1).T.tolist(), expo.tolist()):
+        top[0].append(y)
+        top[1].append(dy)
+        top[2].append(x)
+        y, dy = p00 * y + p01 * dy, p10 * y + p11 * dy
+        _, j = math.frexp(max(abs(y), abs(dy)))
+        y, dy, x = math.ldexp(y, -j), math.ldexp(dy, -j), x + e + j
+    state = np.array(top[:2])
+    sx = np.array(top[2], dtype=np.int64)
+    for blk, expo in reversed(levels):
+        v = (blk[:, :, 0::2] * state[None, :, :]).sum(axis=1)
+        _, j = np.frexp(np.abs(v).max(axis=0))
+        nxt = np.empty((2, 2 * state.shape[1]))
+        nxt[:, 0::2] = state
+        nxt[:, 1::2] = np.ldexp(v, -j)
+        nx = np.empty(2 * len(sx), dtype=np.int64)
+        nx[0::2] = sx
+        nx[1::2] = sx + expo[0::2] + j
+        state, sx = nxt, nx
+    y_b = np.append(state[0], y)[: n + 1]
+    dy_b = np.append(state[1], dy)[: n + 1]
+    return y_b, dy_b, np.append(sx, x)[: n + 1], ls
+
+
+def _frac_angles_arrays_ref(y, dy):
+    """atan2(y, dy) of each state, taken in [0, pi), and 0 where y = 0."""
+    a = np.arctan2(y, dy)
+    a[a < 0.0] += PI
+    a[y == 0.0] = 0.0
+    return a
+
+
+def phase_scan_ref(lens, qs, masses, lam: float) -> float:
+    """_phase_scan with the angles of every boundary in [0, pi) and the
+    oscillatory increments gathered through a mask."""
+    y, dy_arr, _, _ = scan_ref(lens, qs, masses, lam)
+    dy_dep = dy_arr.copy()
+    dy_dep[1:] += masses * y[1:]
+    d = qs - lam
+    y0, dy0, y1, dy1 = y[:-1], dy_dep[:-1], y[1:], dy_arr[1:]
+    f_arr = _frac_angles_arrays_ref(y, dy_arr)
+    f_dep = f_arr.copy()
+    jump = np.flatnonzero(masses) + 1
+    f_dep[jump] = _frac_angles_arrays_ref(y[jump], dy_dep[jump])
+    # non-oscillatory rule: at most one zero, counted from the sign change
+    z = (y0 != 0.0) & ((y1 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
+    inc = z * PI + f_arr[1:] - f_dep[:-1]
+    # oscillatory rule: the scaled angle atan2(om y, y') advances by om t
+    osc = np.flatnonzero((d < -prop.TAYLOR_CUT)
+                         & (np.abs(d) * lens * lens >= prop.TAYLOR_CUT))
+    om = np.sqrt(-d[osc])
+    ya, da, yb, db = y0[osc], dy0[osc], y1[osc], dy1[osc]
+    inc[osc] = (np.arctan2(om * ya, da) - np.arctan2(ya, da)) + om * lens[osc] - (
+        np.arctan2(om * yb, db) - np.arctan2(yb, db)
+    )
+    # atom jumps turn the angle at fixed y
+    return float(np.sum(inc) + np.sum(f_dep[jump] - f_arr[jump]))

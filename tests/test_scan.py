@@ -1,9 +1,11 @@
 """Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
 against the one-segment-at-a-time loops (through their references, bit
-for bit equal to phase's and propagate's own), and the mesh builders
+for bit equal to phase's and propagate's own) and, bit for bit, against
+the padded, masked kernel they replaced; and the mesh builders
 (build_segments, node_mesh) against the reference builders they replaced."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -16,11 +18,14 @@ from slmajorant import _propagate as prop
 
 from conftest import assert_fused_form
 from reference import (
+    cs_arrays_ref,
     fuse_loop_ref,
     fuse_runs_ref,
     node_mesh_ref,
     phase_loop_ref,
+    phase_scan_ref,
     propagate_loop_ref,
+    scan_ref,
 )
 
 
@@ -206,6 +211,109 @@ def test_scan_raises_no_warning_up_to_1e8():
                 assert math.isfinite(prop._phase_scan(lens, qs, masses, lam))
                 for arr in prop._propagate_scan(lens, qs, masses, lam):
                     assert np.all(np.isfinite(arr))
+
+
+# ---------------------------------------------------------------------------
+# the unpadded scan and the whole-array oscillatory path against the padded,
+# masked kernel, bit for bit
+
+
+def _exact_mesh(nseg):
+    """The fused mesh (lens, qs, masses) of a potential with exactly nseg
+    segments, and the potential's cell densities.
+
+    Cell densities are uniform up to 10**(nseg % 9), every seventh cell is
+    0, and one run of grid_n // 32 cells sits at the top density: from
+    1e7 on it is past BIG_ARG.  nseg % 4 atoms alternate between nodes
+    outside the run and the middle half of a cell."""
+    rng = np.random.default_rng(nseg)
+    top = 10.0 ** (nseg % 9)
+    n_atoms = nseg % 4
+    inside = n_atoms // 2
+    grid_n = nseg - inside
+    run = grid_n // 32
+    grid_n += run - 1
+    dens = rng.uniform(0.0, top, grid_n)
+    dens[::7] = 0.0
+    a = grid_n // 2
+    dens[a:a + run] = top
+    cells = rng.choice(np.r_[8:a - 2, a + run + 2:grid_n - 8], n_atoms, replace=False)
+    pos = [(c + (rng.uniform(0.25, 0.75) if i % 2 else 0.0)) / grid_n
+           for i, c in enumerate(cells)]
+    atoms = tuple((p, float(rng.uniform(0.1, 50.0))) for p in sorted(pos))
+    _, lens, qs, masses = Potential(grid_n, dens, atoms).fused_mesh
+    assert len(lens) == nseg
+    return lens, qs, masses, dens
+
+
+SCAN_COUNTS = [*range(512, 1101), *(2**k + i for k in range(10, 14) for i in (-1, 0, 1, 2))]
+
+
+@pytest.mark.parametrize("nseg", SCAN_COUNTS)
+def test_unpadded_scan_is_the_padded_scan(monkeypatch, nseg):
+    """_scan's four arrays, theta and propagate's four arrays are the
+    padded, masked kernel's, at lambda below, inside and above the
+    densities: all oscillatory above, mixed inside, with Taylor cells at
+    lambda = 1e-3 and hyperbolic ones below."""
+    lens, qs, masses, dens = _exact_mesh(nseg)
+    lams = (-1.0, 1e-3, float(np.median(dens)), 2.0 * dens.max() + 100.0)
+    assert np.all((qs - lams[-1]) * lens * lens <= -prop.TAYLOR_CUT)
+    got = {}
+    for lam in lams:
+        for a, b in zip(prop._scan(lens, qs, masses, lam),
+                        scan_ref(lens, qs, masses, lam)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert prop.phase(lens, qs, masses, lam) == phase_scan_ref(lens, qs, masses, lam)
+        got[lam] = prop.propagate(lens, qs, masses, lam)
+    monkeypatch.setattr(prop, "_scan", scan_ref)
+    for lam in lams:
+        want = prop.propagate(lens, qs, masses, lam)
+        assert all(np.array_equal(g, w) for g, w in zip(got[lam], want))
+
+
+def _cs_cases():
+    rng = np.random.default_rng(14)
+    t = rng.uniform(1e-4, 0.05, 3000)
+    osc = -rng.uniform(1.0, 1e6, 3000)
+    yield "oscillatory", osc, t
+    for name, value in (("hyperbolic", 5.0), ("taylor", -0.9 * prop.TAYLOR_CUT)):
+        one_off = osc.copy()
+        one_off[1234] = value
+        yield f"all oscillatory but one {name}", one_off, t
+    yield "taylor", rng.uniform(-0.5, 0.5, 3000) * prop.TAYLOR_CUT, t
+    yield "hyperbolic", rng.uniform(1.0, 1e5, 3000), t
+    yield "past BIG_ARG", 10.0 ** rng.uniform(7.0, 8.0, 3000), t + 0.05
+    yield "mixed", rng.choice([-30.0, 0.0, 200.0, 1e8], 3000), t
+
+
+@pytest.mark.parametrize("case", list(_cs_cases()), ids=lambda c: c[0])
+def test_cs_arrays_is_the_masked_kernel(case):
+    _, d, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = prop.cs_arrays(d, t), cs_arrays_ref(d, t)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_allocates_no_padding():
+    """One sweep of the 4096-cell, two-atom mesh (4098 segments) peaks at
+    most at 0.7 times the padded kernel, which scans 8192 blocks."""
+    rng = np.random.default_rng(15)
+    q = Potential(4096, rng.uniform(0.0, 100.0, 4096), ((0.3, 4.0), (0.7, 2.5)))
+    mesh = q.fused_mesh[1:]
+    assert len(mesh[0]) == 4098
+    for lam in (50.0, 5000.0):
+        assert (_peak_bytes(prop._phase_scan, *mesh, lam)
+                <= 0.7 * _peak_bytes(phase_scan_ref, *mesh, lam))
 
 
 # ---------------------------------------------------------------------------
