@@ -27,10 +27,11 @@ boundary state from one prefix product of the segment matrices (Blelloch,
 level, each product rescaled by a power of two, and the states come back
 down the levels, bit for bit as if the mesh were padded with identities
 to a power of two, though a level with an odd count only pairs its last
-block with one identity.  The angle increments are then summed in numpy,
-on the whole arrays when every segment is oscillatory (d t^2 <=
--TAYLOR_CUT), else through one mask per branch.  The two agree to
-rounding (about 1e-13 relative in theta), not bit for bit.
+block with one identity.  The basis values and the angle increments
+take one path in numpy: the oscillatory formulas on the whole arrays,
+then the segments that need another formula overwritten, with atan2(y,
+y') taken once per node.  The two ways agree to rounding (about 1e-13
+relative in theta), not bit for bit.
 
 One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
 atoms, and gives each piece the density of the cell its right end closes
@@ -62,8 +63,8 @@ TAYLOR_CUT = 1e-8   # |q - lam| below this uses the 4-term series branch
 BIG_ARG = 40.0      # kappa * t beyond this switches to exp-scaled transfer
 # Meshes with fewer segments than this are swept by the scalar loops.  At
 # 256 / 384 / 512 / 1024 / 4096 segments the loop takes 0.7 / 1.0 / 1.1 /
-# 1.6 / 2.3 times the scan's time on mixed meshes and 0.9 / 1.2 / 1.4 /
-# 2.1 / 3.2 times on all-oscillatory ones (two atoms; Xeon, 2 CPUs); 512
+# 1.8 / 2.8 times the scan's time on mixed meshes and 0.7 / 1.0 / 1.2 /
+# 1.9 / 2.9 times on all-oscillatory ones (two atoms; Xeon, 2 CPUs); 512
 # keeps the bits of the 256-cell grids, which the loop sweeps.
 SCAN_MIN_SEGMENTS = 512
 # A grid with fewer cells than this and one density is fused as a single
@@ -178,21 +179,26 @@ def cs_scalar(d: float, t: float) -> tuple[float, float, float]:
 
 
 def cs_arrays(d: np.ndarray, t: np.ndarray):
-    """Vectorized cs_scalar; returns (c, s, log_scale) arrays, on the
-    whole arrays when all are oscillatory, else through a mask per branch."""
+    """Vectorized cs_scalar; returns (c, s, log_scale) arrays.
+
+    cos(omega t) and sin(omega t) / omega are taken on the whole arrays,
+    with omega = sqrt(|d|); then the segments of another branch are
+    overwritten: the 4-term series below TAYLOR_CUT, cosh/sinh, and the
+    exp-scaled pair past BIG_ARG."""
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
     x = d * t * t
-    if (x <= -TAYLOR_CUT).all():
-        om = np.sqrt(-d)
-        return np.cos(om * t), np.sin(om * t) / om, np.zeros_like(x)
-    c = np.empty_like(x)
-    s = np.empty_like(x)
+    root = np.sqrt(np.abs(d))
+    kt = root * t
+    c = np.cos(kt)
+    with np.errstate(invalid="ignore"):   # 0 / 0 only where d = 0: a series segment
+        s = np.sin(kt) / root
     ls = np.zeros_like(x)
 
-    tiny = np.abs(x) < TAYLOR_CUT
-    osc = (~tiny) & (d < 0.0)
-    hyp = (~tiny) & (d >= 0.0)
+    tiny = np.flatnonzero(np.abs(x) < TAYLOR_CUT)
+    hyp = np.flatnonzero(x >= TAYLOR_CUT)   # d > 0 and not tiny: x has the sign of d
+    over = kt[hyp] > BIG_ARG
+    big, hyp = hyp[over], hyp[~over]
 
     xt = x[tiny]
     c[tiny] = 1.0 + xt * (0.5 + xt * (1.0 / 24.0 + xt / 720.0))
@@ -200,25 +206,15 @@ def cs_arrays(d: np.ndarray, t: np.ndarray):
         1.0 + xt * (1.0 / 6.0 + xt * (1.0 / 120.0 + xt / 5040.0))
     )
 
-    om = np.sqrt(-d[osc])
-    c[osc] = np.cos(om * t[osc])
-    s[osc] = np.sin(om * t[osc]) / om
+    kh = kt[hyp]
+    c[hyp] = np.cosh(kh)
+    s[hyp] = np.sinh(kh) / root[hyp]
 
-    k = np.sqrt(d[hyp])
-    kt = k * t[hyp]
-    small = kt <= BIG_ARG
-    ch = np.empty_like(kt)
-    sh = np.empty_like(kt)
-    lsh = np.zeros_like(kt)
-    ch[small] = np.cosh(kt[small])
-    sh[small] = np.sinh(kt[small]) / k[small]
-    e = np.exp(-2.0 * kt[~small])
-    ch[~small] = 0.5 * (1.0 + e)
-    sh[~small] = 0.5 * (1.0 - e) / k[~small]
-    lsh[~small] = kt[~small]
-    c[hyp] = ch
-    s[hyp] = sh
-    ls[hyp] = lsh
+    kb = kt[big]
+    e = np.exp(-2.0 * kb)
+    c[big] = 0.5 * (1.0 + e)
+    s[big] = 0.5 * (1.0 - e) / root[big]
+    ls[big] = kb
     return c, s, ls
 
 
@@ -238,28 +234,26 @@ def sq_integrals(d: np.ndarray, t: np.ndarray):
     Returned as (Icc, Ics, Iss, log_scale): true integrals are the returned
     values times exp(2 * log_scale).  Identities used:
       (s c)' = c^2 + d s^2,   c^2 - d s^2 = 1
-    give Icc = (t + s c)/2 and Iss = (s c - t)/(2 d); the latter switches to
-    a series in d t^2 when cancellation would bite.
+    give Icc = (t + s c)/2 and Iss = (s c - t)/(2 d), taken on the whole
+    arrays; Iss is then overwritten by a series in d t^2 where |d t^2| <
+    1e-3, where cancellation would bite.
     """
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
     c, s, ls = cs_arrays(d, t)
     x = d * t * t
-    big = ls > 0.0
-    te = np.where(big, t * np.exp(-2.0 * ls), t)  # t scaled like c*s
+    te = t * np.exp(-2.0 * ls)  # t scaled like c*s (exp(-0.0) = 1 leaves t)
     sc = s * c
     icc = 0.5 * (te + sc)
     ics = 0.5 * s * s
-    iss = np.empty_like(sc)
-    series = np.abs(x) < 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iss_exact = (sc - te) / (2.0 * d)
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: a series segment
+        iss = (sc - te) / (2.0 * d)
+    series = np.flatnonzero(np.abs(x) < 1e-3)
     xs = x[series]
     acc = np.zeros_like(xs)
     for ck in _ISS_COEFF[::-1]:
         acc = acc * xs + ck
     iss[series] = (t[series] ** 3) * acc
-    iss[~series] = iss_exact[~series]
     return icc, ics, iss, ls
 
 
@@ -465,43 +459,42 @@ def _scan(lens, qs, masses, lam: float):
     return state[0], state[1], sx, ls
 
 
-def _frac_angles(y, dy):
-    """atan2(y, dy) of each state, taken in [0, pi), and 0 where y = 0."""
-    a = np.arctan2(y, dy)
-    a[a < 0.0] += _PI
-    a[y == 0.0] = 0.0
-    return a
+def _frac(a, y):
+    """The angles a = atan2(y, dy) taken in [0, pi), and 0 where y = 0."""
+    f = np.where(a < 0.0, a + _PI, a)
+    f[y == 0.0] = 0.0
+    return f
 
 
 def _phase_scan(lens, qs, masses, lam: float) -> float:
-    """phase's loop increments, segment by segment, from _scan's states;
-    on an all-oscillatory mesh, with no angle in [0, pi) but at the atoms."""
+    """phase's loop increments, segment by segment, from _scan's states.
+
+    atan2(y, y') is taken once per node (and once more after each atom
+    jump); the oscillatory increment is taken on the whole arrays, then
+    the other segments are overwritten by the non-oscillatory rule, which
+    reads those angles in [0, pi) at their ends only."""
     y, dy_arr, _, _ = _scan(lens, qs, masses, lam)
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
     d = qs - lam
     y0, dy0, y1, dy1 = y[:-1], dy_dep[:-1], y[1:], dy_arr[1:]
     jump = np.flatnonzero(masses) + 1
-    f_jump = _frac_angles(y[jump], dy_dep[jump])
-    osc = (d < -TAYLOR_CUT) & (np.abs(d) * lens * lens >= TAYLOR_CUT)
-    if osc.all():
-        inc, osc = np.empty_like(d), slice(None)
-    else:
-        f_arr = _frac_angles(y, dy_arr)
-        f_dep = f_arr.copy()
-        f_dep[jump] = f_jump
-        # non-oscillatory rule: at most one zero, counted from the sign change
-        z = (y0 != 0.0) & ((y1 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
-        inc = z * _PI + f_arr[1:] - f_dep[:-1]
-        osc = np.flatnonzero(osc)
+    a_arr = np.arctan2(y, dy_arr)
+    a_dep = a_arr.copy()
+    a_dep[jump] = np.arctan2(y[jump], dy_dep[jump])
     # oscillatory rule: the scaled angle atan2(om y, y') advances by om t
-    om = np.sqrt(-d[osc])
-    ya, da, yb, db = y0[osc], dy0[osc], y1[osc], dy1[osc]
-    inc[osc] = (np.arctan2(om * ya, da) - np.arctan2(ya, da)) + om * lens[osc] - (
-        np.arctan2(om * yb, db) - np.arctan2(yb, db)
+    om = np.sqrt(np.abs(d))
+    inc = (np.arctan2(om * y0, dy0) - a_dep[:-1]) + om * lens - (
+        np.arctan2(om * y1, dy1) - a_arr[1:]
     )
+    # non-oscillatory rule: at most one zero, counted from the sign change
+    no = np.flatnonzero((d >= -TAYLOR_CUT) | (d * lens * lens > -TAYLOR_CUT))
+    ya, yb = y0[no], y1[no]
+    z = (ya != 0.0) & ((yb == 0.0) | ((ya > 0.0) != (yb > 0.0)))
+    inc[no] = z * _PI + _frac(a_arr[no + 1], yb) - _frac(a_dep[no], ya)
     # atom jumps turn the angle at fixed y
-    return float(np.sum(inc) + np.sum(f_jump - _frac_angles(y[jump], dy_arr[jump])))
+    yj = y[jump]
+    return float(np.sum(inc) + np.sum(_frac(a_dep[jump], yj) - _frac(a_arr[jump], yj)))
 
 
 def _propagate_scan(lens, qs, masses, lam: float):

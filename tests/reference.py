@@ -21,9 +21,10 @@ preallocated array, and propagate must give the same floats.
 The long-mesh sweep is kept as it was before it stopped paying for
 padding and masked gathers: the prefix scan over the mesh padded with
 identities to the next power of two, cs_arrays with every branch taken
-through a boolean mask, and the scan phase with the angle of every
-boundary in [0, pi).  _scan's four arrays, cs_arrays' three and the
-phase must be the same floats.
+through a boolean mask, sq_integrals with the series for the integral
+of s**2 scattered through a mask, and the scan phase with the angle of
+every boundary in [0, pi).  _scan's four arrays, cs_arrays' three,
+sq_integrals' four and the phase must be the same floats.
 
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
@@ -461,6 +462,31 @@ def cs_arrays_ref(d: np.ndarray, t: np.ndarray):
     s[hyp] = sh
     ls[hyp] = lsh
     return c, s, ls
+
+
+def sq_integrals_ref(d: np.ndarray, t: np.ndarray):
+    """sq_integrals with the series for the integral of s**2 gathered and
+    scattered through a mask."""
+    d = np.asarray(d, dtype=float)
+    t = np.asarray(t, dtype=float)
+    c, s, ls = cs_arrays_ref(d, t)
+    x = d * t * t
+    big = ls > 0.0
+    te = np.where(big, t * np.exp(-2.0 * ls), t)  # t scaled like c*s
+    sc = s * c
+    icc = 0.5 * (te + sc)
+    ics = 0.5 * s * s
+    iss = np.empty_like(sc)
+    series = np.abs(x) < 1e-3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iss_exact = (sc - te) / (2.0 * d)
+    xs = x[series]
+    acc = np.zeros_like(xs)
+    for ck in prop._ISS_COEFF[::-1]:
+        acc = acc * xs + ck
+    iss[series] = (t[series] ** 3) * acc
+    iss[~series] = iss_exact[~series]
+    return icc, ics, iss, ls
 
 
 def scan_ref(lens, qs, masses, lam: float):

@@ -1,7 +1,8 @@
 """Long meshes: the prefix-scan sweeps (_phase_scan, _propagate_scan)
 against the one-segment-at-a-time loops (through their references, bit
 for bit equal to phase's and propagate's own) and, bit for bit, against
-the padded, masked kernel they replaced; and the mesh builders
+the padded, masked kernels they replaced (with cs_arrays, sq_integrals
+and ShootingSolution); and the mesh builders
 (build_segments, node_mesh) against the reference builders they replaced."""
 
 import math
@@ -15,9 +16,11 @@ from hypothesis import given, strategies as st
 
 from slmajorant import Potential, eigenvalue
 from slmajorant import _propagate as prop
+from slmajorant.eigensolver import ShootingSolution
 
 from conftest import assert_fused_form
 from reference import (
+    _frac_angles_arrays_ref,
     cs_arrays_ref,
     fuse_loop_ref,
     fuse_runs_ref,
@@ -26,6 +29,7 @@ from reference import (
     phase_scan_ref,
     propagate_loop_ref,
     scan_ref,
+    sq_integrals_ref,
 )
 
 
@@ -214,8 +218,14 @@ def test_scan_raises_no_warning_up_to_1e8():
 
 
 # ---------------------------------------------------------------------------
-# the unpadded scan and the whole-array oscillatory path against the padded,
-# masked kernel, bit for bit
+# the unpadded, one-path kernels against the padded, masked kernels they
+# replaced, bit for bit
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def _exact_mesh(nseg):
@@ -251,20 +261,25 @@ SCAN_COUNTS = [*range(512, 1101), *(2**k + i for k in range(10, 14) for i in (-1
 
 @pytest.mark.parametrize("nseg", SCAN_COUNTS)
 def test_unpadded_scan_is_the_padded_scan(monkeypatch, nseg):
-    """_scan's four arrays, theta and propagate's four arrays are the
-    padded, masked kernel's, at lambda below, inside and above the
-    densities: all oscillatory above, mixed inside, with Taylor cells at
-    lambda = 1e-3 and hyperbolic ones below."""
+    """_scan's four arrays, theta, cs_arrays' three, sq_integrals' four and
+    propagate's four arrays are the padded, masked kernel's, with warnings
+    as errors, at lambda below, inside and above the densities: all
+    oscillatory above, mixed inside, with Taylor cells at lambda = 1e-3
+    and hyperbolic ones below."""
     lens, qs, masses, dens = _exact_mesh(nseg)
     lams = (-1.0, 1e-3, float(np.median(dens)), 2.0 * dens.max() + 100.0)
     assert np.all((qs - lams[-1]) * lens * lens <= -prop.TAYLOR_CUT)
     got = {}
-    for lam in lams:
-        for a, b in zip(prop._scan(lens, qs, masses, lam),
-                        scan_ref(lens, qs, masses, lam)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert prop.phase(lens, qs, masses, lam) == phase_scan_ref(lens, qs, masses, lam)
-        got[lam] = prop.propagate(lens, qs, masses, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lams:
+            _assert_same_arrays(prop._scan(lens, qs, masses, lam),
+                                scan_ref(lens, qs, masses, lam))
+            assert prop.phase(lens, qs, masses, lam) == phase_scan_ref(lens, qs, masses, lam)
+            _assert_same_arrays(prop.cs_arrays(qs - lam, lens), cs_arrays_ref(qs - lam, lens))
+            _assert_same_arrays(prop.sq_integrals(qs - lam, lens),
+                                sq_integrals_ref(qs - lam, lens))
+            got[lam] = prop.propagate(lens, qs, masses, lam)
     monkeypatch.setattr(prop, "_scan", scan_ref)
     for lam in lams:
         want = prop.propagate(lens, qs, masses, lam)
@@ -284,15 +299,110 @@ def _cs_cases():
     yield "hyperbolic", rng.uniform(1.0, 1e5, 3000), t
     yield "past BIG_ARG", 10.0 ** rng.uniform(7.0, 8.0, 3000), t + 0.05
     yield "mixed", rng.choice([-30.0, 0.0, 200.0, 1e8], 3000), t
+    mixed = rng.choice([-1e4, -30.0, 200.0, 1e8], 3000)
+    at_node = t.copy()
+    at_node[::3] = 0.0
+    yield "t = 0 on a breakpoint", mixed, at_node
+    zero = mixed.copy()
+    zero[::4] = 0.0
+    zero[1::8] = -0.0
+    yield "d = 0", zero, t
+    # |d t^2| a few ulps either side of each cut: the Iss series at 1e-3,
+    # the cs series at TAYLOR_CUT, and kappa t at BIG_ARG
+    ulps = np.resize(np.arange(-6, 7), 3000)
+    sign = np.resize([1.0, -1.0], 3000)
+    for name, cut in (("the series cut 1e-3", 1e-3), ("TAYLOR_CUT", prop.TAYLOR_CUT)):
+        d = sign * cut / (t * t)
+        yield f"either side of {name}", d + ulps * np.spacing(d), t
+    d = (prop.BIG_ARG / t) ** 2
+    yield "either side of BIG_ARG", d + 4 * ulps * np.spacing(d), t
 
 
-@pytest.mark.parametrize("case", list(_cs_cases()), ids=lambda c: c[0])
+CS_CASES = list(_cs_cases())
+
+
+def test_cs_cases_straddle_the_cuts():
+    """The cut cases put segments on both sides of each cut."""
+    cases = {name: (d, t) for name, d, t in CS_CASES}
+    for name, cut in (("the series cut 1e-3", 1e-3), ("TAYLOR_CUT", prop.TAYLOR_CUT)):
+        d, t = cases[f"either side of {name}"]
+        ax = np.abs(d * t * t)
+        assert np.any(ax < cut) and np.any(ax >= cut)
+    d, t = cases["either side of BIG_ARG"]
+    kt = np.sqrt(d) * t
+    assert np.any(kt <= prop.BIG_ARG) and np.any(kt > prop.BIG_ARG)
+
+
+@pytest.mark.parametrize("case", CS_CASES, ids=lambda c: c[0])
 def test_cs_arrays_is_the_masked_kernel(case):
     _, d, t = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, want = prop.cs_arrays(d, t), cs_arrays_ref(d, t)
-    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    _assert_same_arrays(got, want)
+
+
+@pytest.mark.parametrize("case", CS_CASES, ids=lambda c: c[0])
+def test_sq_integrals_is_the_masked_kernel(case):
+    _, d, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = prop.sq_integrals(d, t), sq_integrals_ref(d, t)
+    _assert_same_arrays(got, want)
+
+
+def test_frac_is_the_reference_angle():
+    """_frac of the one atan2 per node is the reference's [0, pi) angle,
+    also on the zero states y = +-0 that neither side of a sign change
+    reaches on the test meshes."""
+    y = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 1e-300, -2.5, 3.0])
+    dy = np.array([1.0, 1.0, -1.0, -1.0, -0.0, 0.0, -1.0, -4.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = prop._frac(np.arctan2(y, dy), y)
+    _assert_same_arrays([got], [_frac_angles_arrays_ref(y, dy)])
+
+
+def _mixed_two_atom_potential():
+    rng = np.random.default_rng(16)
+    return Potential(4096, rng.uniform(0.0, 2000.0, 4096), ((0.3001, 4.0), (0.7, 2.5)))
+
+
+def _large_ball_potential():
+    """256 cells, a potential of a large ball: density uniform in [0, 50]
+    with cells 100-139 at 1e6 to 1e9, those above about 1.05e8 past
+    BIG_ARG."""
+    rng = np.random.default_rng(17)
+    dens = rng.uniform(0.0, 50.0, 256)
+    dens[100:140] = 10.0 ** rng.uniform(6.0, 9.0, 40)
+    return Potential(256, dens)
+
+
+@pytest.mark.parametrize("make_q", [_mixed_two_atom_potential, _large_ball_potential],
+                         ids=["mixed-4096-two-atoms", "large-ball-256"])
+def test_shooting_solution_is_the_masked_kernels(monkeypatch, make_q):
+    """ShootingSolution's values and cell masses, at lambda_0, lambda_3 and
+    lambda_12, are the floats they were with the padded, masked kernels."""
+    q = make_q()
+    rng = np.random.default_rng(18)
+    points = np.concatenate((q.edges(), q.fused_mesh[0], rng.uniform(0.0, 1.0, 500)))
+    lams = [eigenvalue(q, n) for n in (0, 3, 12)]
+
+    def evaluate():
+        out = []
+        for lam in lams:
+            sol = ShootingSolution(q, lam)
+            out += [sol.values(points), sol.cell_square_masses(q.edges())]
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate()
+        for name, ref in (("cs_arrays", cs_arrays_ref), ("sq_integrals", sq_integrals_ref),
+                          ("_scan", scan_ref)):
+            monkeypatch.setattr(prop, name, ref)
+        want = evaluate()
+    _assert_same_arrays(got, want)
 
 
 def _peak_bytes(fn, *args):
