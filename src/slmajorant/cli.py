@@ -1,10 +1,10 @@
 """Batch front end: one JSON config in, machine-readable results out.
 
-A run is described by a single JSON document (see README for the schema);
-the only flags are --config, --mode and --output-dir.  Outputs are
-deterministic: floats are printed with 17 significant digits (enough to
-round-trip IEEE doubles exactly), keys are sorted, and identical configs
-produce byte-identical files.
+A run is described by a single JSON document (see README for the schema),
+which names the mode; the only flags are --config and --output-dir.
+Outputs are deterministic: floats are printed with 17 significant digits
+(enough to round-trip IEEE doubles exactly), keys are sorted, and
+identical configs produce byte-identical files.
 
 Each number is formatted once.  A column that appears in two files (an
 eigenfunction's x, y and dy in ``result.json`` and its CSV, the extremal
@@ -293,14 +293,9 @@ def _write_columns(path: Path, header: list[str], columns: list[list[str]]) -> N
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of numbers: each column is formatted once, or each row
-    if the rows differ in length."""
-    rows = list(rows)
-    if set(map(len, rows)) <= {len(header)}:
-        columns = [_cells(col) for col in zip(*rows)]
-    else:
-        columns = [[",".join(_cells(row)) for row in rows]]
-    _write_columns(path, header, columns)
+    """Write rows of numbers, each column formatted once; rows of
+    different lengths raise ValueError."""
+    _write_columns(path, header, [_cells(col) for col in zip(*rows, strict=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def _solve_entry(out: Path, p: EigenPair, x: _Column) -> dict:
     return {"n": p.n, "lambda": p.lam, "x": x, "y": y, "dy": dy}
 
 
-def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
+def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, int]:
     q = _default_potential(req, cfg)
     pairs = []
     for n in range(req.n_max + 1):
@@ -336,28 +331,18 @@ def _run_solve(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         for p in pairs:
             yield _solve_entry(out, p, x)
 
-    result = {
-        "mode": "solve",
-        "weight": req.weight.literal(),
-        "lambdas": [p.lam for p in pairs],
-        "eigenpairs": entries(),
-        "potential": potential_to_dict(q),
-    }
-    _write_json(out / "result.json", result)
-    return 0
+    return {"lambdas": [p.lam for p in pairs], "eigenpairs": entries(),
+            "potential": potential_to_dict(q)}, 0
 
 
-def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
+def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, int]:
     if req.gamma == 1.0:
         report = solve_extremal_gamma_eq1(req.weight, cfg.k_atoms, cfg)
     else:
         report = solve_extremal_gamma_gt1(req.weight, req.gamma, cfg)
-    result = {"mode": "extremal", "weight": req.weight.literal(),
-              "gamma": req.gamma}
-    result.update(report.to_dict())
+    result = {"gamma": req.gamma, **report.to_dict()}
     q = _Column(report.q_hat.density)
     result["q_hat"]["density"] = q
-    _write_json(out / "result.json", result)
     sol = ShootingSolution(report.q_hat, report.M)
     mids = report.q_hat.midpoints()
     yv = sol.values(mids)
@@ -367,28 +352,20 @@ def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         ["x", "y", "q", "y2_over_r"],
         [_cells(mids), _cells(yv), q.cells, _cells(yv * yv / rv)],
     )
-    _write_csv(
-        out / "trace.csv",
-        ["iter", "lambda0", "residual"],
-        report.trace,
-    )
-    return 0 if report.converged else 1
+    _write_csv(out / "trace.csv", ["iter", "lambda0", "residual"], report.trace)
+    return result, 0 if report.converged else 1
 
 
-def _run_oracle(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
+def _run_oracle(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, int]:
     if req.gamma == 1.0:
         res = atom_grid_search(req.weight, ORACLE_SCAN_POINTS, cfg)
         _write_csv(out / "scan.csv", ["zeta", "lambda0"], res.scan)
     else:
         res = brute_force_max(req.weight, req.gamma, ORACLE_CELLS, cfg)
-    result = {"mode": "oracle", "weight": req.weight.literal(),
-              "gamma": req.gamma}
-    result.update(res.to_dict())
-    _write_json(out / "result.json", result)
-    return 0 if not res.stalled else 1
+    return {"gamma": req.gamma, **res.to_dict()}, 1 if res.stalled else 0
 
 
-def _run_bounds(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
+def _run_bounds(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, int]:
     q = _default_potential(req, cfg)
     lams = [eigenvalue(q, n, cfg.tol_eigen) for n in range(req.n_max + 2)]
     header = ["n", "lambda", "upper_bound", "gap", "gap_lower_bound", "pass"]
@@ -403,17 +380,11 @@ def _run_bounds(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
         rows.append((n, lams[n], ub, gap, glb, ok))
     all_pass = all(ok for *_, ok in rows)
     _write_csv(out / "bounds.csv", header, rows)
-    result = {
-        "mode": "bounds",
-        "weight": req.weight.literal(),
-        "rows": [dict(zip(header, row)) for row in rows],
-        "all_pass": all_pass,
-    }
-    _write_json(out / "result.json", result)
-    return 0 if all_pass else 1
+    return ({"rows": [dict(zip(header, row)) for row in rows], "all_pass": all_pass},
+            0 if all_pass else 1)
 
 
-def _run_perturb(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
+def _run_perturb(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, int]:
     base = _default_potential(req, cfg)
     p = req.direction
     if req.alpha is not None:
@@ -429,19 +400,9 @@ def _run_perturb(req: RunRequest, cfg: SolverConfig, out: Path) -> int:
     fd = (lam_plus - lam_minus) / (2.0 * FD_EPS)
     diff = abs(analytic - fd)
     ok = diff <= FD_GATE
-    result = {
-        "mode": "perturb",
-        "weight": req.weight.literal(),
-        "gamma": req.gamma,
-        "alpha": alpha,
-        "analytic": analytic,
-        "finite_difference": fd,
-        "abs_diff": diff,
-        "eps": FD_EPS,
-        "pass": ok,
-    }
-    _write_json(out / "result.json", result)
-    return 0 if ok else 1
+    return {"gamma": req.gamma, "alpha": alpha, "analytic": analytic,
+            "finite_difference": fd, "abs_diff": diff, "eps": FD_EPS,
+            "pass": ok}, 0 if ok else 1
 
 
 # the one list of modes: each mode and its runner
@@ -451,10 +412,16 @@ MODES = tuple(_RUNNERS)
 
 
 def run(request: RunRequest, cfg: SolverConfig) -> int:
-    """Dispatch a run request; writes outputs into cfg.output_dir."""
+    """Run a request into cfg.output_dir and return its exit status.
+
+    The mode's runner writes its CSV files and returns its result.json
+    payload, which is written here behind the mode and weight."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[request.mode](request, cfg, out)
+    payload, status = _RUNNERS[request.mode](request, cfg, out)
+    _write_json(out / "result.json",
+                {"mode": request.mode, "weight": request.weight.literal(), **payload})
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -464,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
         "Sturm-Liouville problems over weighted potential balls.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--mode", choices=MODES, help="override the config's mode")
     parser.add_argument("--output-dir", help="override the config's output_dir")
     args = parser.parse_args(argv)
     try:
@@ -474,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         request, cfg = parse_config(text)
-        if args.mode:
-            request = replace(request, mode=args.mode)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

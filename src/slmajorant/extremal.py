@@ -202,7 +202,8 @@ def solve_extremal_gamma_gt1(
     eigenvalue drops (floor 1/16).  Stops when the eigenvalue is stationary
     to TOL_OUTER (relative) and the characterization residual -- the
     relative distance between q and Phi(y) in the weighted L^gamma norm --
-    is below tol_res.
+    is below tol_res.  The report is converged only if the loop stopped so
+    and the residual of the snapped answer is below tol_res too.
     """
     cfg = cfg or SolverConfig()
     if not (gamma > 1.0):
@@ -239,7 +240,7 @@ def solve_extremal_gamma_gt1(
     _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
-                   converged)
+                   converged and res < cfg.tol_res)
 
 
 # ---------------------------------------------------------------------------

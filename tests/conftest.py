@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -65,6 +66,38 @@ def centered_atom_lambda(mass_over_r: float) -> float:
         rtol=8.9e-16,
     )
     return 4.0 * s * s
+
+
+# r(z) in mpmath for the weights the single-atom referee is run on
+MP_WEIGHTS = {
+    "const:1": lambda z: mpmath.mpf(1),
+    "const:0.3": lambda z: mpmath.mpf("0.3"),
+    "power:1.5,1.25": lambda z: z ** mpmath.mpf("1.5") * (1 - z) ** mpmath.mpf("1.25"),
+}
+
+
+def single_atom_lambda(z: float, weight: str) -> float:
+    """Ground eigenvalue of one saturating atom (mass 1/r(z)) at z, at 40
+    digits: with y = sin(kx) left of z and a multiple of sin(k(1 - x))
+    right of it, the derivative jump m y(z) gives
+    k sin k + m sin(kz) sin(k(1 - z)) = 0, and lambda = k**2.  The value
+    is m sin(kz)**2 > 0 at k = pi, and the ground root is its first sign
+    change in (pi, 2 pi]."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        m = 1 / MP_WEIGHTS[weight](z)
+
+        def f(k):
+            return k * mpmath.sin(k) + m * mpmath.sin(k * z) * mpmath.sin(k * (1 - z))
+
+        lo = mpmath.pi
+        for j in range(1, 257):
+            hi = mpmath.pi * (1 + mpmath.mpf(j) / 256)
+            if f(hi) <= 0:
+                break
+            lo = hi
+        k = mpmath.findroot(f, (lo, hi), solver="anderson")
+        return float(k * k)
 
 
 def pl_pairing(q: Potential, xs, ys) -> float:

@@ -110,6 +110,7 @@ class TestParseConfig:
         ("weight", "power:x,1"), ("weight", "table-inline:a,b"),
         ("weight", "table-inline:0.5"), ("weight", "power:nan,1"),
         ("potential", [1, 2]), ("direction", [1, 2]),
+        ("potential", {"density": [1.0] * 16}),
     ])
     def test_malformed_optional_key_exits_2(self, tmp_path, capsys, key, value):
         path, _ = make_config(tmp_path, mode="bounds", **{key: value})
@@ -200,6 +201,7 @@ class TestConfigTypes:
         ("solve", "tol_res", "false"),
         ("solve", "tol_eigen", '"1e-10"'),
         ("solve", "gamma", "1e400"),
+        ("solve", "gamma", "1" + "0" * 400),   # an int past the float range
     ])
     def test_real_values_must_be_finite(self, tmp_path, capsys, mode, key, text):
         doc = {"mode": mode, "weight": "const:1", "gamma": 2, "grid_n": 16,
@@ -290,20 +292,31 @@ class TestModes:
         res = json.loads((tmp_path / "out" / "result.json").read_text())
         assert res["M_hat"] > PI2
 
+    def test_extremal_above_tol_res_exits_1(self, tmp_path):
+        # the snapped answer misses tol_res: not converged, exit 1
+        path, _ = make_config(tmp_path, mode="extremal", weight="power:1,1",
+                              gamma=1.05, grid_n=256)
+        assert main(["--config", str(path)]) == 1
+        res = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert res["converged"] is False
+        assert res["residual"] >= 1e-6
+
     def test_usage_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"mode":"solve","weight":"const:1","gamma":0.5}')
         assert main(["--config", str(path)]) == 2
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_mode_override_flag(self, tmp_path):
-        path, _ = make_config(tmp_path, mode="solve", gamma=1, n_max=0, grid_n=64)
-        assert main(["--config", str(path), "--mode", "oracle"]) == 0
-        assert (tmp_path / "out" / "scan.csv").exists()
-
-    def test_mode_override_to_perturb_needs_direction(self, tmp_path, capsys):
+    def test_mode_comes_from_the_config_alone(self, tmp_path, capsys):
+        # there is no --mode flag: argparse refuses it, and a perturb config
+        # without a direction exits 2 before any output is made
         path, _ = make_config(tmp_path, mode="solve", gamma=2)
-        assert main(["--config", str(path), "--mode", "perturb"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--mode", "oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        path, _ = make_config(tmp_path, mode="perturb", gamma=2)
+        assert main(["--config", str(path)]) == 2
         assert ("mode 'perturb' requires key 'direction'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
@@ -436,10 +449,12 @@ class TestWriters:
                              (["a", "b", "c"], list(zip(*cols))),
                              (["n", "x", "ok"], mixed),
                              (["a", "b", "c"], [tuple(r) for r in finite]),
-                             (["a", "b", "c"], []),
-                             (["a", "b"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])):
+                             (["a", "b", "c"], [])):
             _write_csv(tmp_path / "t.csv", header, rows)
             assert (tmp_path / "t.csv").read_text() == csv_text_ref(header, rows)
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "t.csv", ["a", "b"],
+                       [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])
 
 
 def _record(monkeypatch, name, calls):

@@ -273,6 +273,12 @@ class TestEnergyAndPencil:
         with pytest.raises(DomainError):
             pencil_form(Potential.constant(1.0, 48), pair.lam, pair)
 
+    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1)])
+    def test_pencil_form_rejects_samples_off_the_grid_nodes(self, shape):
+        # 8 cells have 9 nodes
+        with pytest.raises(DomainError, match="grid nodes"):
+            pencil_form(Potential.zero(8), PI2, np.zeros(shape))
+
 
 class TestMeshes:
     @staticmethod

@@ -24,6 +24,7 @@ from slmajorant import (
     directional_derivative,
     eigenfunction,
     eigenvalue,
+    parse_weight,
     perturbation_path,
     solve_extremal_gamma_eq1,
     solve_extremal_gamma_gt1,
@@ -31,7 +32,8 @@ from slmajorant import (
 )
 from slmajorant import extremal
 from slmajorant.extremal import _atom_potential, _sup_y2_over_r, alpha_lower_bound
-from conftest import PI2, centered_atom_lambda, random_potential
+from conftest import (MP_WEIGHTS, PI2, centered_atom_lambda, random_potential,
+                      single_atom_lambda)
 from reference import alpha_lower_bound_loop, sup_y2_over_r_ref
 
 CFG = SolverConfig(grid_n=256)
@@ -97,6 +99,14 @@ class TestSolveGammaGt1:
         assert rep.converged
         assert len(rep.trace) == 200
         assert _lower_bound(w, 2.0, 64) <= rep.M <= _upper_bound(w, 2.0)
+
+    def test_snapped_residual_above_tol_res_is_not_converged(self):
+        # at gamma = 1.05 the loop stops with its residual below tol_res,
+        # but the snapped answer's residual lands above it
+        rep = solve_extremal_gamma_gt1(PowerWeight(1, 1), 1.05, CFG)
+        assert len(rep.trace) < CFG.max_iter
+        assert rep.trace[-2][2] < CFG.tol_res <= rep.residual
+        assert not rep.converged
 
     def test_gamma_to_one_consistency(self):
         # M(gamma) at 1.05, 1.01 climbs toward the gamma = 1 supremum, the
@@ -179,6 +189,13 @@ class TestSolveGammaEq1:
         assert rep.M == pytest.approx(centered_atom_lambda(1.0), rel=1e-8)
         assert abs(rep.constraint - 1.0) <= 1e-12
         assert rep.converged
+
+    @pytest.mark.parametrize("weight", sorted(MP_WEIGHTS))
+    def test_single_atom_matches_the_mpmath_referee(self, weight):
+        rep = solve_extremal_gamma_eq1(parse_weight(weight), 1, CFG_SMALL)
+        (pos, _), = rep.q_hat.atoms
+        ref = single_atom_lambda(pos, weight)
+        assert abs(rep.M - ref) <= 1e-10 * ref
 
     def test_parabolic_weight_single_atom(self):
         # r = x(1-x): atom at the center carries mass 4, and the jump
@@ -603,3 +620,37 @@ class TestDirectionalDerivative:
             bound = alpha_lower_bound(w, 2.0, rep.q_hat, p)
             spec = PerturbationSpec(rep.q_hat, p, bound + 1e-9, w)
             assert directional_derivative(spec, 2.0) <= 1e-6
+
+
+def _atom_pair():
+    q = Potential.from_atoms([(0.4, 2.0)], 16)
+    return q, eigenfunction(q, eigenvalue(q, 0), 0)
+
+
+def _spec(alpha):
+    q = Potential.constant(1.0, 16)
+    return PerturbationSpec(base=q, direction=q, alpha=alpha,
+                            weight=ConstantWeight(1.0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: characterization_residual(ConstantWeight(1.0), 0.5, *_atom_pair()),
+     ParameterError, "gamma"),
+    (lambda: characterization_residual(ConstantWeight(1.0), 2.0, *_atom_pair()),
+     InvalidPotentialError, "atom-free"),
+    (lambda: directional_derivative(_spec(0.0), 0.5), ParameterError, "gamma"),
+    (lambda: perturbation_path(_spec(-2.0), 0.5), ParameterError, "admissible range"),
+], ids=["residual-gamma", "residual-atoms", "derivative-gamma", "path-scale"])
+def test_public_calls_refuse_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("weight", ["const:0.3", "power:1.5,1.25"])
+def test_alpha_lower_bound_at_gamma_one_is_the_constraint(weight):
+    # atoms included: at gamma = 1 the bound does not look at the base
+    w = parse_weight(weight)
+    p = Potential(16, np.linspace(0.0, 2.0, 16), ((0.3, 1.5), (0.62, 0.25)))
+    base = Potential.constant(3.0, 32)
+    assert alpha_lower_bound(w, 1.0, base, p) == constraint_value(w, 1.0, p) - 1.0
+

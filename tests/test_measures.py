@@ -324,6 +324,16 @@ class TestPrimitive:
             direct = pl_pairing(q, nodes, vals)
             assert via_primitive == pytest.approx(direct, abs=1e-10)
 
+    def test_pair_skips_zero_length_and_flat_pieces(self, rng):
+        # a repeated node and a flat piece add nothing to -integral(Q y')
+        q = random_potential(rng, grid_n=48, max_atoms=2)
+        p = primitive(q)
+        nodes, vals = [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 1.0, -0.5, 0.0]
+        want = p.pair(nodes, vals)
+        assert want == pytest.approx(pl_pairing(q, nodes, vals), abs=1e-10)
+        assert p.pair([0.0, 0.25, 0.25, 0.5, 0.75, 1.0],
+                      [0.0, 1.0, 1.0, 1.0, -0.5, 0.0]) == want
+
 
     def test_integrals_match_the_piece_loop_bit_for_bit(self):
         # the same terms, added in the same order: == and not approx, since
@@ -606,3 +616,31 @@ class TestPotential:
         assert q2.grid_n == q.grid_n
         assert np.array_equal(q2.density, q.density)
         assert q2.atoms == q.atoms
+
+
+def _write_table(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    return f"table:{path}"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: Potential(0, np.zeros(0)), InvalidPotentialError, "grid_n"),
+    (lambda tmp: Potential(4, np.zeros(5)), InvalidPotentialError, "shape"),
+    (lambda tmp: Potential.constant(1.0, 4).scaled(-0.5), InvalidPotentialError,
+     "scaling factor"),
+    (lambda tmp: primitive(Potential.zero(4)).integrals(0.5, 0.5), DomainError,
+     "integration interval"),
+    (lambda tmp: Bins([0.2, 1.5]), ParameterError, "within"),
+    (lambda tmp: Bins([-0.1, 0.5]), ParameterError, "within"),
+    (lambda tmp: Bins.uniform(3, 0), ParameterError, "bin count"),
+    (lambda tmp: bin_project(Potential.zero(16), ConstantWeight(1.0), 0.5,
+                             Bins.uniform(2, 2)), ParameterError, "gamma"),
+    (lambda tmp: parse_weight(_write_table(tmp, "x,w\n0.5,1\n")), ParameterError,
+     "header 'x,r'"),
+], ids=["grid_n-0", "density-shape", "scaled-negative", "integrals-empty",
+        "bins-above-1", "bins-below-0", "uniform-count-0", "bin-project-gamma",
+        "table-header"])
+def test_public_calls_refuse_bad_input(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

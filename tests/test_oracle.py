@@ -12,9 +12,10 @@ from slmajorant import (
     brute_force_max,
     constraint_value,
     eigenvalue,
+    parse_weight,
     solve_extremal_gamma_gt1,
 )
-from conftest import centered_atom_lambda
+from conftest import MP_WEIGHTS, centered_atom_lambda, single_atom_lambda
 
 CFG = SolverConfig(grid_n=256)
 
@@ -90,6 +91,15 @@ class TestBruteForceMax:
 
 
 class TestAtomGridSearch:
+    @pytest.mark.parametrize("weight", sorted(MP_WEIGHTS))
+    def test_scan_matches_the_mpmath_referee(self, weight):
+        # every 50th of the 1001 scan points, off-centre ones included,
+        # against the 40-digit root of the single-atom matching condition
+        res = atom_grid_search(parse_weight(weight), 1001)
+        for z, lam in res.scan[::50]:
+            ref = single_atom_lambda(z, weight)
+            assert abs(lam - ref) <= 1e-10 * ref, (z, lam, ref)
+
     def test_unit_weight_centered(self):
         res = atom_grid_search(ConstantWeight(1.0), 1001, CFG)
         pos, mass = res.q_hat.atoms[0]
