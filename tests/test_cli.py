@@ -307,14 +307,18 @@ class TestModes:
         assert main(["--config", str(path)]) == 2
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_mode_comes_from_the_config_alone(self, tmp_path, capsys):
-        # there is no --mode flag: argparse refuses it, and a perturb config
-        # without a direction exits 2 before any output is made
+    def test_mode_override_flag(self, tmp_path, capsys):
+        # there is no --mode flag: the mode comes from the config alone, and
+        # argparse refuses the flag with exit 2 before any output is made
         path, _ = make_config(tmp_path, mode="solve", gamma=2)
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(path), "--mode", "oracle"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_override_to_perturb_needs_direction(self, tmp_path, capsys):
+        # a perturb mode, now named by the config, still needs a direction
         path, _ = make_config(tmp_path, mode="perturb", gamma=2)
         assert main(["--config", str(path)]) == 2
         assert ("mode 'perturb' requires key 'direction'"
