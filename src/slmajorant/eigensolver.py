@@ -6,13 +6,21 @@ root-finder tolerance: the Pruefer angle theta(1; lam) is strictly
 increasing in lam and equals (n+1)*pi exactly at the n-th eigenvalue.
 Brackets come from the computable spectral upper bound, which guarantees
 the root is bracketed; the bracket is asserted on every solve, and Brent's
-method (_brent) finds the root inside it.  A solve sweeps each lam at most
-once (see _gap_fn).
+method (_brent) finds the root inside it.  No lam is swept twice on one
+potential (see _gap_fn).
+
+The outer loops warm-start from a previous eigenvalue (_eigenvalue_warm):
+a bracket grows around the guess by a factor of 4 per step, and a secant
+through two of its ends predicts the step that first brackets the root.
+That relies on the computed phase being monotone across bracket ends at
+least 3e-6 |guess| apart; Brent's method then gets the bracket a
+step-by-step search would give it.
 
 On the short atom meshes of the gamma = 1 solvers a sweep costs a few
 microseconds, so a solve's own work is kept to what its sweeps need: it
 sweeps the potential's fused mesh as build_segments gives it (tuples of
-floats below the scan's length), and the phase values live in one dict.
+floats below the scan's length), and the phase values live in one dict,
+the potential's phase_memo.
 ShootingSolution propagates the same mesh as is, and makes arrays only
 of the breakpoints and densities it indexes.
 """
@@ -45,6 +53,7 @@ PI2 = math.pi**2
 EPS = math.ulp(1.0)
 MAX_INDEX = 32  # higher indices are out of contract
 EIGEN_WINDOW = 1e-9  # eigenfunction's relative window for a steep phase
+WARM_STEPS = 80     # bracket steps of a warm solve before it solves cold
 
 
 class InternalSolverError(RuntimeError):
@@ -190,20 +199,22 @@ def prufer_phase(q: Potential, lam: float) -> float:
 
 
 def _gap_fn(q: Potential, n: int):
-    """g(lam) = theta(1; lam) - (n+1)*pi, remembering every value it has
-    swept, so that no lam of one solve is swept twice (Brent's method
-    starts by evaluating the bracket ends, which the bracket search has
-    swept).  prop.phase is looked up at each sweep, so that a wrapper
-    installed on it sees every one."""
+    """g(lam) = theta(1; lam) - (n+1)*pi, with theta read from
+    q.phase_memo when lam has been swept on q, so that no lam is swept
+    twice: not by one solve (Brent's method starts by evaluating the
+    bracket ends, which the bracket search has swept), nor by eigenfunction
+    checking the answer of a solve on the same potential.  prop.phase is
+    looked up at each sweep, so that a wrapper installed on it sees every
+    one."""
     _, lens, qs, masses = q.fused_mesh
     target = (n + 1) * PI
-    seen: dict[float, float] = {}
+    seen = q.phase_memo
 
     def g(lam: float) -> float:
-        v = seen.get(lam)
-        if v is None:
-            v = seen[lam] = prop.phase(lens, qs, masses, lam) - target
-        return v
+        theta = seen.get(lam)
+        if theta is None:
+            theta = seen[lam] = prop.phase(lens, qs, masses, lam)
+        return theta - target
 
     return g
 
@@ -307,41 +318,104 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
 
 
 def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
-    """Eigenvalue solve with a bracket grown around a previous value; after
-    80 fruitless expansions it falls back to the cold solve.
+    """Eigenvalue solve with a bracket grown around a previous value.
 
-    Step k tries [max(guess - w, lower end), min(guess + w, upper_bound)]
-    with w = max(1e-6 |guess|, 1e-9) * 4**k and keeps the first step whose
-    ends both pass (g <= 0 below, g >= 0 above).  Once the lower end has
-    passed, later steps sweep only the upper end; when that passes, the
-    lower end is checked again at the same step (_brent needs the value
-    anyway), so the kept step is the first where both pass, whether or not
-    the computed phase is monotone.  The upper bound is at least
-    4 pi^2 (n+1)^2, so it is computed only once guess + w goes past that.
+    Step k brackets [max(guess - w_k, lower end), guess + w_k], with
+    w_k = max(1e-6 |guess|, 1e-9) * 4**k and the upper end clipped by
+    upper_bound.  Brent's method gets the first of the WARM_STEPS steps
+    whose ends both pass (g <= 0 below, g >= 0 above); when none does, or
+    the guess is not finite, the solve falls back to the cold one and logs
+    a warning.  The upper bound is at least 4 pi^2 (n+1)^2, so it is
+    computed only once guess + w_k goes past that.
+
+    The first passing step is found without sweeping every step.  Step 0's
+    ends show which end binds: the upper one when the lower one passes,
+    else the lower one.  A secant through two ends that a step-by-step
+    search sweeps anyway (step 0's two ends, or the lower ends of steps 0
+    and 1) predicts where g crosses 0, and so the step K whose binding end
+    first passes.  Sweeping the binding end of step K - 1 and seeing it
+    fail shows that no earlier step passes.  A prediction that falls short
+    walks up one step at a time, which sweeps no more than the
+    step-by-step search; one that overshoots bisects between the steps
+    known to fail and to pass, which can sweep up to 7 more (its own
+    check and ceil(log2(78)) steps, where the step-by-step search sweeps
+    at least one).  This assumes that the computed phase is monotone
+    across bracket ends at least 3 w_0 apart (no two distinct ends on
+    one side are closer); then the step found is the step-by-step
+    search's.  Both ends of that step are swept before Brent's method,
+    which needs them anyway; if one of them contradicts the assumption,
+    the search steps on from there.
     A numpy scalar guess is taken as a float, so that the sweeps run in
     Python float arithmetic.
     """
     guess = float(guess)
+    if not math.isfinite(guess):
+        return _cold_fallback(q, n, tol, f"the guess {guess} is not finite")
     g = _gap_fn(q, n)
     lo_glob = _lower_end(n)
     base = _upper_base(n)
     hi_glob = None
-    w = max(1e-6 * abs(guess), 1e-9)
-    lo_ok = False   # the lower end passed at this step or an earlier one
-    for _ in range(80):
-        lo = max(guess - w, lo_glob)
+    w0 = max(1e-6 * abs(guess), 1e-9)
+
+    def ends(k: int) -> tuple[float, float]:
+        nonlocal hi_glob
+        w = w0 * 4.0**k     # exact: the same float as k products by 4
         hi = guess + w
         if hi > base:
             if hi_glob is None:
                 hi_glob = upper_bound(q, n)
             hi = min(hi, hi_glob)
-        if not lo_ok:
-            lo_ok = g(lo) <= 0.0
-        if lo_ok and g(hi) >= 0.0:
-            if g(lo) <= 0.0:
-                return _root(g, lo, hi, tol)
-            lo_ok = False
-        w *= 4.0
+        return max(guess - w, lo_glob), hi
+
+    lo, hi = ends(0)
+    upper = g(lo) <= 0.0   # the lower end passes, so the upper end binds
+    if upper and g(hi) >= 0.0:   # step 0 brackets the root
+        return _root(g, lo, hi, tol)
+
+    def passes(k: int) -> bool:
+        lo, hi = ends(k)
+        return g(hi) >= 0.0 if upper else g(lo) <= 0.0
+
+    # the second end swept: step 0's upper end, which failed, or step 1's
+    # lower end
+    ok = 0 if upper else 1
+    if upper or not passes(ok):
+        # the binding end fails at step `fail` and passes at step `ok`.  A
+        # secant through step 0's lower end and the second end predicts
+        # where g crosses 0, and so the first step that passes; the search
+        # starts a step below it, so that the walk up sweeps it next
+        x1 = hi if upper else ends(1)[0]
+        fail, ok = ok, WARM_STEPS
+        k = fail + 1
+        dx, g_x1 = x1 - lo, g(x1)
+        slope = (g_x1 - g(lo)) / dx if dx else 0.0
+        if slope > 0.0:
+            reach = abs(max(x1 - g_x1 / slope, lo_glob) - guess) / w0
+            if 1.0 < reach < math.inf:
+                k = max(k, min(WARM_STEPS - 1, math.ceil(math.log(reach, 4.0))) - 1)
+        while ok - fail > 1:
+            if passes(k):
+                ok = k
+            else:
+                fail = k
+            # walk up while no step is known to pass, else bisect
+            k = fail + 1 if ok == WARM_STEPS else (fail + ok) // 2
+    for k in range(ok, WARM_STEPS):
+        lo, hi = ends(k)
+        if g(lo) <= 0.0 <= g(hi):
+            return _root(g, lo, hi, tol)
+    return _cold_fallback(
+        q, n, tol, f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
+
+
+def _cold_fallback(q: Potential, n: int, tol: float, why: str) -> float:
+    # logging is imported on this rare path only: importing the package
+    # would otherwise load it, about 0.45 MB and 10 ms
+    import logging
+
+    logging.getLogger("slmajorant").warning(
+        "warm eigenvalue solve of index %d falls back to the cold solve: %s",
+        n, why)
     return eigenvalue(q, n, tol)
 
 

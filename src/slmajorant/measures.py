@@ -18,12 +18,16 @@ on grids, so the package needs numpy alone at run time.  A weight refuses
 non-finite parameters when it is built, and ``parse_weight`` raises
 ParameterError on every malformed literal or table file.
 
-All values here are immutable after construction.  The one cache is
-``Potential.fused_mesh``, built on first use in the form phase sweeps and
-immutable after.  It is a plain property over the instance dict, since
-``functools.cached_property`` takes a lock on first access in Python 3.11
-and every gamma = 1 atom solve reads a new potential's mesh once.  Two
-threads racing on it build equal meshes, and either one is kept.
+All values here are immutable after construction.  A potential keeps
+two caches.  ``Potential.fused_mesh`` is built on first use in the form
+phase sweeps and immutable after.  ``Potential.phase_memo`` holds the
+phase theta(1; lam) of every lam swept on the potential, keyed by lam;
+a sweep depends on the fused mesh and lam alone, so the value is the
+one a new sweep would give.  Both are plain properties over the instance
+dict, since ``functools.cached_property`` takes a lock on first access
+in Python 3.11 and every gamma = 1 atom solve reads a new potential's
+mesh once.  Two threads racing on the mesh build equal meshes, and
+either one is kept; two threads adding to the memo add equal values.
 
 Constructing a ``Potential`` is part of every gamma = 1 atom solve (about
 17k per benchmark pass, on 16-cell grids), so its checks are cheap there:
@@ -459,6 +463,16 @@ class Potential:
             mesh = self.__dict__["_fused_mesh"] = build_segments(
                 self.grid_n, self.density, self.atoms)
         return mesh
+
+    @property
+    def phase_memo(self) -> dict:
+        """theta(1; lam) of every lam swept on this potential, keyed by
+        lam: the solves of every index, and eigenfunction's check of
+        their answers, sweep each lam once."""
+        memo = self.__dict__.get("_phase_memo")
+        if memo is None:
+            memo = self.__dict__["_phase_memo"] = {}
+        return memo
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) / self.grid_n) + sum(

@@ -3,6 +3,8 @@
 These are the straightforward forms of code the library now runs in a
 faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
+the warm solve's one-sided bracket search that walks one step at a time
+(with its sweep count, to compare the library's predicted step with),
 the per-piece loops for an antiderivative and its integrals and for the
 perturbation threshold ``alpha_lower_bound``, the three mesh builders
 one vectorized builder replaced (a cell loop and a run-end pass for the
@@ -244,6 +246,48 @@ def eigenvalue_warm_ref(q, n: int, tol: float, guess: float) -> float:
             return _root(theta, target, lo, hi, tol)
         w *= 4.0
     return eigenvalue_ref(q, n, tol)
+
+
+def eigenvalue_warm_one_sided_ref(q, n: int, tol: float,
+                                  guess: float) -> tuple[float, int]:
+    """Warm solve by the one-sided step-by-step rule, which swept one
+    bracket end per step: the lower end until it passes, then only the
+    upper end, and the lower end again at the step where the upper end
+    passes.  Every lam is swept once; returns lambda and the sweep count,
+    the cold fallback's sweeps included."""
+    theta, target, lo_glob, hi_glob = _bracket(q, n)
+    seen: dict[float, float] = {}
+    sweeps = 0
+
+    def g(lam: float) -> float:
+        nonlocal sweeps
+        v = seen.get(lam)
+        if v is None:
+            sweeps += 1
+            v = seen[lam] = theta(lam) - target
+        return v
+
+    def root(lo: float, hi: float) -> tuple[float, int]:
+        rtol = max(tol, 4.0 * np.finfo(float).eps)
+        return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15)), sweeps
+
+    guess = float(guess)
+    w = max(1e-6 * abs(guess), 1e-9)
+    lo_ok = False
+    for _ in range(80):
+        lo = max(guess - w, lo_glob)
+        hi = min(guess + w, hi_glob)
+        if not lo_ok:
+            lo_ok = g(lo) <= 0.0
+        if lo_ok and g(hi) >= 0.0:
+            if g(lo) <= 0.0:
+                return root(lo, hi)
+            lo_ok = False
+        w *= 4.0
+    seen.clear()   # the cold solve swept with a memo of its own
+    if not (g(lo_glob) <= 0.0 <= g(hi_glob)):
+        raise InternalSolverError("phase bracket violated")
+    return root(lo_glob, hi_glob)
 
 
 def dumps_deterministic_ref(obj, indent: int = 0) -> str:

@@ -1,15 +1,22 @@
 """The eigen-solves against the reference loops in tests/reference.py:
 the same floats, bit for bit, from fewer phase sweeps."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import slmajorant.eigensolver as es
 import slmajorant.extremal as ex
 import slmajorant.measures as ms
-from slmajorant import Potential, PowerWeight, SolverConfig, solve_extremal_gamma_gt1
+from slmajorant import (Potential, PowerWeight, SolverConfig, atom_grid_search,
+                        eigenfunction, parse_weight, solve_extremal_gamma_gt1)
+from slmajorant import _propagate as prop
 from conftest import PI2, random_potential
-from reference import eigenvalue_ref, eigenvalue_warm_ref
+from reference import (eigenvalue_ref, eigenvalue_warm_one_sided_ref,
+                       eigenvalue_warm_ref)
 
 CASES = [  # (seed, grid_n, max_density, max_atoms)
     (1, 64, 2.0, 0),
@@ -125,18 +132,178 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
     assert len(builds) == solves_n
 
 
-def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch):
-    # a NaN guess passes no bracket end, so after its 80 expansions the
-    # warm solve returns the cold solve's answer
-    q = Potential(16, np.zeros(16), ((0.3, 5.0),))
-    want = es.eigenvalue(q, 0, 1e-10)
-    calls = []
-    cold = es.eigenvalue
+def _paired_warm_sweeps(monkeypatch, run) -> list[tuple[int, int]]:
+    """Calls run() with every warm solve of the outer loops made twice, on
+    fresh copies of its potential: by the library and by the one-sided
+    step-by-step rule.  Both must give the same lambda; returns each
+    solve's pair of sweep counts (library, one-sided rule)."""
+    pairs = []
+    warm = es._eigenvalue_warm
 
-    def counted(*args):
-        calls.append(args)
+    def paired(q, n, tol, guess):
+        want, want_count = eigenvalue_warm_one_sided_ref(q, n, tol, guess)
+        with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
+            got = warm(Potential(q.grid_n, q.density, q.atoms), n, tol, guess)
+        assert got == want, guess
+        pairs.append((sweeps.call_count, want_count))
+        return got
+
+    monkeypatch.setattr(ex, "_eigenvalue_warm", paired)
+    run()
+    return pairs
+
+
+@pytest.mark.parametrize("weight", ["power:1.545,1.231", "const:1"])
+def test_atom_scan_sweeps_at_most_80_percent_of_the_one_sided_rule(
+        monkeypatch, weight):
+    pairs = _paired_warm_sweeps(
+        monkeypatch, lambda: atom_grid_search(parse_weight(weight), 201))
+    assert len(pairs) > 200
+    assert all(new <= old for new, old in pairs)
+    assert sum(new for new, _ in pairs) <= 0.8 * sum(old for _, old in pairs)
+
+
+def test_gamma_gt1_warm_solves_sweep_less_than_the_one_sided_rule(monkeypatch):
+    pairs = _paired_warm_sweeps(monkeypatch, lambda: solve_extremal_gamma_gt1(
+        PowerWeight(1.0, 1.0), 2.0, SolverConfig(grid_n=256)))
+    assert all(new <= old for new, old in pairs)
+    assert sum(new for new, _ in pairs) < sum(old for _, old in pairs)
+
+
+@pytest.mark.parametrize("grid_n", [16, 600])
+@pytest.mark.parametrize("n", [0, 3])
+def test_eigenfunction_check_reads_the_solve_s_phases(grid_n, n, sweep_counter):
+    # a 3-atom potential on 16 cells sweeps tuples, 600 cells the scan
+    rng = np.random.default_rng(grid_n)
+    q = Potential(grid_n, rng.uniform(0.0, 50.0, grid_n) if grid_n > 16
+                  else np.zeros(16), ((0.2, 3.0), (0.55, 1.5), (0.8, 4.0)))
+    assert (len(q.fused_mesh[1]) >= prop.SCAN_MIN_SEGMENTS) == (grid_n > 16)
+    lam = es.eigenvalue(q, n)
+    sweep_counter.clear()
+    pair = eigenfunction(q, lam, n)
+    assert pair.lam == lam and sweep_counter == []
+    # another index on the same potential sweeps only lams not yet swept
+    swept = set(q.phase_memo)
+    es.eigenvalue(q, n + 1)
+    assert sweep_counter and not swept & set(sweep_counter)
+    assert len(sweep_counter) == len(set(sweep_counter))
+
+
+def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
+    # a guess that is not finite brackets nothing, so the warm solve goes
+    # straight to the cold solve, logging it: no sweep runs before the
+    # cold solve's own
+    atoms = ((0.3, 5.0),)
+    want = es.eigenvalue(Potential(16, np.zeros(16), atoms), 0, 1e-10)
+    events = []
+    cold, phase = es.eigenvalue, prop.phase
+
+    def counted_cold(*args):
+        events.append("cold")
         return cold(*args)
 
-    monkeypatch.setattr(es, "eigenvalue", counted)
-    assert es._eigenvalue_warm(q, 0, 1e-10, float("nan")) == want
-    assert len(calls) == 1
+    def counted_phase(*args):
+        events.append("sweep")
+        return phase(*args)
+
+    monkeypatch.setattr(es, "eigenvalue", counted_cold)
+    monkeypatch.setattr(prop, "phase", counted_phase)
+    for guess in (math.nan, math.inf, -math.inf):
+        events.clear()
+        caplog.clear()
+        q = Potential(16, np.zeros(16), atoms)
+        with caplog.at_level("WARNING", logger="slmajorant"):
+            assert es._eigenvalue_warm(q, 0, 1e-10, guess) == want
+        assert events[0] == "cold" and events.count("cold") == 1
+        (record,) = caplog.records
+        assert record.name == "slmajorant" and record.levelname == "WARNING"
+        assert "falls back to the cold solve" in record.getMessage()
+
+
+@st.composite
+def adversarial_potentials(draw):
+    """Grids of 1 to 600 cells (past SCAN_MIN_SEGMENTS) with densities up
+    to 1e8: uniform, with one huge cell, or with a wide barrier, plus 0 to
+    3 atoms; or the 16-cell atom shape of the gamma = 1 solves."""
+    shape = draw(st.sampled_from(["uniform", "huge cell", "barrier", "atoms"]))
+    atoms = draw(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(1e-2, 1e4)),
+                          min_size=shape == "atoms", max_size=3))
+    if shape == "atoms":
+        return Potential(16, np.zeros(16), tuple(atoms))
+    grid_n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dens = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, 1e2, 1e4, 1e6, 1e8])),
+                       grid_n)
+    height = 10.0 ** draw(st.floats(2.0, 8.0))
+    if shape == "huge cell":
+        dens[rng.integers(grid_n)] = height
+    elif shape == "barrier":
+        a = draw(st.integers(0, grid_n - 1))
+        dens[a:draw(st.integers(a + 1, grid_n))] = height
+    return Potential(grid_n, dens, tuple(atoms))
+
+
+def _edge_guess(lam: float, k: int, side: float) -> float:
+    """A guess whose step-k end on the given side (-1 lower, +1 upper)
+    is lam, or as near as the floats next to lam / (1 + side 1e-6 4**k)
+    get it."""
+    guess = lam / (1.0 + side * 1e-6 * 4.0**k)
+    best = guess
+    for _ in range(8):
+        end = guess + side * max(1e-6 * guess, 1e-9) * 4.0**k
+        if end == lam:
+            return guess
+        best = guess
+        guess = math.nextafter(guess, math.inf if end < lam else -math.inf)
+    return best
+
+
+guess_specs = st.one_of(
+    st.tuples(st.just("relative"), st.sampled_from([-1.0, 1.0]), st.floats(-10.0, 0.0)),
+    st.tuples(st.just("edge"), st.sampled_from([-1.0, 1.0]), st.integers(0, 9)),
+    st.tuples(st.just("fixed"), st.sampled_from(["low", "below low", "above low",
+                                                 "under base", "base", "past base",
+                                                 "3 lam"]), st.just(0)),
+)
+
+
+def _guess(spec, lam: float, n: int) -> float:
+    kind, a, b = spec
+    if kind == "relative":
+        return lam * (1.0 + a * 10.0**b)
+    if kind == "edge":
+        return _edge_guess(lam, b, a)
+    low = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+    base = 4.0 * PI2 * (n + 1) ** 2
+    return {"low": low, "below low": 0.9 * low, "above low": low * (1.0 + 1e-9),
+            "under base": base * (1.0 - 1e-9), "base": base,
+            "past base": base * 1.2, "3 lam": 3.0 * lam}[a]
+
+
+# A prediction past the first passing step costs its own sweep and a
+# bisection of at most 78 steps, ceil(log2(78)) = 7 sweeps, where the
+# step-by-step rule sweeps at least one end: at most 7 more sweeps.
+OVERSHOOT_SWEEPS = 7
+
+
+@given(q=adversarial_potentials(), n=st.sampled_from([0, 3, 16]),
+       specs=st.lists(guess_specs, min_size=1, max_size=4))
+def test_predicted_step_keeps_the_one_sided_bracket(q, n, specs):
+    """On adversarial potentials and guesses, the warm solve returns the
+    two bracket-search references' lambda, bit for bit.  A phase that is
+    flat at the guess and steep at the root can make the secant overshoot,
+    so the sweeps are bounded by the one-sided rule's plus the bisection
+    that follows an overshoot."""
+    lam = eigenvalue_ref(q, n)
+    solves = []
+    with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
+        for spec in specs:
+            guess = _guess(spec, lam, n)
+            fresh = Potential(q.grid_n, q.density, q.atoms)   # no phase memo
+            sweeps.reset_mock()
+            solves.append((guess, es._eigenvalue_warm(fresh, n, 1e-10, guess),
+                           sweeps.call_count))
+    for guess, got, count in solves:
+        want, want_count = eigenvalue_warm_one_sided_ref(q, n, 1e-10, guess)
+        assert got == want == eigenvalue_warm_ref(q, n, 1e-10, guess), guess
+        assert count <= want_count + OVERSHOOT_SWEEPS, guess
