@@ -46,11 +46,14 @@ the scalar loops read with no conversion; from there on, read-only
 arrays for the scan.  A short array mesh, as node_mesh gives it, is
 converted once with .tolist().  The gamma = 1 solvers sweep 16-cell
 grids of density 0 with 1-3 atoms, meshes of 2-4 segments, about 17k
-solves of about 9 sweeps each per benchmark pass.  A sweep there is a
+solves of about 7 sweeps each per benchmark pass.  A sweep there is a
 few microseconds, so what surrounds it counts as much: a grid below
 FUSE_MIN_CELLS of one density is a single run, cut only at the atoms, and
 its tuples are built straight from the floats with no numpy array; and
-phase's loop is written out with its basis values and angles inlined.
+phase's loop inlines only its two hot branches, oscillatory and cosh/sinh.
+The series, non-oscillatory cos/sin and exp-scaled steps go through
+cs_scalar: a seed-1 extremal-gt1 bench pass takes them 11, 0 and 0 times,
+and cosh/sinh 189,147 times.
 """
 
 from __future__ import annotations
@@ -320,15 +323,17 @@ def phase(lens, qs, masses, lam: float) -> float:
     BIG_ARG, whose log-scale the renormalization drops) the increment is
     the change of the angle taken in [0, pi), plus pi for a sign change of
     y.  An atom turns the angle at fixed y, from the atan2(y, y') its
-    segment has already computed.  Everything is inlined with the math
-    functions bound locally: the gamma = 1 atom meshes have 2-4 segments,
-    so the per-call cost is most of a sweep.
+    segment has already computed.  The two hot branches, oscillatory and
+    cosh/sinh, are inlined with the math functions bound locally: the
+    gamma = 1 atom meshes have 2-4 segments, so the per-call cost is most
+    of a sweep.  The three rare ones take cs_scalar.
     """
     if len(lens) >= SCAN_MIN_SEGMENTS:
         return _phase_scan(lens, qs, masses, lam)
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
-    atan2, sqrt, cos, sin, hypot = math.atan2, math.sqrt, math.cos, math.sin, math.hypot
+    atan2, sqrt, hypot = math.atan2, math.sqrt, math.hypot
+    cos, sin, cosh, sinh = math.cos, math.sin, math.cosh, math.sinh
     pi = _PI
     y = 0.0
     dy = 1.0
@@ -349,23 +354,11 @@ def phase(lens, qs, masses, lam: float) -> float:
             delta0 = 0.0 if y == 0.0 else atan2(om * y, dy) - atan2(y, dy)
             theta += delta0 + ot - (atan2(om * y1, dy1) - a1)
         else:
-            if -TAYLOR_CUT < x < TAYLOR_CUT:
-                c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))
-                s = t * (1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)))
-            elif d < 0.0:
-                om = sqrt(-d)
-                c = cos(om * t)
-                s = sin(om * t) / om
+            if x >= TAYLOR_CUT and (kt := (k := sqrt(d)) * t) <= BIG_ARG:
+                c = cosh(kt)
+                s = sinh(kt) / k
             else:
-                k = sqrt(d)
-                kt = k * t
-                if kt <= BIG_ARG:
-                    c = math.cosh(kt)
-                    s = math.sinh(kt) / k
-                else:
-                    e = math.exp(-2.0 * kt)
-                    c = 0.5 * (1.0 + e)
-                    s = 0.5 * (1.0 - e) / k
+                c, s, _ = cs_scalar(d, t)
             y1 = c * y + s * dy
             dy1 = d * s * y + c * dy
             inc = 0.0

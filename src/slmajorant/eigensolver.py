@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _propagate as prop
-from .measures import DomainError, ParameterError, Potential, seminorm
+from .measures import DomainError, ParameterError, Potential, _cell_index, seminorm
 
 __all__ = [
     "InternalSolverError",
@@ -138,10 +138,8 @@ class ShootingSolution:
     def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # segment whose right-open span holds x; y is continuous, so at a
         # breakpoint either neighbour gives the same value
-        j = np.searchsorted(self._xs, x, side="right") - 1
-        j = np.clip(j, 0, len(self._qs) - 1)
-        t = x - self._xs[j]
-        return j, t
+        j = _cell_index(self._xs, x)
+        return j, x - self._xs[j]
 
     def values(self, points) -> np.ndarray:
         """Normalized eigenfunction values."""
@@ -155,8 +153,7 @@ class ShootingSolution:
 
     def square_mass(self, a: float, b: float) -> float:
         """Integral of the normalized y**2 over [a, b]."""
-        acc = self._cum_indefinite(np.asarray([a, b]))
-        return float(acc[1] - acc[0])
+        return float(self.cell_square_masses([a, b])[0])
 
     def cell_square_masses(self, edges) -> np.ndarray:
         """Integrals of the normalized y**2 between consecutive edges."""
@@ -471,12 +468,12 @@ def _check_grid_samples(q: Potential, y) -> np.ndarray:
     return y
 
 
-def _pl_product_mass(q: Potential, y: np.ndarray, z: np.ndarray) -> float:
-    """Exact integral of the product of two piecewise-linear interpolants."""
-    h = q.h
+def _pl_cells(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """6 / h times the exact integral over each cell of the product of two
+    piecewise-linear interpolants of node samples."""
     ya, yb = y[:-1], y[1:]
     za, zb = z[:-1], z[1:]
-    return float(np.sum(2 * ya * za + ya * zb + yb * za + 2 * yb * zb) * h / 6.0)
+    return 2 * ya * za + ya * zb + yb * za + 2 * yb * zb
 
 
 def _pl_value(q: Potential, y: np.ndarray, x: float) -> float:
@@ -494,10 +491,7 @@ def energy_form(q: Potential, y, z) -> float:
     z = _check_grid_samples(q, z)
     h = q.h
     kinetic = float(np.sum(np.diff(y) * np.diff(z)) / h)
-    ya, yb = y[:-1], y[1:]
-    za, zb = z[:-1], z[1:]
-    cell_mass = (2 * ya * za + ya * zb + yb * za + 2 * yb * zb) * h / 6.0
-    potential = float(np.dot(q.density, cell_mass))
+    potential = float(np.dot(q.density, _pl_cells(y, z) * h / 6.0))
     for pos, mass in q.atoms:
         potential += mass * _pl_value(q, y, pos) * _pl_value(q, z, pos)
     return kinetic + potential
@@ -514,7 +508,7 @@ def pencil_form(q: Potential, lam: float, y) -> float:
     if isinstance(y, EigenPair):
         return _pencil_exact(q, lam, y)
     y = _check_grid_samples(q, y)
-    return energy_form(q, y, y) - lam * _pl_product_mass(q, y, y)
+    return energy_form(q, y, y) - lam * float(np.sum(_pl_cells(y, y)) * q.h / 6.0)
 
 
 def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:

@@ -25,11 +25,12 @@ The defect shrinks only as the atom count grows toward the density-type
 limit.
 
 Each outer step is written once: ``_ground`` (a cold or a warm ground
-solve), ``_atom_lam`` and ``_atom_scan`` (one saturating atom, and a warm
-scan of such atoms), ``_best_response`` (the gamma > 1 best response and
-its distance from the iterate), ``_tangent`` (the ascent direction of the
-gamma > 1 oracle) and ``_report``.  The ``oracle`` module calls all but
-``_best_response`` and ``_report``.
+solve), ``_atom_potential``, ``_atom_lam`` and ``_atom_scan`` (atoms of
+saturating mass, one such atom's ground solve, and a warm scan of those),
+``_golden_max`` (the golden-section line search), ``_best_response``
+(the gamma > 1 best response and its distance from the iterate) and
+``_report``.  The ``oracle`` module calls all but ``_best_response`` and
+``_report``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .measures import (
     Weight,
     constraint_value,
     potential_to_dict,
+    _cell_index,
     _common_densities,
     _ordered_sum,
 )
@@ -157,16 +159,6 @@ def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
     if guess is None:
         return eigenvalue(pot, 0, tol)
     return _eigenvalue_warm(pot, 0, tol, guess)
-
-
-def _tangent(grad, cell_r, gamma, dens) -> np.ndarray:
-    """Component of the cell gradient grad orthogonal to the constraint
-    gradient gamma r q^(gamma-1) at the cell values dens (least squares);
-    it vanishes at a KKT point."""
-    cgrad = gamma * cell_r * dens ** (gamma - 1.0)
-    denom = float(np.dot(cgrad, cgrad))
-    mu = float(np.dot(grad, cgrad)) / denom if denom > 0 else 0.0
-    return grad - mu * cgrad
 
 
 def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport:
@@ -613,8 +605,8 @@ def alpha_lower_bound(w: Weight, gamma: float, base: Potential, p: Potential) ->
     edges = np.union1d(base.edges(), p.edges())
     mids = 0.5 * (edges[:-1] + edges[1:])
     # the right-open cell of each piece, as Potential.density_at places it
-    pv = p.density[np.searchsorted(p.edges(), mids, side="right") - 1]
-    bv = base.density[np.searchsorted(base.edges(), mids, side="right") - 1]
+    pv = p.density[_cell_index(p.edges(), mids)]
+    bv = base.density[_cell_index(base.edges(), mids)]
     keep = pv != 0.0
     # Python's pow, not numpy's, so a constant weight gives the same bits
     # as a per-piece loop

@@ -212,20 +212,14 @@ class PowerWeight(Weight):
     def __call__(self, x):
         return x**self.alpha * (1.0 - x) ** self.beta
 
-    def _beta_params(self, p):
-        """Beta parameters (s, t) of r**p = x**(s-1) * (1-x)**(t-1),
-        integrable on all of [0, 1] only while alpha * p > -1 and
-        beta * p > -1."""
+    def cell_pow_integrals(self, edges, p=1.0):
+        # r**p = x**(s-1) * (1-x)**(t-1), integrable on [0, 1] iff s, t > 0
         s, t = self.alpha * p + 1.0, self.beta * p + 1.0
         if not (s > 0.0 and t > 0.0):
             raise ParameterError(
                 f"power weight integral of r**{p!r} diverges: needs "
                 "alpha * p > -1 and beta * p > -1"
             )
-        return s, t
-
-    def cell_pow_integrals(self, edges, p=1.0):
-        s, t = self._beta_params(p)
         return _beta_cells(s, t, np.asarray(edges, dtype=float))
 
     def literal(self):
@@ -354,6 +348,11 @@ def _read_table(path: Path) -> TableWeight:
 # potentials
 
 
+def _cell_index(edges: np.ndarray, x):
+    """Clipped index i of the right-open [edges[i], edges[i + 1]) holding x."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Nonnegative measure: piecewise-constant density + atoms.
@@ -437,15 +436,11 @@ class Potential:
         return (np.arange(self.grid_n) + 0.5) / self.grid_n
 
     def density_at(self, x: float) -> float:
-        """Density of the right-open cell containing x, placed as node_mesh
-        places pieces: by comparing x with the node values i/n."""
-        n = self.grid_n
-        i = int(x * n)
-        if x < i / n:
-            i -= 1
-        elif x >= (i + 1) / n:
-            i += 1
-        return float(self.density[min(max(i, 0), n - 1)])
+        """Density of the right-open cell holding x, as node_mesh places
+        pieces; DomainError if x is not finite."""
+        if not math.isfinite(x):
+            raise DomainError(f"density evaluation point {x!r} is not finite")
+        return float(self.density[_cell_index(self.edges(), x)])
 
     def scaled(self, t: float) -> "Potential":
         if t < 0:
@@ -692,8 +687,8 @@ def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:
 
     # pieces of the common refinement of cells and bins
     cuts = np.union1d(bs, edges[(edges > lo_all) & (edges < hi_all)])
-    cell = np.searchsorted(edges, cuts[:-1], side="right") - 1
-    k = np.searchsorted(bs, cuts[:-1], side="right") - 1
+    cell = _cell_index(edges, cuts[:-1])
+    k = _cell_index(bs, cuts[:-1])
     lens = cuts[1:] - cuts[:-1]
     dens = q.density[cell]
 

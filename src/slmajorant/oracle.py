@@ -9,7 +9,7 @@ convex feasible set makes any stationary point global, so the reported
 KKT residual quantifies how certified the answer is.
 
 The route differs, the steps do not: the ground solve, the single-atom
-solve and scan, and the tangent direction are the extremal module's.
+solve and scan, and the golden-section search are the extremal module's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import extremal
 from .config import SolverConfig
 from .eigensolver import ShootingSolution
-from .extremal import POS_TOL, _atom_lam, _atom_scan, _golden_max, _ground, _tangent
+from .extremal import POS_TOL, _atom_lam, _atom_scan, _golden_max, _ground
 from .measures import ParameterError, Potential, Weight, potential_to_dict
 
 __all__ = ["OracleResult", "brute_force_max", "atom_grid_search"]
@@ -51,6 +51,16 @@ class OracleResult:
             "kkt_residual": self.kkt_residual,
             "stalled": self.stalled,
         }
+
+
+def _tangent(grad, cell_r, gamma, dens) -> np.ndarray:
+    """Component of the cell gradient grad orthogonal to the constraint
+    gradient gamma r q^(gamma-1) at the cell values dens (least squares);
+    it vanishes at a KKT point."""
+    cgrad = gamma * cell_r * dens ** (gamma - 1.0)
+    denom = float(np.dot(cgrad, cgrad))
+    mu = float(np.dot(grad, cgrad)) / denom if denom > 0 else 0.0
+    return grad - mu * cgrad
 
 
 def _project(dens: np.ndarray, cell_r: np.ndarray, gamma: float) -> np.ndarray:

@@ -28,13 +28,19 @@ of s**2 scattered through a mask, and the scan phase with the angle of
 every boundary in [0, pi).  _scan's four arrays, cs_arrays' three,
 sq_integrals' four and the phase must be the same floats.
 
+The right-open cell lookup is kept in the form Potential.density_at had
+before every cell lookup shared measures._cell_index: floor x * n, then
+correct by one against the node values i / n, then clip to the grid.
+_cell_index and density_at must give the same cell.
+
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
-loop that calls cs_scalar and a per-angle helper on every segment (and
-skips a segment of length 0), the
-atom potential built from numpy scalars, its fused mesh taken from the
-cell loop's arrays, and the zoom supremum with its probe grid built on
-every call.
+loop that calls a per-angle helper on every segment (and skips a segment
+of length 0), the atom potential built from numpy scalars, its fused mesh
+taken from the cell loop's arrays, and the zoom supremum with its probe
+grid built on every call.  Both scalar loops step through cs_scalar_ref,
+the five-branch basis as phase's loop once had it inlined, so a change to
+the library's cs_scalar shows against them.
 """
 
 import json
@@ -131,6 +137,18 @@ def node_mesh_ref(grid_n, density, atoms):
     idx = np.searchsorted(edges, xs[:-1], side="right") - 1
     qs = np.asarray(density, dtype=float)[idx]
     return xs, lens, qs, masses[1:]
+
+
+def cell_index_ref(grid_n: int, x: float) -> int:
+    """Right-open cell of the uniform grid holding x, by flooring x * n
+    and comparing x with the node values i / n; clipped to the grid."""
+    n = grid_n
+    i = int(x * n)
+    if x < i / n:
+        i -= 1
+    elif x >= (i + 1) / n:
+        i += 1
+    return min(max(i, 0), n - 1)
 
 
 def sup_y2_over_r_ref(w, sol, probes: int = 2049):
@@ -335,6 +353,26 @@ def csv_text_ref(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cs_scalar_ref(d: float, t: float) -> tuple[float, float, float]:
+    """cs_scalar's (c, s, log_scale) on its five branches, written out as
+    phase's loop had them inlined, so that the reference loops do not
+    read the library's basis."""
+    x = d * t * t
+    if -prop.TAYLOR_CUT < x < prop.TAYLOR_CUT:
+        c = 1.0 + x * (0.5 + x * (1.0 / 24.0 + x / 720.0))
+        s = t * (1.0 + x * (1.0 / 6.0 + x * (1.0 / 120.0 + x / 5040.0)))
+        return c, s, 0.0
+    if d < 0.0:
+        om = math.sqrt(-d)
+        return math.cos(om * t), math.sin(om * t) / om, 0.0
+    k = math.sqrt(d)
+    kt = k * t
+    if kt <= prop.BIG_ARG:
+        return math.cosh(kt), math.sinh(kt) / k, 0.0
+    e = math.exp(-2.0 * kt)
+    return 0.5 * (1.0 + e), 0.5 * (1.0 - e) / k, kt
+
+
 def _frac_angle_ref(y: float, dy: float) -> float:
     if y == 0.0:
         return 0.0
@@ -345,7 +383,7 @@ def _frac_angle_ref(y: float, dy: float) -> float:
 
 
 def phase_loop_ref(lens, qs, masses, lam: float) -> float:
-    """theta(1; lam) one segment at a time, through cs_scalar and a
+    """theta(1; lam) one segment at a time, through cs_scalar_ref and a
     per-angle helper."""
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
@@ -365,7 +403,7 @@ def phase_loop_ref(lens, qs, masses, lam: float) -> float:
                 delta1 = math.atan2(om * y1, dy1) - math.atan2(y1, dy1)
                 theta += delta0 + om * t - delta1
             else:
-                c, s, _ = prop.cs_scalar(d, t)
+                c, s, _ = cs_scalar_ref(d, t)
                 y1 = c * y + s * dy
                 dy1 = d * s * y + c * dy
                 z = 0
@@ -386,7 +424,7 @@ def phase_loop_ref(lens, qs, masses, lam: float) -> float:
 
 def propagate_loop_ref(lens, qs, masses, lam: float):
     """propagate's boundary arrays one segment at a time through
-    cs_scalar, each value stored into a preallocated array; lens, qs and
+    cs_scalar_ref, each value stored into a preallocated array; lens, qs and
     masses are arrays."""
     n = len(lens)
     y_b = np.zeros(n + 1)
@@ -405,7 +443,7 @@ def propagate_loop_ref(lens, qs, masses, lam: float):
     for i in range(n):
         t = lens_l[i]
         d = qs_l[i] - lam
-        c, s, sc = prop.cs_scalar(d, t)
+        c, s, sc = cs_scalar_ref(d, t)
         y1 = c * y + s * dy
         dy1 = d * s * y + c * dy
         ls += sc

@@ -358,6 +358,22 @@ class TestModes:
         res = json.loads((tmp_path / "out" / "result.json").read_text())
         assert (res["gamma"], res["alpha"], res["pass"]) == (gamma, alpha, True)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the -FD_EPS step of the central difference gives "
+                              "the direction's atom a negative mass")
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_perturb_direction_with_an_atom(self, tmp_path, capsys, gamma):
+        base = {"grid_n": 32, "density": [0.5] * 32, "atoms": []}
+        direction = {"grid_n": 32, "density": [0.0] * 32,
+                     "atoms": [{"pos": 0.5, "mass": 1.0}]}
+        path, _ = make_config(tmp_path, mode="perturb", gamma=gamma, potential=base,
+                              direction=direction, grid_n=32)
+        status = main(["--config", str(path)])
+        assert "atom mass -0.0001" not in capsys.readouterr().err
+        assert status in (0, 1)
+        res = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert math.isfinite(res["finite_difference"])
+
     def test_perturb_nonzero_alpha_at_gamma_one_exits_2(self, tmp_path, capsys):
         base = {"grid_n": 32, "density": [1.0] * 32, "atoms": []}
         path, _ = make_config(tmp_path, mode="perturb", gamma=1, potential=base,

@@ -26,13 +26,14 @@ from slmajorant import (
     seminorm,
     weight_eval,
 )
+from slmajorant.measures import _cell_index
 from conftest import (
     dual_seminorm_oracle,
     non_dyadic_potential,
     pl_pairing,
     random_potential,
 )
-from reference import integrals_loop, primitive_ref
+from reference import cell_index_ref, integrals_loop, primitive_ref
 
 
 class TestWeightEval:
@@ -609,6 +610,55 @@ class TestPotential:
         for j in range(1, n):
             assert q.density_at(j / n) == j
             assert q.density_at(np.nextafter(j / n, 0.0)) == j - 1
+
+    @staticmethod
+    def _lookup_points(n: int, rng) -> list[float]:
+        """Every node j / n, the float on each side of it, points inside
+        the cells, and points below 0 and at or above 1."""
+        nodes = np.arange(n + 1) / n
+        return np.concatenate((
+            nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            rng.uniform(0.0, 1.0, 64), (nodes[:-1] + nodes[1:]) / 2.0,
+            [-0.0, -5e-324, -0.5, -1e300, 1.0, 1.5, 1e300],
+        )).tolist()
+
+    def _assert_lookup_equals_the_flooring_rule(self, q: Potential, xs):
+        want = [cell_index_ref(q.grid_n, x) for x in xs]
+        assert _cell_index(q.edges(), np.asarray(xs)).tolist() == want
+        assert [int(_cell_index(q.edges(), x)) for x in xs] == want
+        assert [q.density_at(x) for x in xs] == [float(q.density[i]) for i in want]
+
+    def test_cell_lookup_on_the_non_dyadic_grid(self):
+        # the grid where flooring (j / n) * n lands one cell to the left
+        q = non_dyadic_potential()
+        xs = self._lookup_points(q.grid_n, np.random.default_rng(0))
+        assert cell_index_ref(q.grid_n, 29 / 100) == 29
+        self._assert_lookup_equals_the_flooring_rule(q, xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=3000), seed=st.integers(0, 2**32 - 1))
+    def test_cell_lookup_on_random_grids(self, n, seed):
+        rng = np.random.default_rng(seed)
+        q = Potential(n, rng.uniform(0.0, 10.0, n))
+        self._assert_lookup_equals_the_flooring_rule(q, self._lookup_points(n, rng))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=5000),
+           x=st.floats(min_value=-1e300, max_value=1e300))
+    def test_cell_lookup_at_any_float(self, n, x):
+        # bounded so that x * n stays finite for the flooring rule
+        q = Potential(n, np.arange(n, dtype=float))
+        self._assert_lookup_equals_the_flooring_rule(q, [x])
+
+    def test_density_at_past_the_flooring_rules_range(self):
+        # x * n overflows here, so the flooring rule cannot be the oracle
+        q = Potential(3, np.array([1.0, 2.0, 3.0]))
+        assert (q.density_at(-1.7e308), q.density_at(1.7e308)) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_density_at_refuses_a_non_finite_point(self, x):
+        with pytest.raises(DomainError, match="not finite"):
+            Potential.constant(1.0, 8).density_at(x)
 
     def test_json_round_trip(self, rng):
         q = random_potential(rng, grid_n=24, max_atoms=2)

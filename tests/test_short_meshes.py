@@ -134,6 +134,59 @@ def test_cos_sin_basis_under_the_non_oscillatory_rule():
         assert prop.phase(*args) == phase_loop_ref(*args)
 
 
+def _scalar_branch(d: float, t: float) -> str:
+    """The branch of phase's loop that a segment takes: oscillatory and
+    cosh/sinh inline, the other three through cs_scalar."""
+    x = d * t * t
+    if d < -TC and x <= -TC:
+        return "oscillatory"
+    if abs(x) < TC:
+        return "series"
+    if d < 0.0:
+        return "cos/sin"
+    return "cosh/sinh" if math.sqrt(d) * t <= prop.BIG_ARG else "exp-scaled"
+
+
+def _branch_draw(rng, branch, nseg):
+    """(lens, qs, lam) of nseg segments that all take one non-oscillatory
+    branch; the cos/sin pair has one segment, of length 1, where q - lam
+    is -TAYLOR_CUT exactly."""
+    lam = float(rng.uniform(5.0, 60.0))
+    lens = rng.uniform(0.01, 1.0, nseg)
+    if branch == "cos/sin":
+        lam = TC * (1 + nseg % 2)
+        return np.ones(1), np.full(1, lam - TC), lam
+    if branch == "series, d > 0":
+        d = rng.uniform(0.0, 0.99, nseg) * TC / lens**2
+    elif branch == "series, d < 0":
+        d = -rng.uniform(0.0, 0.99, nseg) * TC / lens**2
+    elif branch == "exp-scaled":
+        d = (rng.uniform(1.01, 50.0, nseg) * prop.BIG_ARG / lens) ** 2
+    else:
+        d = rng.uniform(TC, 1.0, nseg) * (prop.BIG_ARG / lens) ** 2
+    return lens, lam + d, lam
+
+
+@pytest.mark.parametrize("branch", ["series, d > 0", "series, d < 0", "cos/sin",
+                                    "exp-scaled", "cosh/sinh"])
+@pytest.mark.parametrize("atoms", [False, True])
+def test_non_oscillatory_branches_equal_the_reference(branch, atoms):
+    """Every segment of each draw takes the named branch (the series, the
+    non-oscillatory cos/sin pair and the exp-scaled pair through
+    cs_scalar, cosh/sinh inline), and phase gives the reference loop's
+    theta bit for bit, with atoms after the segments or without."""
+    rng = np.random.default_rng([len(branch), atoms])
+    for nseg in (1, 2, 3, 17, 100):
+        lens, qs, lam = _branch_draw(rng, branch, nseg)
+        taken = {_scalar_branch(q - lam, t) for q, t in zip(qs.tolist(), lens.tolist())}
+        assert taken == {branch.split(",")[0]}
+        masses = rng.uniform(0.1, 50.0, len(lens)) if atoms else np.zeros(len(lens))
+        want = phase_loop_ref(lens, qs, masses, lam)
+        assert math.isfinite(want)
+        assert prop.phase(*(tuple(v.tolist()) for v in (lens, qs, masses)), lam) == want
+        assert prop.phase(lens, qs, masses, lam) == want
+
+
 def test_zero_exactly_at_a_boundary():
     # a linear segment (q = lam), an atom of mass -4 that turns y' to -1,
     # then a second linear segment that lands on y = 0 exactly
