@@ -39,18 +39,21 @@ atoms, and gives each piece the density of the cell its right end closes
 node, so each piece lies in its right-open cell; build_segments cuts only
 where the density changes, fusing runs of equal density (cached per
 potential as Potential.fused_mesh).  Neither makes a piece of length 0.
+run_mesh builds the fused mesh of a single run, cut only at the atoms.
 
-build_segments is also the one place where a mesh takes the form the
-sweeps read: below SCAN_MIN_SEGMENTS segments, tuples of floats, which
-the scalar loops read with no conversion; from there on, read-only
-arrays for the scan.  A short array mesh, as node_mesh gives it, is
-converted once with .tolist().  The gamma = 1 solvers sweep 16-cell
-grids of density 0 with 1-3 atoms, meshes of 2-4 segments, about 17k
-solves of about 7 sweeps each per benchmark pass.  A sweep there is a
-few microseconds, so what surrounds it counts as much: a grid below
-FUSE_MIN_CELLS of one density is a single run, cut only at the atoms, and
-its tuples are built straight from the floats with no numpy array; and
-phase's loop inlines only its two hot branches, oscillatory and cosh/sinh.
+build_segments (with run_mesh) is also the one place where a mesh takes
+the form the sweeps read: below SCAN_MIN_SEGMENTS segments, tuples of
+floats, which the scalar loops read with no conversion; from there on,
+read-only arrays for the scan.  A short array mesh, as node_mesh gives
+it, is converted once with .tolist().  The gamma = 1 solvers sweep
+16-cell grids of density 0 with 1-3 atoms, meshes of 2-4 segments, about
+17k solves of about 7 sweeps each per benchmark pass.  A sweep there is
+a few microseconds, so what surrounds it counts as much: run_mesh builds
+a single run's tuples straight from the floats with no numpy array.
+build_segments takes it for a grid below FUSE_MIN_CELLS of one density,
+and the warm atom solves call it on their atoms, with no Potential and
+no grid (extremal._atom_ground).  phase's loop inlines only its two hot
+branches, oscillatory and cosh/sinh.
 The series, non-oscillatory cos/sin and exp-scaled steps go through
 cs_scalar: a seed-1 extremal-gt1 bench pass takes them 11, 0 and 0 times,
 and cosh/sinh 189,147 times.
@@ -139,21 +142,43 @@ def build_segments(grid_n, density, atoms):
     an atom inside a run splits it, and one at a run end closes that run.
     A mesh below SCAN_MIN_SEGMENTS segments comes as tuples of floats, one
     from SCAN_MIN_SEGMENTS on as read-only arrays.  A grid below
-    FUSE_MIN_CELLS of one density is one run, split at the atoms only;
-    that relies on density and atoms being a Potential's: a float array,
-    and atoms ascending, distinct and inside (0, 1).
+    FUSE_MIN_CELLS of one density is one run, run_mesh's; that relies on
+    density and atoms being a Potential's: a float array, and atoms as
+    run_mesh takes them.
     """
-    if grid_n < FUSE_MIN_CELLS and len(atoms) + 1 < SCAN_MIN_SEGMENTS:
+    if grid_n < FUSE_MIN_CELLS:
         vals = density.tolist()
         if vals.count(vals[0]) == grid_n:
-            pos, masses = zip(*atoms) if atoms else ((), ())
-            xs = (0.0, *pos, 1.0)
-            lens = tuple([b - a for a, b in zip(xs, xs[1:])])
-            return xs, lens, (vals[0],) * len(lens), (*masses, 0.0)
+            return run_mesh(vals[0], atoms)
     dens = np.asarray(density, dtype=float)
     mesh = _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
     if len(mesh[1]) < SCAN_MIN_SEGMENTS:
         return tuple(tuple(v.tolist()) for v in mesh)
+    return _read_only(mesh)
+
+
+def run_mesh(value, atoms):
+    """Fused mesh of one run of density value over [0, 1], split at the
+    atoms only, in the form phase sweeps: the mesh build_segments gives a
+    grid of one density below FUSE_MIN_CELLS cells, and the gamma = 1
+    atom solves build it here from their atoms without a Potential.
+
+    atoms must be a Potential's (``measures._merge_atoms``): Python
+    floats, ascending, distinct and inside (0, 1).  A mesh below
+    SCAN_MIN_SEGMENTS segments is built straight from the floats as
+    tuples, with no numpy array; a longer one is the same floats as
+    read-only arrays, as _mesh gives them.
+    """
+    pos, masses = zip(*atoms) if atoms else ((), ())
+    xs = (0.0, *pos, 1.0)
+    lens = tuple([b - a for a, b in zip(xs, xs[1:])])
+    mesh = xs, lens, (value,) * len(lens), (*masses, 0.0)
+    if len(lens) < SCAN_MIN_SEGMENTS:
+        return mesh
+    return _read_only(tuple(np.array(v, dtype=float) for v in mesh))
+
+
+def _read_only(mesh):
     for v in mesh:
         v.setflags(write=False)
     return mesh

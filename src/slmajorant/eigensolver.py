@@ -17,12 +17,15 @@ least 3e-6 |guess| apart; Brent's method then gets the bracket a
 step-by-step search would give it.
 
 On the short atom meshes of the gamma = 1 solvers a sweep costs a few
-microseconds, so a solve's own work is kept to what its sweeps need: it
-sweeps the potential's fused mesh as build_segments gives it (tuples of
-floats below the scan's length), and the phase values live in one dict,
-the potential's phase_memo.
-ShootingSolution propagates the same mesh as is, and makes arrays only
-of the breakpoints and densities it indexes.
+microseconds, so a solve's own work is kept to what its sweeps need.  A
+solve sweeps a potential's fused mesh as build_segments gives it (tuples
+of floats below the scan's length), and the phase values live in one
+dict, the potential's phase_memo.  The warm solve takes that mesh and
+dict themselves and calls for the potential only when it needs the
+upper bound or the cold fallback, so the warm gamma = 1 atom solves,
+which build the mesh from their atoms (_propagate.run_mesh), build no
+Potential.  ShootingSolution propagates the same mesh as is, and makes
+arrays only of the breakpoints and densities it indexes.
 """
 
 from __future__ import annotations
@@ -195,22 +198,21 @@ def prufer_phase(q: Potential, lam: float) -> float:
     return prop.phase(lens, qs, masses, lam)
 
 
-def _gap_fn(q: Potential, n: int):
-    """g(lam) = theta(1; lam) - (n+1)*pi, with theta read from
-    q.phase_memo when lam has been swept on q, so that no lam is swept
-    twice: not by one solve (Brent's method starts by evaluating the
-    bracket ends, which the bracket search has swept), nor by eigenfunction
-    checking the answer of a solve on the same potential.  prop.phase is
-    looked up at each sweep, so that a wrapper installed on it sees every
-    one."""
-    _, lens, qs, masses = q.fused_mesh
+def _gap_fn(mesh: tuple, memo: dict, n: int):
+    """g(lam) = theta(1; lam) - (n+1)*pi on a fused mesh, with theta read
+    from the mesh's phase memo (a potential's fused_mesh and phase_memo)
+    when lam has been swept on it, so that no lam is swept twice: not by
+    one solve (Brent's method starts by evaluating the bracket ends, which
+    the bracket search has swept), nor by eigenfunction checking the
+    answer of a solve on the same potential.  prop.phase is looked up at
+    each sweep, so that a wrapper installed on it sees every one."""
+    _, lens, qs, masses = mesh
     target = (n + 1) * PI
-    seen = q.phase_memo
 
     def g(lam: float) -> float:
-        theta = seen.get(lam)
+        theta = memo.get(lam)
         if theta is None:
-            theta = seen[lam] = prop.phase(lens, qs, masses, lam)
+            theta = memo[lam] = prop.phase(lens, qs, masses, lam)
         return theta - target
 
     return g
@@ -301,7 +303,7 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
     if not (tol > 0.0):
         raise ParameterError("tolerance must be positive")
-    g = _gap_fn(q, n)
+    g = _gap_fn(q.fused_mesh, q.phase_memo, n)
     lo, hi = _lower_end(n), upper_bound(q, n)
     g_lo = g(lo)
     g_hi = g(hi)
@@ -314,8 +316,16 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
     return _root(g, lo, hi, tol)
 
 
-def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
+def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
+                     potential) -> float:
     """Eigenvalue solve with a bracket grown around a previous value.
+
+    The solve sweeps mesh, a potential's fused mesh in the form phase
+    sweeps, and reads and fills memo, its phase memo (see _gap_fn).
+    potential() returns that potential, whose fused_mesh and phase_memo
+    must be mesh and memo; it is called only for the upper bound or the
+    cold fallback, so a caller that has the mesh without a Potential (the
+    gamma = 1 atom solves) builds one only then.
 
     Step k brackets [max(guess - w_k, lower end), guess + w_k], with
     w_k = max(1e-6 |guess|, 1e-9) * 4**k and the upper end clipped by
@@ -347,8 +357,8 @@ def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
     """
     guess = float(guess)
     if not math.isfinite(guess):
-        return _cold_fallback(q, n, tol, f"the guess {guess} is not finite")
-    g = _gap_fn(q, n)
+        return _cold_fallback(potential(), n, tol, f"the guess {guess} is not finite")
+    g = _gap_fn(mesh, memo, n)
     lo_glob = _lower_end(n)
     base = _upper_base(n)
     hi_glob = None
@@ -360,7 +370,7 @@ def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
         hi = guess + w
         if hi > base:
             if hi_glob is None:
-                hi_glob = upper_bound(q, n)
+                hi_glob = upper_bound(potential(), n)
             hi = min(hi, hi_glob)
         return max(guess - w, lo_glob), hi
 
@@ -402,7 +412,8 @@ def _eigenvalue_warm(q: Potential, n: int, tol: float, guess: float) -> float:
         if g(lo) <= 0.0 <= g(hi):
             return _root(g, lo, hi, tol)
     return _cold_fallback(
-        q, n, tol, f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
+        potential(), n, tol,
+        f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
 
 
 def _cold_fallback(q: Potential, n: int, tol: float, why: str) -> float:
@@ -428,7 +439,7 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
     forward shooting meets late, the phase climbs by about pi in a window
     narrower than the root-finder tolerance.
     """
-    g = _gap_fn(q, n)
+    g = _gap_fn(q.fused_mesh, q.phase_memo, n)
     gap = g(lam)
     if abs(gap) > 1e-2 and not (
         g(lam * (1.0 - EIGEN_WINDOW)) <= 0.0 <= g(lam * (1.0 + EIGEN_WINDOW))

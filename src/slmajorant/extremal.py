@@ -25,12 +25,15 @@ The defect shrinks only as the atom count grows toward the density-type
 limit.
 
 Each outer step is written once: ``_ground`` (a cold or a warm ground
-solve), ``_atom_potential``, ``_atom_lam`` and ``_atom_scan`` (atoms of
-saturating mass, one such atom's ground solve, and a warm scan of those),
+solve of a potential), ``_saturating_atoms`` and ``_atom_potential``
+(atoms of saturating mass, and their potential), ``_atom_ground`` (the
+ground solve of such atoms: a warm one sweeps the mesh built from the
+atoms and builds no potential), ``_atom_lam`` and ``_atom_scan`` (one
+saturating atom's ground solve, and a warm scan of those),
 ``_golden_max`` (the golden-section line search), ``_best_response``
 (the gamma > 1 best response and its distance from the iterate) and
-``_report``.  The ``oracle`` module calls all but ``_best_response`` and
-``_report``.
+``_report``.  The ``oracle`` module calls ``_ground``,
+``_atom_potential``, ``_atom_lam``, ``_atom_scan`` and ``_golden_max``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._propagate import run_mesh
 from .config import SolverConfig
 from .eigensolver import (
     EigenPair,
@@ -63,6 +67,7 @@ from .measures import (
     potential_to_dict,
     _cell_index,
     _common_densities,
+    _merge_atoms,
     _ordered_sum,
 )
 
@@ -158,7 +163,7 @@ def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
     """Ground eigenvalue of pot: a cold solve, or a warm one from guess."""
     if guess is None:
         return eigenvalue(pot, 0, tol)
-    return _eigenvalue_warm(pot, 0, tol, guess)
+    return _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess, lambda: pot)
 
 
 def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport:
@@ -267,17 +272,39 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _saturating_atoms(w, zs, shares) -> list[tuple[float, float]]:
+    """Atoms at zs with the saturating masses share / r(z), zero shares
+    dropped.  The solves pass Python floats: a weight on a numpy scalar
+    gives the same value at about twice the cost."""
+    return [(z, s / w(z)) for z, s in zip(zs, shares) if s > 0.0]
+
+
 def _atom_potential(w, zs, shares, grid_n=16) -> Potential:
-    """Atoms at zs with the saturating masses share / r(z).  The solves
-    pass Python floats: a weight on a numpy scalar gives the same value at
-    about twice the cost."""
-    return Potential.from_atoms(
-        [(z, s / w(z)) for z, s in zip(zs, shares) if s > 0.0], grid_n)
+    """The potential of _saturating_atoms on grid_n cells of density 0."""
+    return Potential.from_atoms(_saturating_atoms(w, zs, shares), grid_n)
+
+
+def _atom_ground(atoms, tol: float, guess: float | None = None) -> float:
+    """Ground eigenvalue of Potential.from_atoms(atoms): a cold solve of
+    that potential, or a warm one from guess on its fused mesh, built from
+    the atoms alone.  The warm solve checks and merges the atoms as the
+    potential would (_merge_atoms), sweeps run_mesh's one run of density 0
+    with a phase memo of its own, and builds the potential, on that mesh
+    and memo, only for the upper bound or a cold fallback."""
+    if guess is None:
+        return eigenvalue(Potential.from_atoms(atoms), 0, tol)
+    atoms = _merge_atoms(atoms)
+    mesh, memo = run_mesh(0.0, atoms), {}
+
+    def potential() -> Potential:
+        return Potential.from_atoms(atoms)._with_caches(mesh, memo)
+
+    return _eigenvalue_warm(mesh, memo, 0, tol, guess, potential)
 
 
 def _atom_lam(w: Weight, z: float, tol: float, guess: float | None = None) -> float:
     """Ground eigenvalue of one saturating atom at z: mass 1/r(z)."""
-    return _ground(_atom_potential(w, [z], [1.0]), tol, guess)
+    return _atom_ground(_saturating_atoms(w, [z], [1.0]), tol, guess)
 
 
 def _atom_scan(w: Weight, zs: list[float], tol: float) -> list[float]:
@@ -358,8 +385,8 @@ def solve_extremal_gamma_eq1(
     shares = np.full(len(zs), 1.0 / len(zs))
 
     def lam_of(z_arr, s_arr, warm=None):
-        return _ground(_atom_potential(w, z_arr.tolist(), s_arr.tolist()),
-                       cfg.tol_eigen, warm)
+        return _atom_ground(_saturating_atoms(w, z_arr.tolist(), s_arr.tolist()),
+                            cfg.tol_eigen, warm)
 
     lam = lam_of(zs, shares)
     trace: list[tuple[int, float, float]] = []

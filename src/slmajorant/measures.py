@@ -25,18 +25,16 @@ phase theta(1; lam) of every lam swept on the potential, keyed by lam;
 a sweep depends on the fused mesh and lam alone, so the value is the
 one a new sweep would give.  Both are plain properties over the instance
 dict, since ``functools.cached_property`` takes a lock on first access
-in Python 3.11 and every gamma = 1 atom solve reads a new potential's
-mesh once.  Two threads racing on the mesh build equal meshes, and
+in Python 3.11.  Two threads racing on the mesh build equal meshes, and
 either one is kept; two threads adding to the memo add equal values.
 
-Constructing a ``Potential`` is part of every gamma = 1 atom solve (about
-17k per benchmark pass, on 16-cell grids), so its checks are cheap there:
-a grid below ``FUSE_MIN_CELLS`` cells (the short grids that the mesh
-builder also handles in Python) checks its density with Python's ``min``
-and ``sum`` instead of two numpy reductions, and falls back to them only
-to report a bad value.  The bound is not a measured crossover: Python
-was timed cheaper on 16 cells and dearer on 4096, and the bound only has
-to separate the 16-cell atom grids from the grids of 256 cells and more.
+A warm gamma = 1 atom solve (about 17k per benchmark pass) builds no
+``Potential``: it checks and merges its atoms with ``_merge_atoms``, the
+rule a ``Potential`` applies to its own, sweeps the mesh that
+``_propagate.run_mesh`` builds from them, and keeps its phases in a dict
+of its own.  Only the spectral upper bound or a cold fallback needs the
+potential; the solve then builds it and hands it that mesh and memo
+(``Potential._with_caches``), the ones it would have built itself.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._propagate import FUSE_MIN_CELLS, build_segments, node_mesh
+from ._propagate import build_segments, node_mesh
 
 __all__ = [
     "DomainError",
@@ -353,6 +351,24 @@ def _cell_index(edges: np.ndarray, x):
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
 
 
+def _merge_atoms(atoms) -> tuple[tuple[float, float], ...]:
+    """(position, mass) pairs as a Potential keeps its atoms: Python
+    floats, ascending, with positions closer than ``COINCIDENT_TOL``
+    merged by summing their masses.  A position outside (0, 1) or a mass
+    that is not positive and finite raises InvalidPotentialError."""
+    merged: list[tuple[float, float]] = []
+    for pos, mass in sorted([(float(p), float(m)) for p, m in atoms]):
+        if not (0.0 < pos < 1.0):
+            raise InvalidPotentialError(f"atom position {pos} outside (0, 1)")
+        if not (0.0 < mass < math.inf):
+            raise InvalidPotentialError(f"atom mass {mass} must be positive")
+        if merged and pos - merged[-1][0] < COINCIDENT_TOL:
+            merged[-1] = (merged[-1][0], merged[-1][1] + mass)
+        else:
+            merged.append((pos, mass))
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Nonnegative measure: piecewise-constant density + atoms.
@@ -376,31 +392,16 @@ class Potential:
             raise InvalidPotentialError(
                 f"density must have shape ({self.grid_n},), got {d.shape}"
             )
-        # on a short grid Python's min and sum of the values are cheaper
-        # than two numpy reductions: values none below zero with a finite
-        # sum are all finite.  Anything else (a NaN, an infinity, a negative
-        # value or a sum that overflows) takes the numpy check, where NaN
-        # propagates into min and max, so it is found before a negative value
-        vals = d.tolist() if self.grid_n < FUSE_MIN_CELLS else None
-        if vals is None or not (min(vals) >= 0.0 and math.isfinite(sum(vals))):
-            lo, hi = float(d.min()), float(d.max())
-            if not (-math.inf < lo and hi < math.inf):
-                raise InvalidPotentialError("density values must be finite")
-            if lo < 0.0:
-                raise InvalidPotentialError("density values must be nonnegative")
-        merged: list[tuple[float, float]] = []
-        for pos, mass in sorted([(float(p), float(m)) for p, m in self.atoms]):
-            if not (0.0 < pos < 1.0):
-                raise InvalidPotentialError(f"atom position {pos} outside (0, 1)")
-            if not (0.0 < mass < math.inf):
-                raise InvalidPotentialError(f"atom mass {mass} must be positive")
-            if merged and pos - merged[-1][0] < COINCIDENT_TOL:
-                merged[-1] = (merged[-1][0], merged[-1][1] + mass)
-            else:
-                merged.append((pos, mass))
+        # NaN propagates into min and max, so it is found before a negative
+        # value
+        lo, hi = float(d.min()), float(d.max())
+        if not (-math.inf < lo and hi < math.inf):
+            raise InvalidPotentialError("density values must be finite")
+        if lo < 0.0:
+            raise InvalidPotentialError("density values must be nonnegative")
         d.setflags(write=False)
         object.__setattr__(self, "density", d)
-        object.__setattr__(self, "atoms", tuple(merged))
+        object.__setattr__(self, "atoms", _merge_atoms(self.atoms))
 
     # -- constructors ------------------------------------------------------
 
@@ -468,6 +469,13 @@ class Potential:
         if memo is None:
             memo = self.__dict__["_phase_memo"] = {}
         return memo
+
+    def _with_caches(self, mesh: tuple, memo: dict) -> "Potential":
+        """This potential with mesh and memo as its fused mesh and phase
+        memo, which must be its own: a warm atom solve builds them from
+        the atoms before it needs the potential (extremal._atom_ground)."""
+        self.__dict__.update(_fused_mesh=mesh, _phase_memo=memo)
+        return self
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) / self.grid_n) + sum(
@@ -544,11 +552,10 @@ class PrimitiveFn:
         return float(self.left[j] + self.jumps[j] + self.slopes[j] * (x - self.xs[j]))
 
     def value_right(self, x: float) -> float:
-        """Right-continuous evaluation Q(x+)."""
-        j = int(np.searchsorted(self.xs, x, side="right")) - 1
-        j = min(max(j, 0), len(self.xs) - 1)
-        if j == len(self.xs) - 1:
+        """Right-continuous evaluation Q(x+); Q(1) from x = 1 on."""
+        if x >= self.xs[-1]:
             return float(self.left[-1])
+        j = int(_cell_index(self.xs, x))
         return float(self.left[j] + self.jumps[j] + self.slopes[j] * (x - self.xs[j]))
 
     def integrals(self, a: float, b: float) -> tuple[float, float]:

@@ -31,14 +31,18 @@ sq_integrals' four and the phase must be the same floats.
 The right-open cell lookup is kept in the form Potential.density_at had
 before every cell lookup shared measures._cell_index: floor x * n, then
 correct by one against the node values i / n, then clip to the grid.
-_cell_index and density_at must give the same cell.
+_cell_index and density_at must give the same cell.  PrimitiveFn's
+right-continuous value keeps its own clipped lookup here, and must give
+the same float.
 
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
 loop that calls a per-angle helper on every segment (and skips a segment
 of length 0), the atom potential built from numpy scalars, its fused mesh
-taken from the cell loop's arrays, and the zoom supremum with its probe
-grid built on every call.  Both scalar loops step through cs_scalar_ref,
+taken from the cell loop's arrays, one Potential per solve, solved by the
+reference solves, and the zoom supremum with its probe grid built on
+every call.  Every reference solve sweeps the cell loop's mesh, never one
+the library built.  Both scalar loops step through cs_scalar_ref,
 the five-branch basis as phase's loop once had it inlined, so a change to
 the library's cs_scalar shows against them.
 """
@@ -139,6 +143,17 @@ def node_mesh_ref(grid_n, density, atoms):
     return xs, lens, qs, masses[1:]
 
 
+def value_right_ref(p: PrimitiveFn, x: float) -> float:
+    """PrimitiveFn.value_right with its own right-open lookup: the last
+    breakpoint at or left of x, clipped to the breakpoints, Q(1) at the
+    last one."""
+    j = int(np.searchsorted(p.xs, x, side="right")) - 1
+    j = min(max(j, 0), len(p.xs) - 1)
+    if j == len(p.xs) - 1:
+        return float(p.left[-1])
+    return float(p.left[j] + p.jumps[j] + p.slopes[j] * (x - p.xs[j]))
+
+
 def cell_index_ref(grid_n: int, x: float) -> int:
     """Right-open cell of the uniform grid holding x, by flooring x * n
     and comparing x with the node values i / n; clipped to the grid."""
@@ -220,7 +235,9 @@ def upper_bound_ref(q, n: int) -> float:
 
 
 def _phase_fn(q):
-    _, lens, qs, masses = prop.build_segments(q.grid_n, q.density, q.atoms)
+    # the cell loop's mesh, so that no reference solve sweeps a mesh the
+    # library built
+    _, lens, qs, masses = fused_mesh_ref(q)
     return lambda lam: prop.phase(lens, qs, masses, lam)
 
 
@@ -470,6 +487,15 @@ def atom_potential_ref(w, zs, shares, grid_n=16):
         if s > 0.0
     )
     return Potential.from_atoms(atoms, grid_n)
+
+
+def atom_ground_ref(atoms, tol: float, guess=None) -> float:
+    """The gamma = 1 atom solve as it was, one Potential per solve: the
+    reference cold or warm ground solve of Potential.from_atoms(atoms)."""
+    q = Potential.from_atoms(atoms)
+    if guess is None:
+        return eigenvalue_ref(q, 0, tol)
+    return eigenvalue_warm_ref(q, 0, tol, guess)
 
 
 def fused_mesh_ref(q):

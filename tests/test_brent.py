@@ -85,7 +85,8 @@ def test_phase_gaps_match_brentq(xtol, rtol):
     for q in pots:
         for n in (0, 2, 9):
             lo = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
-            _assert_same(_gap_fn(q, n), lo, upper_bound(q, n), xtol, rtol)
+            _assert_same(_gap_fn(q.fused_mesh, q.phase_memo, n), lo,
+                         upper_bound(q, n), xtol, rtol)
 
 
 def test_an_exact_zero_at_either_end_is_returned():

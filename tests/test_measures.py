@@ -33,7 +33,7 @@ from conftest import (
     pl_pairing,
     random_potential,
 )
-from reference import cell_index_ref, integrals_loop, primitive_ref
+from reference import cell_index_ref, integrals_loop, primitive_ref, value_right_ref
 
 
 class TestWeightEval:
@@ -307,6 +307,22 @@ class TestPrimitive:
         assert p.value_right(0.5) == 2.0
         assert p(0.75) == 2.0
         assert p(1.0) == 2.0
+
+    def test_value_right_is_the_reference_lookup(self, rng):
+        """value_right == its old clipped lookup at every breakpoint, the
+        float on each side of it, both ends and past them, on potentials
+        with atoms inside cells, on nodes and none."""
+        cases = [random_potential(rng, grid_n=32, max_atoms=3),
+                 Potential(7, rng.uniform(0.0, 5.0, 7), ((0.2, 1.0), (3 / 7, 2.0))),
+                 Potential.from_atoms(((0.5, 2.0),), 8), non_dyadic_potential()]
+        for q in cases:
+            p = primitive(q)
+            xs = p.xs.tolist()
+            points = [-1.0, -0.0, 1.5]
+            for x in xs:
+                points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+            for x in points:
+                assert p.value_right(x) == value_right_ref(p, x), x
 
     def test_nondecreasing(self, rng):
         q = random_potential(rng, grid_n=32, max_atoms=2)

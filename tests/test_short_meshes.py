@@ -2,13 +2,15 @@
 bit: phase's inlined scalar loop on every branch, propagate's loop on the
 fused mesh's tuples and on arrays, the one-run fused mesh
 as tuples (and the arrays of a one-run mesh long enough for the scan),
-the zoom supremum, and the k-atom solves and the single-atom scan built
+the warm atom solve's mesh built from its atoms with no potential, the
+zoom supremum, and the k-atom solves and the single-atom scan built
 from all of them."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import slmajorant.extremal as ex
 from slmajorant import (
@@ -22,9 +24,12 @@ from slmajorant import (
 )
 from slmajorant import _propagate as prop
 from slmajorant.eigensolver import ShootingSolution, eigenvalue
+from slmajorant.measures import COINCIDENT_TOL
 
+import reference
 from conftest import assert_fused_form
 from reference import (
+    atom_ground_ref,
     atom_potential_ref,
     fused_mesh_ref,
     phase_loop_ref,
@@ -292,24 +297,53 @@ def test_density_check_on_short_and_long_grids(grid_n):
     assert Potential(grid_n, -np.zeros(grid_n)).density.tolist() == [0.0] * grid_n
 
 
+def _ref_atoms(w, zs, shares):
+    return atom_potential_ref(w, zs, shares).atoms
+
+
 def _oracle_path(monkeypatch):
-    """Route the atom solves through the forms they replaced."""
+    """Route the atom solves through the forms they replaced: each solve
+    builds the potential of atom_potential_ref's atoms and solves it by
+    the reference solves, which sweep fused_mesh_ref of it with the
+    reference loop, so no solve reaches run_mesh or _eigenvalue_warm."""
     monkeypatch.setattr(prop, "phase", phase_loop_ref)
     monkeypatch.setattr(Potential, "fused_mesh", property(fused_mesh_ref))
     monkeypatch.setattr(ex, "_atom_potential", atom_potential_ref)
+    monkeypatch.setattr(ex, "_saturating_atoms", _ref_atoms)
+    monkeypatch.setattr(ex, "_atom_ground", atom_ground_ref)
     monkeypatch.setattr(ex, "_sup_y2_over_r", sup_y2_over_r_zoom_ref)
 
 
 WEIGHTS = {"const": ConstantWeight(1.3), "power": PowerWeight(1.5, 1.25)}
 
 
+def _counted(monkeypatch, owner, name, calls):
+    """Rebind owner.name to a wrapper that appends its arguments to calls."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_k_atom_solve_equals_the_oracle_path(monkeypatch, weight, k):
     w, cfg = WEIGHTS[weight], SolverConfig(k_atoms=k)
+    meshes, colds = [], []
+    _counted(monkeypatch, ex, "run_mesh", meshes)
+    _counted(monkeypatch, ex, "eigenvalue", colds)
     new = solve_extremal_gamma_eq1(w, k, cfg)
+    monkeypatch.undo()
+    # every solve of the oracle path, warm or cold, sweeps the cell loop's
+    # mesh of an atom_potential_ref potential
     _oracle_path(monkeypatch)
+    ref_meshes = []
+    _counted(monkeypatch, reference, "fused_mesh_ref", ref_meshes)
     ref = solve_extremal_gamma_eq1(w, k, cfg)
+    assert meshes and len(ref_meshes) == len(meshes) + len(colds)
     assert (new.M, new.residual, new.trace, new.converged) == (
         ref.M, ref.residual, ref.trace, ref.converged)
     assert new.q_hat.atoms == ref.q_hat.atoms
@@ -318,29 +352,85 @@ def test_k_atom_solve_equals_the_oracle_path(monkeypatch, weight, k):
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_atom_scan_equals_the_oracle_path(monkeypatch, weight):
     w = WEIGHTS[weight]
+    # the search builds one mesh from the atoms per warm solve, and a
+    # potential only for its first, cold solve and for q_hat
+    meshes, built = [], []
+    _counted(monkeypatch, ex, "run_mesh", meshes)
+    _counted(monkeypatch, Potential, "__post_init__", built)
     new = atom_grid_search(w, 201)
+    assert len(meshes) == new.iterations - 1 and len(built) == 2
+    monkeypatch.undo()
+    # the oracle path sweeps one cell-loop mesh per eigen-solve, each of
+    # an atom_potential_ref potential, and builds no mesh from atoms
     _oracle_path(monkeypatch)
-    # every potential the search builds is an atom_potential_ref potential:
-    # one per eigen-solve, and q_hat
-    built, refs = [], []
-    post_init = Potential.__post_init__
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    def counted_ref(*args):
-        refs.append(atom_potential_ref(*args))
-        return refs[-1]
-
-    monkeypatch.setattr(Potential, "__post_init__", counted_post_init)
-    monkeypatch.setattr(ex, "_atom_potential", counted_ref)
+    ref_meshes, refs = [], []
+    _counted(monkeypatch, reference, "fused_mesh_ref", ref_meshes)
+    _counted(monkeypatch, ex, "_saturating_atoms", refs)
+    _counted(monkeypatch, ex, "run_mesh", meshes)
     ref = atom_grid_search(w, 201)
-    assert len(refs) == ref.iterations + 1
-    assert [id(q) for q in built] == [id(q) for q in refs]
+    assert len(ref_meshes) == len(refs) == ref.iterations
+    assert len(meshes) == new.iterations - 1
     assert (new.M_hat, new.iterations, new.kkt_residual, new.scan) == (
         ref.M_hat, ref.iterations, ref.kkt_residual, ref.scan)
     assert new.q_hat.atoms == ref.q_hat.atoms
+
+
+@st.composite
+def atom_draws(draw):
+    """(zs, shares) of 1 to 3 atoms: positions on a node j / 16, inside
+    the interval, or closer than COINCIDENT_TOL to the atom before (the
+    two merge); a share of 0 drops its atom."""
+    zs: list[float] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["node", "inside", "coincident"][:2 + bool(zs)]))
+        if kind == "node":
+            zs.append(draw(st.integers(1, 15)) / 16)
+        elif kind == "inside":
+            zs.append(draw(st.floats(0.01, 0.99)))
+        else:
+            zs.append(zs[-1] + draw(st.floats(-0.9, 0.9)) * COINCIDENT_TOL)
+    shares = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0),
+                           min_size=len(zs), max_size=len(zs)))
+    return zs, shares
+
+
+@given(draw=atom_draws(), weight=st.sampled_from(sorted(WEIGHTS)),
+       offset=st.sampled_from([-1e-3, 1e-6, 0.3]))
+def test_atom_path_mesh_and_lambda_are_the_potential_s(draw, weight, offset):
+    """The warm atom solve sweeps the fused mesh of the potential its
+    atoms make, tuples as tuples, and returns the potential's lambda."""
+    zs, shares = draw
+    atoms = ex._saturating_atoms(WEIGHTS[weight], zs, shares)
+    q = Potential.from_atoms(atoms)
+    lam = eigenvalue(q, 0)
+    passed = []
+    warm = ex._eigenvalue_warm
+
+    def recorded(mesh, memo, *args):
+        passed.append(mesh)
+        return warm(mesh, memo, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_eigenvalue_warm", recorded)
+        got = ex._atom_ground(atoms, 1e-10, lam * (1.0 + offset))
+    (mesh,) = passed
+    want = Potential.from_atoms(atoms).fused_mesh
+    assert mesh == want == fused_mesh_ref(q)
+    assert_fused_form(mesh)
+    assert got == ex._ground(Potential.from_atoms(atoms), 1e-10, lam * (1.0 + offset))
+
+
+@pytest.mark.parametrize("atom", [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0),
+                                  (0.5, math.inf), (0.5, math.nan)])
+@pytest.mark.parametrize("guess", [None, 20.0])
+def test_a_bad_atom_is_refused_as_the_potential_refuses_it(atom, guess):
+    atoms = [(0.25, 1.0), atom]
+    with pytest.raises(InvalidPotentialError) as by_potential:
+        Potential.from_atoms(atoms)
+    with pytest.raises(InvalidPotentialError) as by_solve:
+        ex._atom_ground(atoms, 1e-10, guess)
+    assert str(by_solve.value) == str(by_potential.value)
+    assert "atom" in str(by_potential.value)
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)

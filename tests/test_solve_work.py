@@ -11,8 +11,11 @@ from hypothesis import given, strategies as st
 import slmajorant.eigensolver as es
 import slmajorant.extremal as ex
 import slmajorant.measures as ms
-from slmajorant import (Potential, PowerWeight, SolverConfig, atom_grid_search,
-                        eigenfunction, parse_weight, solve_extremal_gamma_gt1)
+import slmajorant.oracle as orc
+from slmajorant import (ConstantWeight, Potential, PowerWeight, SolverConfig,
+                        atom_grid_search, eigenfunction, parse_weight,
+                        solve_extremal_gamma_eq1, solve_extremal_gamma_gt1,
+                        upper_bound)
 from slmajorant import _propagate as prop
 from conftest import PI2, random_potential
 from reference import (eigenvalue_ref, eigenvalue_warm_one_sided_ref,
@@ -37,6 +40,12 @@ def _potential(case):
     return q
 
 
+def _warm(q, n: int, tol: float, guess: float) -> float:
+    """A warm solve on q's fused mesh and phase memo, as extremal._ground
+    makes it."""
+    return es._eigenvalue_warm(q.fused_mesh, q.phase_memo, n, tol, guess, lambda: q)
+
+
 def _guesses(lam: float, n: int) -> list[float]:
     """Guesses 1e-9 to 50 % off lam on both sides, guesses at and below
     the lower end of the global bracket (where the lower end clips), and
@@ -57,7 +66,7 @@ def test_solves_are_bit_identical_to_the_reference(case, n):
         lam = eigenvalue_ref(q, n, tol)
         assert es.eigenvalue(q, n, tol) == lam
         for guess in _guesses(lam, n):
-            assert es._eigenvalue_warm(q, n, tol, guess) == eigenvalue_warm_ref(
+            assert _warm(q, n, tol, guess) == eigenvalue_warm_ref(
                 q, n, tol, guess), guess
 
 
@@ -69,7 +78,7 @@ def test_no_solve_sweeps_a_lam_twice(case, n, sweep_counter):
     assert len(sweep_counter) == len(set(sweep_counter))
     for guess in _guesses(lam, n):
         sweep_counter.clear()
-        es._eigenvalue_warm(q, n, 1e-10, guess)
+        _warm(q, n, 1e-10, guess)
         assert len(sweep_counter) == len(set(sweep_counter)), guess
 
 
@@ -87,11 +96,11 @@ def test_warm_solve_below_the_bound_base_skips_the_seminorm(monkeypatch):
     base = 4.0 * PI2
     for f in (1e-9, 1e-6, 1e-3, 0.05):
         for guess in (lam * (1.0 - f), lam * (1.0 + f)):
-            assert es._eigenvalue_warm(q, 0, 1e-10, guess) == eigenvalue_warm_ref(
+            assert _warm(q, 0, 1e-10, guess) == eigenvalue_warm_ref(
                 q, 0, 1e-10, guess)
     assert 3.0 * lam < base and calls == []
     # a bracket that reaches past the base needs the bound, once per solve
-    es._eigenvalue_warm(q, 0, 1e-10, base)
+    _warm(q, 0, 1e-10, base)
     assert calls == [2]
 
 
@@ -113,7 +122,9 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
                                           SolverConfig(grid_n=256))
         return report, len(solves), len(sweep_counter)
 
-    ref, ref_solves, ref_sweeps = run(eigenvalue_ref, eigenvalue_warm_ref)
+    ref, ref_solves, ref_sweeps = run(
+        eigenvalue_ref, lambda mesh, memo, n, tol, guess, potential:
+        eigenvalue_warm_ref(potential(), n, tol, guess))
 
     builds = []
     build_segments = ms.build_segments
@@ -133,17 +144,20 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
 
 
 def _paired_warm_sweeps(monkeypatch, run) -> list[tuple[int, int]]:
-    """Calls run() with every warm solve of the outer loops made twice, on
-    fresh copies of its potential: by the library and by the one-sided
-    step-by-step rule.  Both must give the same lambda; returns each
-    solve's pair of sweep counts (library, one-sided rule)."""
+    """Calls run() with every warm solve of the outer loops made twice: by
+    the library on the mesh and phase memo the loop passes (an atom
+    solve's own, a new potential's), and by the one-sided step-by-step
+    rule on the cell loop's mesh of the potential.  Both must give the
+    same lambda; returns each solve's pair of sweep counts (library,
+    one-sided rule)."""
     pairs = []
     warm = es._eigenvalue_warm
 
-    def paired(q, n, tol, guess):
-        want, want_count = eigenvalue_warm_one_sided_ref(q, n, tol, guess)
+    def paired(mesh, memo, n, tol, guess, potential):
+        assert not memo   # every warm solve of these loops sweeps afresh
+        want, want_count = eigenvalue_warm_one_sided_ref(potential(), n, tol, guess)
         with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
-            got = warm(Potential(q.grid_n, q.density, q.atoms), n, tol, guess)
+            got = warm(mesh, memo, n, tol, guess, potential)
         assert got == want, guess
         pairs.append((sweeps.call_count, want_count))
         return got
@@ -189,6 +203,40 @@ def test_eigenfunction_check_reads_the_solve_s_phases(grid_n, n, sweep_counter):
     assert len(sweep_counter) == len(set(sweep_counter))
 
 
+# (cold, warm) solves of the gamma = 1 atom searches, as extremal and
+# oracle call them through the module globals that a tracer rebinds
+ATOM_SEARCH_SOLVES = {
+    ("const", "scan"): (1, 227), ("const", "k = 2"): (2, 329),
+    ("power", "scan"): (1, 227), ("power", "k = 2"): (2, 998),
+}
+
+
+@pytest.mark.parametrize("weight, search", sorted(ATOM_SEARCH_SOLVES))
+def test_atom_searches_solve_through_the_traced_entries(monkeypatch, weight, search):
+    """Every solve of atom_grid_search(w, 201) and of a 2-atom
+    solve_extremal_gamma_eq1 calls eigenvalue or _eigenvalue_warm through
+    a global of extremal or oracle, so a tracer that rebinds those globals
+    sees all of them; a solve that left them would change the counts."""
+    calls = {"eigenvalue": 0, "_eigenvalue_warm": 0}
+    for mod in (ex, orc):
+        for name in calls:
+            if name in vars(mod):
+                fn = getattr(mod, name)
+
+                def counted(*args, _name=name, _fn=fn):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(mod, name, counted)
+    w = {"const": ConstantWeight(1.3), "power": PowerWeight(1.5, 1.25)}[weight]
+    if search == "scan":
+        atom_grid_search(w, 201)
+    else:
+        solve_extremal_gamma_eq1(w, 2, SolverConfig(k_atoms=2, grid_n=64))
+    assert (calls["eigenvalue"], calls["_eigenvalue_warm"]) == ATOM_SEARCH_SOLVES[
+        weight, search]
+
+
 def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
     # a guess that is not finite brackets nothing, so the warm solve goes
     # straight to the cold solve, logging it: no sweep runs before the
@@ -213,11 +261,41 @@ def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
         caplog.clear()
         q = Potential(16, np.zeros(16), atoms)
         with caplog.at_level("WARNING", logger="slmajorant"):
-            assert es._eigenvalue_warm(q, 0, 1e-10, guess) == want
+            assert _warm(q, 0, 1e-10, guess) == want
         assert events[0] == "cold" and events.count("cold") == 1
         (record,) = caplog.records
         assert record.name == "slmajorant" and record.levelname == "WARNING"
         assert "falls back to the cold solve" in record.getMessage()
+
+
+def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
+        monkeypatch, caplog, sweep_counter):
+    # two bracket steps around a guess far above the root bracket nothing,
+    # so the warm atom solve builds its potential for the upper bound and
+    # the cold fallback, on the mesh it swept and with the phases it kept:
+    # the fallback sweeps no lam the search swept
+    warm, cold, seen = es._eigenvalue_warm, es.eigenvalue, []
+
+    def recorded_warm(mesh, memo, *args):
+        seen.append((mesh, memo))
+        return warm(mesh, memo, *args)
+
+    def recorded_cold(q, *args):
+        seen.append(q)
+        return cold(q, *args)
+
+    monkeypatch.setattr(ex, "_eigenvalue_warm", recorded_warm)
+    monkeypatch.setattr(es, "eigenvalue", recorded_cold)
+    monkeypatch.setattr(es, "WARM_STEPS", 2)
+    atoms = [(0.3, 5.0)]
+    with caplog.at_level("WARNING", logger="slmajorant"):
+        lam = ex._atom_ground(atoms, 1e-10, 1e3)
+    assert "falls back to the cold solve" in caplog.text
+    (mesh, memo), q = seen
+    assert q.fused_mesh is mesh and q.phase_memo is memo and q.atoms == tuple(atoms)
+    assert len(sweep_counter) == len(set(sweep_counter)) == len(memo)
+    assert upper_bound(q, 0) in memo   # swept by the search, read by the fallback
+    assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
 
 
 @st.composite
@@ -301,8 +379,7 @@ def test_predicted_step_keeps_the_one_sided_bracket(q, n, specs):
             guess = _guess(spec, lam, n)
             fresh = Potential(q.grid_n, q.density, q.atoms)   # no phase memo
             sweeps.reset_mock()
-            solves.append((guess, es._eigenvalue_warm(fresh, n, 1e-10, guess),
-                           sweeps.call_count))
+            solves.append((guess, _warm(fresh, n, 1e-10, guess), sweeps.call_count))
     for guess, got, count in solves:
         want, want_count = eigenvalue_warm_one_sided_ref(q, n, 1e-10, guess)
         assert got == want == eigenvalue_warm_ref(q, n, 1e-10, guess), guess
