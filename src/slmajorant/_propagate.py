@@ -39,21 +39,22 @@ atoms, and gives each piece the density of the cell its right end closes
 node, so each piece lies in its right-open cell; build_segments cuts only
 where the density changes, fusing runs of equal density (cached per
 potential as Potential.fused_mesh).  Neither makes a piece of length 0.
-run_mesh builds the fused mesh of a single run, cut only at the atoms.
+run_mesh builds the fused mesh of a single run, cut only at the atoms:
+build_segments takes it for every grid of one density, whatever its
+size, and the warm atom solves build it from their atoms with no
+Potential and no grid (extremal._atom_ground).
 
 build_segments (with run_mesh) is also the one place where a mesh takes
 the form the sweeps read: below SCAN_MIN_SEGMENTS segments, tuples of
 floats, which the scalar loops read with no conversion; from there on,
 read-only arrays for the scan.  A short array mesh, as node_mesh gives
-it, is converted once with .tolist().  The gamma = 1 solvers sweep
-16-cell grids of density 0 with 1-3 atoms, meshes of 2-4 segments, about
-17k solves of about 7 sweeps each per benchmark pass.  A sweep there is
-a few microseconds, so what surrounds it counts as much: run_mesh builds
-a single run's tuples straight from the floats with no numpy array.
-build_segments takes it for a grid below FUSE_MIN_CELLS of one density,
-and the warm atom solves call it on their atoms, with no Potential and
-no grid (extremal._atom_ground).  phase's loop inlines only its two hot
-branches, oscillatory and cosh/sinh.
+it, is converted once with .tolist().  The gamma = 1 solvers sweep one
+run of density 0 cut at 1-3 atoms, meshes of 2-4 segments, about 17k
+solves of about 7 sweeps each per benchmark pass.  A sweep there is a
+few microseconds, so what surrounds it counts as much: run_mesh builds a
+single run's tuples straight from the floats with no numpy array, and
+phase's loop inlines only its two hot branches, oscillatory and
+cosh/sinh.
 The series, non-oscillatory cos/sin and exp-scaled steps go through
 cs_scalar: a seed-1 extremal-gt1 bench pass takes them 11, 0 and 0 times,
 and cosh/sinh 189,147 times.
@@ -73,12 +74,6 @@ BIG_ARG = 40.0      # kappa * t beyond this switches to exp-scaled transfer
 # 1.9 / 2.9 times on all-oscillatory ones (two atoms; Xeon, 2 CPUs); 512
 # keeps the bits of the 256-cell grids, which the loop sweeps.
 SCAN_MIN_SEGMENTS = 512
-# A grid with fewer cells than this and one density is fused as a single
-# run in Python floats: the 16-cell atom-only potentials of the gamma = 1
-# solvers take 4-7 us that way against 7-24 us through _mesh (0-3 atoms,
-# 2 CPUs).  Every other grid takes _mesh: with 2 atoms, 40 us at 64 cells
-# and 0.16 ms at 4096.
-FUSE_MIN_CELLS = 64
 _SCAN_TOP = 64      # the scan's top level: blocks left to a scalar loop
 
 _PI = math.pi
@@ -141,17 +136,15 @@ def build_segments(grid_n, density, atoms):
     include these.  A run ends at j / grid_n where the density changes;
     an atom inside a run splits it, and one at a run end closes that run.
     A mesh below SCAN_MIN_SEGMENTS segments comes as tuples of floats, one
-    from SCAN_MIN_SEGMENTS on as read-only arrays.  A grid below
-    FUSE_MIN_CELLS of one density is one run, run_mesh's; that relies on
-    density and atoms being a Potential's: a float array, and atoms as
-    run_mesh takes them.
+    from SCAN_MIN_SEGMENTS on as read-only arrays.  A grid of one density,
+    of any size, is one run, run_mesh's; that relies on atoms being a
+    Potential's, as run_mesh takes them.
     """
-    if grid_n < FUSE_MIN_CELLS:
-        vals = density.tolist()
-        if vals.count(vals[0]) == grid_n:
-            return run_mesh(vals[0], atoms)
     dens = np.asarray(density, dtype=float)
-    mesh = _mesh(grid_n, dens, atoms, np.flatnonzero(dens[1:] != dens[:-1]) + 1)
+    cuts = np.flatnonzero(dens[1:] != dens[:-1])
+    if not cuts.size:
+        return run_mesh(float(dens[0]), atoms)
+    mesh = _mesh(grid_n, dens, atoms, cuts + 1)
     if len(mesh[1]) < SCAN_MIN_SEGMENTS:
         return tuple(tuple(v.tolist()) for v in mesh)
     return _read_only(mesh)
@@ -160,8 +153,8 @@ def build_segments(grid_n, density, atoms):
 def run_mesh(value, atoms):
     """Fused mesh of one run of density value over [0, 1], split at the
     atoms only, in the form phase sweeps: the mesh build_segments gives a
-    grid of one density below FUSE_MIN_CELLS cells, and the gamma = 1
-    atom solves build it here from their atoms without a Potential.
+    grid of one density, and the one the warm gamma = 1 atom solves build
+    from their atoms.
 
     atoms must be a Potential's (``measures._merge_atoms``): Python
     floats, ascending, distinct and inside (0, 1).  A mesh below

@@ -20,11 +20,11 @@ On the short atom meshes of the gamma = 1 solvers a sweep costs a few
 microseconds, so a solve's own work is kept to what its sweeps need.  A
 solve sweeps a potential's fused mesh as build_segments gives it (tuples
 of floats below the scan's length), and the phase values live in one
-dict, the potential's phase_memo.  The warm solve takes that mesh and
-dict themselves and calls for the potential only when it needs the
-upper bound or the cold fallback, so the warm gamma = 1 atom solves,
-which build the mesh from their atoms (_propagate.run_mesh), build no
-Potential.  ShootingSolution propagates the same mesh as is, and makes
+dict, the potential's phase_memo.  The warm solve takes a mesh and a
+phase dict and calls for the potential at most once, for the upper
+bound or the cold fallback, so the warm gamma = 1 atom solves, which
+build the mesh from their atoms (_propagate.run_mesh), build a Potential
+only then.  ShootingSolution propagates the same mesh as is, and makes
 arrays only of the breakpoints and densities it indexes.
 """
 
@@ -84,7 +84,7 @@ class EigenPair:
     dys_right: np.ndarray
 
     def __post_init__(self):
-        if self.lam < PI2 - 1e-9:
+        if not (self.lam >= PI2 - 1e-9):   # NaN fails too
             raise InternalSolverError(
                 f"eigenvalue {self.lam} below the trivial bound pi^2"
             )
@@ -124,7 +124,7 @@ class ShootingSolution:
 
     def __init__(self, q: Potential, lam: float):
         self.q = q
-        self.lam = float(lam)
+        self.lam = _check_lam(lam)
         xs, lens, qs, masses = q.fused_mesh
         self._xs, self._qs = np.asarray(xs), np.asarray(qs)
         self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
@@ -191,9 +191,23 @@ class ShootingSolution:
 # phase and eigenvalues
 
 
+def _check_lam(lam) -> float:
+    """lam as a float, or DomainError; prop.phase, the hot loop, skips it."""
+    if not math.isfinite(lam := float(lam)):
+        raise DomainError(f"spectral parameter lambda={lam!r} is not finite")
+    return lam
+
+
+def _check_index(n: int) -> None:
+    if n < 0 or n > MAX_INDEX:
+        raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
+
+
 def prufer_phase(q: Potential, lam: float) -> float:
     """Continuously unwound Pruefer angle theta(1; lam) of the shooting
-    solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n."""
+    solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n.
+    DomainError if lam is not finite."""
+    _check_lam(lam)
     _, lens, qs, masses = q.fused_mesh
     return prop.phase(lens, qs, masses, lam)
 
@@ -299,8 +313,7 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
     end is the free-particle eigenvalue (a lower bound since q >= 0), the
     upper end the computable spectral bound, so bracketing never fails.
     """
-    if n < 0 or n > MAX_INDEX:
-        raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
+    _check_index(n)
     if not (tol > 0.0):
         raise ParameterError("tolerance must be positive")
     g = _gap_fn(q.fused_mesh, q.phase_memo, n)
@@ -321,11 +334,12 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
     """Eigenvalue solve with a bracket grown around a previous value.
 
     The solve sweeps mesh, a potential's fused mesh in the form phase
-    sweeps, and reads and fills memo, its phase memo (see _gap_fn).
-    potential() returns that potential, whose fused_mesh and phase_memo
-    must be mesh and memo; it is called only for the upper bound or the
-    cold fallback, so a caller that has the mesh without a Potential (the
-    gamma = 1 atom solves) builds one only then.
+    sweeps, and reads and fills memo, a dict of its phases (see _gap_fn).
+    potential() returns that potential, whose fused_mesh must equal mesh;
+    it is called at most once, for the upper bound or the cold fallback,
+    so a caller that has the mesh without a Potential (the gamma = 1 atom
+    solves) builds one only then.  The fallback merges memo into the
+    potential's phase_memo, so it sweeps no lam the search swept.
 
     Step k brackets [max(guess - w_k, lower end), guess + w_k], with
     w_k = max(1e-6 |guess|, 1e-9) * 4**k and the upper end clipped by
@@ -357,20 +371,22 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
     """
     guess = float(guess)
     if not math.isfinite(guess):
-        return _cold_fallback(potential(), n, tol, f"the guess {guess} is not finite")
+        return _cold_fallback(potential(), memo, n, tol,
+                              f"the guess {guess} is not finite")
     g = _gap_fn(mesh, memo, n)
     lo_glob = _lower_end(n)
     base = _upper_base(n)
-    hi_glob = None
+    q = hi_glob = None
     w0 = max(1e-6 * abs(guess), 1e-9)
 
     def ends(k: int) -> tuple[float, float]:
-        nonlocal hi_glob
+        nonlocal q, hi_glob
         w = w0 * 4.0**k     # exact: the same float as k products by 4
         hi = guess + w
         if hi > base:
             if hi_glob is None:
-                hi_glob = upper_bound(potential(), n)
+                q = potential()
+                hi_glob = upper_bound(q, n)
             hi = min(hi, hi_glob)
         return max(guess - w, lo_glob), hi
 
@@ -412,11 +428,12 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
         if g(lo) <= 0.0 <= g(hi):
             return _root(g, lo, hi, tol)
     return _cold_fallback(
-        potential(), n, tol,
+        potential() if q is None else q, memo, n, tol,
         f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
 
 
-def _cold_fallback(q: Potential, n: int, tol: float, why: str) -> float:
+def _cold_fallback(q: Potential, memo: dict, n: int, tol: float, why: str) -> float:
+    """eigenvalue(q, n, tol) after memo, swept on q's mesh, joins q.phase_memo."""
     # logging is imported on this rare path only: importing the package
     # would otherwise load it, about 0.45 MB and 10 ms
     import logging
@@ -424,6 +441,7 @@ def _cold_fallback(q: Potential, n: int, tol: float, why: str) -> float:
     logging.getLogger("slmajorant").warning(
         "warm eigenvalue solve of index %d falls back to the cold solve: %s",
         n, why)
+    q.phase_memo.update(memo)
     return eigenvalue(q, n, tol)
 
 
@@ -437,8 +455,11 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
     lam must put the phase within 1e-2 of (n+1)*pi, or else the phase must
     cross (n+1)*pi within a relative 1e-9 of lam: next to a barrier that
     forward shooting meets late, the phase climbs by about pi in a window
-    narrower than the root-finder tolerance.
+    narrower than the root-finder tolerance.  n must lie in [0, MAX_INDEX]
+    (ParameterError) and lam be finite (DomainError).
     """
+    _check_index(n)
+    _check_lam(lam)
     g = _gap_fn(q.fused_mesh, q.phase_memo, n)
     gap = g(lam)
     if abs(gap) > 1e-2 and not (

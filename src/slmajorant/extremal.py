@@ -27,12 +27,13 @@ limit.
 Each outer step is written once: ``_ground`` (a cold or a warm ground
 solve of a potential), ``_saturating_atoms`` and ``_atom_potential``
 (atoms of saturating mass, and their potential), ``_atom_ground`` (the
-ground solve of such atoms: a warm one sweeps the mesh built from the
-atoms and builds no potential), ``_atom_lam`` and ``_atom_scan`` (one
-saturating atom's ground solve, and a warm scan of those),
-``_golden_max`` (the golden-section line search), ``_best_response``
-(the gamma > 1 best response and its distance from the iterate) and
-``_report``.  The ``oracle`` module calls ``_ground``,
+ground solve of such atoms: a warm one sweeps the one-run mesh that
+``_propagate.run_mesh`` builds from the atoms, and builds their potential
+only for the upper bound or a cold fallback), ``_atom_lam`` and
+``_atom_scan`` (one saturating atom's ground solve, and a warm scan of
+those), ``_golden_max`` (the golden-section line search),
+``_best_response`` (the gamma > 1 best response and its distance from
+the iterate) and ``_report``.  The ``oracle`` module calls ``_ground``,
 ``_atom_potential``, ``_atom_lam``, ``_atom_scan`` and ``_golden_max``.
 """
 
@@ -289,17 +290,13 @@ def _atom_ground(atoms, tol: float, guess: float | None = None) -> float:
     that potential, or a warm one from guess on its fused mesh, built from
     the atoms alone.  The warm solve checks and merges the atoms as the
     potential would (_merge_atoms), sweeps run_mesh's one run of density 0
-    with a phase memo of its own, and builds the potential, on that mesh
-    and memo, only for the upper bound or a cold fallback."""
+    with a phase memo of its own, and builds the potential only for the
+    upper bound or a cold fallback, once."""
     if guess is None:
         return eigenvalue(Potential.from_atoms(atoms), 0, tol)
     atoms = _merge_atoms(atoms)
-    mesh, memo = run_mesh(0.0, atoms), {}
-
-    def potential() -> Potential:
-        return Potential.from_atoms(atoms)._with_caches(mesh, memo)
-
-    return _eigenvalue_warm(mesh, memo, 0, tol, guess, potential)
+    return _eigenvalue_warm(run_mesh(0.0, atoms), {}, 0, tol, guess,
+                            lambda: Potential.from_atoms(atoms))
 
 
 def _atom_lam(w: Weight, z: float, tol: float, guess: float | None = None) -> float:

@@ -19,22 +19,11 @@ non-finite parameters when it is built, and ``parse_weight`` raises
 ParameterError on every malformed literal or table file.
 
 All values here are immutable after construction.  A potential keeps
-two caches.  ``Potential.fused_mesh`` is built on first use in the form
-phase sweeps and immutable after.  ``Potential.phase_memo`` holds the
-phase theta(1; lam) of every lam swept on the potential, keyed by lam;
-a sweep depends on the fused mesh and lam alone, so the value is the
-one a new sweep would give.  Both are plain properties over the instance
-dict, since ``functools.cached_property`` takes a lock on first access
-in Python 3.11.  Two threads racing on the mesh build equal meshes, and
-either one is kept; two threads adding to the memo add equal values.
-
-A warm gamma = 1 atom solve (about 17k per benchmark pass) builds no
-``Potential``: it checks and merges its atoms with ``_merge_atoms``, the
-rule a ``Potential`` applies to its own, sweeps the mesh that
-``_propagate.run_mesh`` builds from them, and keeps its phases in a dict
-of its own.  Only the spectral upper bound or a cold fallback needs the
-potential; the solve then builds it and hands it that mesh and memo
-(``Potential._with_caches``), the ones it would have built itself.
+two caches, each a ``functools.cached_property``.  ``Potential.fused_mesh``
+is built on first use in the form phase sweeps and immutable after.
+``Potential.phase_memo`` holds the phase theta(1; lam) of every lam swept
+on the potential, keyed by lam; a sweep depends on the fused mesh and lam
+alone, so the value is the one a new sweep would give.
 """
 
 from __future__ import annotations
@@ -43,6 +32,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -449,33 +439,19 @@ class Potential:
         atoms = tuple((p, m * t) for p, m in self.atoms) if t > 0 else ()
         return Potential(self.grid_n, self.density * t, atoms)
 
-    @property
+    @cached_property
     def fused_mesh(self) -> tuple:
         """build_segments of this potential, (xs, lens, qs, masses), built
         once in the form phase sweeps: every phase sweep and
         ShootingSolution of the same potential shares it."""
-        mesh = self.__dict__.get("_fused_mesh")
-        if mesh is None:
-            mesh = self.__dict__["_fused_mesh"] = build_segments(
-                self.grid_n, self.density, self.atoms)
-        return mesh
+        return build_segments(self.grid_n, self.density, self.atoms)
 
-    @property
+    @cached_property
     def phase_memo(self) -> dict:
         """theta(1; lam) of every lam swept on this potential, keyed by
         lam: the solves of every index, and eigenfunction's check of
         their answers, sweep each lam once."""
-        memo = self.__dict__.get("_phase_memo")
-        if memo is None:
-            memo = self.__dict__["_phase_memo"] = {}
-        return memo
-
-    def _with_caches(self, mesh: tuple, memo: dict) -> "Potential":
-        """This potential with mesh and memo as its fused mesh and phase
-        memo, which must be its own: a warm atom solve builds them from
-        the atoms before it needs the potential (extremal._atom_ground)."""
-        self.__dict__.update(_fused_mesh=mesh, _phase_memo=memo)
-        return self
+        return {}
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) / self.grid_n) + sum(
@@ -541,7 +517,9 @@ class PrimitiveFn:
         return self.left + self.jumps
 
     def __call__(self, x: float) -> float:
-        """Left-continuous evaluation."""
+        """Left-continuous evaluation; DomainError if x is NaN."""
+        if math.isnan(x):
+            raise DomainError(f"primitive evaluation point {x!r} is NaN")
         if x <= self.xs[0]:
             return float(self.left[0])
         if x >= self.xs[-1]:
@@ -552,7 +530,10 @@ class PrimitiveFn:
         return float(self.left[j] + self.jumps[j] + self.slopes[j] * (x - self.xs[j]))
 
     def value_right(self, x: float) -> float:
-        """Right-continuous evaluation Q(x+); Q(1) from x = 1 on."""
+        """Right-continuous evaluation Q(x+); Q(1) from x = 1 on.
+        DomainError if x is NaN."""
+        if math.isnan(x):
+            raise DomainError(f"primitive evaluation point {x!r} is NaN")
         if x >= self.xs[-1]:
             return float(self.left[-1])
         j = int(_cell_index(self.xs, x))

@@ -175,6 +175,28 @@ class TestEigenfunction:
         with pytest.raises(InternalSolverError):
             eigenfunction(q, lam0, 1)
 
+    @pytest.mark.parametrize("n", [-1, 33])
+    def test_index_outside_the_contract_is_refused(self, n):
+        q = Potential.zero()
+        with pytest.raises(ParameterError, match=r"index must lie in \[0, 32\]"):
+            eigenfunction(q, eigenvalue(q, 0), n)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_a_lambda_that_is_not_finite_is_refused(self, lam):
+        # NaN once gave an all-NaN pair, and +-inf a bare math domain error
+        q = Potential(16, np.zeros(16), ((0.3, 2.0),))
+        for call in (eigenfunction, lambda q, lam, n: ShootingSolution(q, lam),
+                     lambda q, lam, n: prufer_phase(q, lam)):
+            with pytest.raises(DomainError, match="is not finite"):
+                call(q, lam, 0)
+
+    def test_a_nan_eigenvalue_fails_the_pair_check(self):
+        from slmajorant import EigenPair, InternalSolverError
+
+        xs = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(InternalSolverError, match="below the trivial bound"):
+            EigenPair(0, math.nan, xs, xs, xs, xs)
+
     def test_steep_phase_next_to_a_late_barrier(self):
         # forward shooting meets the barrier on cells 58-59 late, so the
         # phase climbs by about pi within a relative 2e-10 of lambda_0 and

@@ -324,6 +324,14 @@ class TestPrimitive:
             for x in points:
                 assert p.value_right(x) == value_right_ref(p, x), x
 
+    def test_nan_is_refused_on_both_sides(self):
+        # __call__ once raised IndexError (searchsorted puts NaN past the
+        # end), and value_right returned NaN
+        p = primitive(Potential(8, np.ones(8), ((0.5, 2.0),)))
+        for evaluate in (p, p.value_right):
+            with pytest.raises(DomainError, match="is NaN"):
+                evaluate(math.nan)
+
     def test_nondecreasing(self, rng):
         q = random_potential(rng, grid_n=32, max_atoms=2)
         p = primitive(q)

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from slmajorant import Potential, eigenvalue
 from slmajorant import _propagate as prop
+from slmajorant.measures import _merge_atoms
 from slmajorant.eigensolver import ShootingSolution
 
 from conftest import assert_fused_form
@@ -489,9 +490,9 @@ def test_fused_runs_equal_the_loop_on_every_small_grid(grid_n):
                           node_mesh_ref(grid_n, dens, atoms))
 
 
-@pytest.mark.parametrize("grid_n", range(1, prop.FUSE_MIN_CELLS))
+@pytest.mark.parametrize("grid_n", list(range(1, 64)) + [64, 100, 256, 511, 4096])
 def test_one_run_mesh_equals_the_loop(grid_n):
-    """Constant densities below FUSE_MIN_CELLS take the one-run case: atoms
+    """Constant densities take the one-run case on every grid size: atoms
     at nodes, one ulp past a node and inside cells."""
     rng = np.random.default_rng(grid_n)
     nodes = [j / grid_n for j in range(1, grid_n)]
@@ -512,3 +513,34 @@ def test_one_run_mesh_equals_the_loop(grid_n):
                                fuse_loop_ref(grid_n, dens, atoms))
             _assert_same_mesh(prop.node_mesh(grid_n, dens, atoms),
                               node_mesh_ref(grid_n, dens, atoms))
+
+
+@st.composite
+def _one_run_atoms(draw, grid_n):
+    """0 to 3 atoms on nodes, one ulp past a node or inside cells, as a
+    Potential keeps them."""
+    atoms = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["node", "ulp", "inside"]))
+        if kind != "inside" and grid_n > 1:
+            pos = draw(st.integers(1, grid_n - 1)) / grid_n
+            if kind == "ulp":
+                pos = math.nextafter(pos, 1.0)
+        else:
+            pos = (draw(st.integers(0, grid_n - 1))
+                   + draw(st.floats(0.01, 0.99))) / grid_n
+        atoms.append((pos, draw(st.floats(0.1, 2.0))))
+    return _merge_atoms(atoms)
+
+
+@given(data=st.data(), grid_n=st.integers(1, 4096),
+       value=st.sampled_from([0.0, -0.0, 1e-300, 1.0, 1e8]))
+def test_a_one_density_grid_of_any_size_is_run_mesh_s(data, grid_n, value):
+    """build_segments of a grid of one density is run_mesh's mesh of that
+    density, floats in tuples, with no size threshold, and the loop's."""
+    atoms = data.draw(_one_run_atoms(grid_n))
+    dens = np.full(grid_n, value)
+    got = prop.build_segments(grid_n, dens, atoms)
+    want = prop.run_mesh(value, atoms)
+    assert got == want and repr(got) == repr(want)   # repr tells -0.0 apart
+    _assert_fused_mesh(got, fuse_loop_ref(grid_n, dens, atoms))

@@ -271,10 +271,15 @@ def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
 def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
         monkeypatch, caplog, sweep_counter):
     # two bracket steps around a guess far above the root bracket nothing,
-    # so the warm atom solve builds its potential for the upper bound and
-    # the cold fallback, on the mesh it swept and with the phases it kept:
-    # the fallback sweeps no lam the search swept
+    # so the warm atom solve builds its potential once, for the upper bound,
+    # and the cold fallback solves it on an equal mesh with the phases the
+    # search kept merged in: the fallback sweeps no lam the search swept
     warm, cold, seen = es._eigenvalue_warm, es.eigenvalue, []
+    post_init, built = Potential.__post_init__, []
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
 
     def recorded_warm(mesh, memo, *args):
         seen.append((mesh, memo))
@@ -287,14 +292,18 @@ def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
     monkeypatch.setattr(ex, "_eigenvalue_warm", recorded_warm)
     monkeypatch.setattr(es, "eigenvalue", recorded_cold)
     monkeypatch.setattr(es, "WARM_STEPS", 2)
+    monkeypatch.setattr(Potential, "__post_init__", counted_post_init)
     atoms = [(0.3, 5.0)]
     with caplog.at_level("WARNING", logger="slmajorant"):
         lam = ex._atom_ground(atoms, 1e-10, 1e3)
     assert "falls back to the cold solve" in caplog.text
     (mesh, memo), q = seen
-    assert q.fused_mesh is mesh and q.phase_memo is memo and q.atoms == tuple(atoms)
-    assert len(sweep_counter) == len(set(sweep_counter)) == len(memo)
-    assert upper_bound(q, 0) in memo   # swept by the search, read by the fallback
+    assert built == [q] and q.atoms == tuple(atoms)
+    assert q.fused_mesh == mesh
+    assert memo.keys() <= q.phase_memo.keys()
+    assert len(sweep_counter) == len(set(sweep_counter)) == len(q.phase_memo)
+    # the bound the search computed is the fallback's upper bracket end
+    assert upper_bound(q, 0) in q.phase_memo
     assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
 
 
