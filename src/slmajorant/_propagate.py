@@ -268,7 +268,8 @@ def sq_integrals(d: np.ndarray, t: np.ndarray):
     icc = 0.5 * (te + sc)
     ics = 0.5 * s * s
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: a series segment
-        iss = (sc - te) / (2.0 * d)
+        # halved before the division, so that 2 d cannot overflow
+        iss = 0.5 * (sc - te) / d
     series = np.flatnonzero(np.abs(x) < 1e-3)
     xs = x[series]
     acc = np.zeros_like(xs)

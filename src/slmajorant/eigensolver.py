@@ -31,6 +31,7 @@ arrays only of the breakpoints and densities it indexes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ def _shoot(lens, qs, masses, lam: float):
 class ShootingSolution:
     """Solution of the shooting problem y(0)=0, y'(0)=1 at a fixed lam,
     normalized to unit L2 norm, evaluable anywhere on [0, 1] in closed form.
+    DomainError if lam is not finite, or lies so far below the potential
+    (about -1e205 for q = 0) that the integral of y**2 underflows.
     """
 
     def __init__(self, q: Potential, lam: float):
@@ -132,6 +135,12 @@ class ShootingSolution:
         )
         self._cum_sq = np.concatenate(([0.0], np.cumsum(seg)))
         total = self._cum_sq[-1]
+        if 0.0 <= total < sys.float_info.min:   # 0 or subnormal
+            # y(x) is not 0, so its y**2 integral underflowed: every
+            # segment has q - lam so large that y ~ y' / sqrt(q - lam)
+            raise DomainError(
+                f"lambda={lam!r} lies too far below the potential: the "
+                f"shooting solution's y**2 integral underflows")
         if not (total > 0.0 and math.isfinite(total)):
             raise InternalSolverError("degenerate shooting solution norm")
         self._norm = math.sqrt(total)
@@ -313,11 +322,20 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
     end is the free-particle eigenvalue (a lower bound since q >= 0), the
     upper end the computable spectral bound, so bracketing never fails.
     """
+    return _eigenvalue_cold(q, n, tol)
+
+
+def _eigenvalue_cold(q: Potential, n: int, tol: float,
+                     hi: float | None = None) -> float:
+    """eigenvalue(q, n, tol), with hi = upper_bound(q, n) when the caller
+    has computed it already (the warm solve's fallback)."""
     _check_index(n)
     if not (tol > 0.0):
         raise ParameterError("tolerance must be positive")
     g = _gap_fn(q.fused_mesh, q.phase_memo, n)
-    lo, hi = _lower_end(n), upper_bound(q, n)
+    lo = _lower_end(n)
+    if hi is None:
+        hi = upper_bound(q, n)
     g_lo = g(lo)
     g_hi = g(hi)
     if not (g_lo <= 0.0 <= g_hi):
@@ -339,7 +357,9 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
     it is called at most once, for the upper bound or the cold fallback,
     so a caller that has the mesh without a Potential (the gamma = 1 atom
     solves) builds one only then.  The fallback merges memo into the
-    potential's phase_memo, so it sweeps no lam the search swept.
+    potential's phase_memo, so it sweeps no lam the search swept, and
+    takes the upper bound the search computed, if any, so it computes
+    that bound only when the search did not.
 
     Step k brackets [max(guess - w_k, lower end), guess + w_k], with
     w_k = max(1e-6 |guess|, 1e-9) * 4**k and the upper end clipped by
@@ -371,7 +391,7 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
     """
     guess = float(guess)
     if not math.isfinite(guess):
-        return _cold_fallback(potential(), memo, n, tol,
+        return _cold_fallback(potential(), None, memo, n, tol,
                               f"the guess {guess} is not finite")
     g = _gap_fn(mesh, memo, n)
     lo_glob = _lower_end(n)
@@ -428,21 +448,27 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
         if g(lo) <= 0.0 <= g(hi):
             return _root(g, lo, hi, tol)
     return _cold_fallback(
-        potential() if q is None else q, memo, n, tol,
+        potential() if q is None else q, hi_glob, memo, n, tol,
         f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
 
 
-def _cold_fallback(q: Potential, memo: dict, n: int, tol: float, why: str) -> float:
-    """eigenvalue(q, n, tol) after memo, swept on q's mesh, joins q.phase_memo."""
-    # logging is imported on this rare path only: importing the package
+def _cold_fallback(q: Potential, hi: float | None, memo: dict, n: int, tol: float,
+                   why: str) -> float:
+    """eigenvalue(q, n, tol) after memo, swept on q's mesh, joins
+    q.phase_memo; hi is upper_bound(q, n) when the search computed it."""
+    _warn("warm eigenvalue solve of index %d falls back to the cold solve: %s",
+          n, why)
+    q.phase_memo.update(memo)
+    return _eigenvalue_cold(q, n, tol, hi)
+
+
+def _warn(msg: str, *args) -> None:
+    """Log a WARNING on the slmajorant logger."""
+    # logging is imported on these rare paths only: importing the package
     # would otherwise load it, about 0.45 MB and 10 ms
     import logging
 
-    logging.getLogger("slmajorant").warning(
-        "warm eigenvalue solve of index %d falls back to the cold solve: %s",
-        n, why)
-    q.phase_memo.update(memo)
-    return eigenvalue(q, n, tol)
+    logging.getLogger("slmajorant").warning(msg, *args)
 
 
 def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:

@@ -3,8 +3,10 @@
 For gamma > 1 the unique maximizer is the fixed point of the best-response
 map Phi(y) = (y^2/r)^(1/(gamma-1)) / normalization, which simultaneously
 is the conditional-gradient direction of the concave objective; a damped
-iteration q <- (1 - tau) q + tau Phi(y) therefore climbs monotonically and
-converges geometrically.
+iteration q <- (1 - tau) q + tau Phi(y) climbs while tau is small enough.
+tau halves at each drop of the eigenvalue, so the climb is monotone only
+down to DAMPING_FLOOR: on large balls and for gamma near 1 the eigenvalue
+still drops there, and such a drop ends the iteration, non-converged.
 
 For gamma = 1 the characterization says that q is supported where y^2/r
 is largest.  The extremal is of density type: on its support [a, b] the
@@ -52,6 +54,7 @@ from .eigensolver import (
     ShootingSolution,
     _brent,
     _eigenvalue_warm,
+    _warn,
     eigenfunction,
     eigenvalue,
     pencil_form,
@@ -202,6 +205,13 @@ def solve_extremal_gamma_gt1(
     relative distance between q and Phi(y) in the weighted L^gamma norm --
     is below tol_res.  The report is converged only if the loop stopped so
     and the residual of the snapped answer is below tol_res too.
+
+    A drop of the eigenvalue while tau is already at the floor also ends
+    the loop, unless that iterate meets the stopping test: the damping
+    can no longer make the iteration climb.  The trace keeps that
+    iterate, the answer is snapped as after max_iter and is not
+    converged, and a WARNING on the slmajorant logger gives the
+    iteration, the eigenvalue and the residual.
     """
     cfg = cfg or SolverConfig()
     if not (gamma > 1.0):
@@ -223,11 +233,16 @@ def solve_extremal_gamma_gt1(
         v, res = _best_response(w, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
-            if lam < lam_prev - 1e-12 * max(lam, 1.0):
-                tau = max(tau / 2.0, DAMPING_FLOOR)
             if abs(lam - lam_prev) < TOL_OUTER * lam and res < cfg.tol_res:
                 converged = True
                 break
+            if lam < lam_prev - 1e-12 * max(lam, 1.0):
+                if tau == DAMPING_FLOOR:
+                    _warn("gamma > 1 iteration stops at iteration %d: lambda "
+                          "dropped to %r at the damping floor (residual %r)",
+                          k, lam, res)
+                    break
+                tau = max(tau / 2.0, DAMPING_FLOOR)
         lam_prev = lam
         q = (1.0 - tau) * q + tau * v
 

@@ -45,6 +45,12 @@ every call.  Every reference solve sweeps the cell loop's mesh, never one
 the library built.  Both scalar loops step through cs_scalar_ref,
 the five-branch basis as phase's loop once had it inlined, so a change to
 the library's cs_scalar shows against them.
+
+The gamma > 1 iteration is kept as it was before it stopped at a lambda
+drop at the damping floor: it runs to max_iter.  On a run that never
+drops at the floor the library's report must be the same, field for
+field; on one that does, the library's trace must be this one's up to
+that drop.
 """
 
 import json
@@ -54,9 +60,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from slmajorant import _propagate as prop
-from slmajorant.eigensolver import MAX_INDEX, InternalSolverError
+from slmajorant.eigensolver import (MAX_INDEX, InternalSolverError, ShootingSolution,
+                                    eigenfunction)
 from slmajorant.cli import _fmt_float
-from slmajorant.extremal import _golden_max
+from slmajorant.extremal import (DAMPING, DAMPING_FLOOR, TOL_OUTER, _best_response,
+                                  _golden_max, _ground, _report)
 from slmajorant.measures import ParameterError, Potential, PrimitiveFn, primitive
 
 PI = math.pi
@@ -678,3 +686,36 @@ def phase_scan_ref(lens, qs, masses, lam: float) -> float:
     )
     # atom jumps turn the angle at fixed y
     return float(np.sum(inc) + np.sum(f_dep[jump] - f_arr[jump]))
+
+
+def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
+    """solve_extremal_gamma_gt1's damped iteration run to cfg.max_iter:
+    a drop of lambda at the damping floor only keeps tau there."""
+    n = cfg.grid_n
+    edges = np.arange(n + 1) / n
+    mids = (np.arange(n) + 0.5) / n
+    cell_r = w.cell_pow_integrals(edges)
+    q = np.full(n, float(np.sum(cell_r)) ** (-1.0 / gamma))
+    tau = DAMPING
+    lam_prev = None
+    trace = []
+    converged = False
+    for k in range(cfg.max_iter):
+        pot = Potential(n, q)
+        lam = _ground(pot, cfg.tol_eigen, lam_prev)
+        v, res = _best_response(w, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
+        trace.append((k, lam, res))
+        if lam_prev is not None:
+            if lam < lam_prev - 1e-12 * max(lam, 1.0):
+                tau = max(tau / 2.0, DAMPING_FLOOR)
+            if abs(lam - lam_prev) < TOL_OUTER * lam and res < cfg.tol_res:
+                converged = True
+                break
+        lam_prev = lam
+        q = (1.0 - tau) * q + tau * v
+    q_hat = Potential(n, v)
+    lam = _ground(q_hat, cfg.tol_eigen, lam)
+    _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
+    trace.append((len(trace), lam, res))
+    return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
+                   converged and res < cfg.tol_res)

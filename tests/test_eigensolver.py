@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from slmajorant import (
 )
 from slmajorant import _propagate as prop
 from conftest import PI2, centered_atom_lambda, non_dyadic_potential, random_potential
+from reference import sq_integrals_ref
 
 
 class TestPruferPhase:
@@ -447,3 +449,33 @@ class TestOverflowGuard:
         assert np.all(np.isfinite(pair.ys))
         sol = ShootingSolution(q, lam)
         assert sol.square_mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [-1e300, -1e307, -1e308])
+    def test_shooting_far_below_the_spectrum_is_refused(self, lam):
+        # q - lam is so large on every segment that the shooting solution's
+        # y**2 integral underflows (at -1e308, 2 (q - lam) would overflow)
+        q = Potential(16, np.zeros(16), ((0.3, 2.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too far below the potential"):
+                ShootingSolution(q, lam)
+
+    def test_shooting_down_to_minus_1e200_keeps_its_bits(self, monkeypatch):
+        # the halved Iss numerator gives the floats of (sc - te) / (2 d)
+        q = Potential(16, np.zeros(16), ((0.3, 2.0),))
+        lams = (-1e200, -1e100, -1e20, -1.0, 0.0, eigenvalue(q, 0))
+        points = np.linspace(0.0, 1.0, 41)
+
+        def evaluate():
+            out = []
+            for lam in lams:
+                sol = ShootingSolution(q, lam)
+                out += [sol.values(points), sol.cell_square_masses(q.edges())]
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate()
+            monkeypatch.setattr(prop, "sq_integrals", sq_integrals_ref)
+            want = evaluate()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -34,7 +34,8 @@ from slmajorant import extremal
 from slmajorant.extremal import _atom_potential, _sup_y2_over_r, alpha_lower_bound
 from conftest import (MP_WEIGHTS, PI2, centered_atom_lambda, random_potential,
                       single_atom_lambda)
-from reference import alpha_lower_bound_loop, sup_y2_over_r_ref
+from reference import (alpha_lower_bound_loop, solve_extremal_gamma_gt1_ref,
+                       sup_y2_over_r_ref)
 
 CFG = SolverConfig(grid_n=256)
 CFG_SMALL = SolverConfig(grid_n=64)
@@ -99,6 +100,37 @@ class TestSolveGammaGt1:
         assert rep.converged
         assert len(rep.trace) == 200
         assert _lower_bound(w, 2.0, 64) <= rep.M <= _upper_bound(w, 2.0)
+
+    @pytest.mark.parametrize("w,gamma,grid_n", [
+        (ConstantWeight(1e-5), 2.0, 32), (ConstantWeight(1e-4), 2.0, 64),
+        (PowerWeight(1, 1), 2.0, 64), (PowerWeight(1, 1), 1.001, 64),
+    ], ids=["const1e-5-g2", "const1e-4-g2", "power11-g2", "power11-g1.001"])
+    def test_stops_at_the_first_drop_at_the_damping_floor(self, w, gamma, grid_n,
+                                                          caplog):
+        # against the iteration run to max_iter: tau reaches the floor at
+        # the third drop of lambda, so the fourth ends the loop; a run with
+        # no fourth drop gives the reference's report, field for field
+        cfg = SolverConfig(grid_n=grid_n)
+        with caplog.at_level("WARNING", logger="slmajorant"):
+            new = solve_extremal_gamma_gt1(w, gamma, cfg)
+        ref = solve_extremal_gamma_gt1_ref(w, gamma, cfg)
+        lams = [lam for _, lam, _ in ref.trace[:-1]]
+        drops = [k for k in range(1, len(lams))
+                 if lams[k] < lams[k - 1] - 1e-12 * max(lams[k], 1.0)]
+        if len(drops) < 4:
+            assert (new.M, new.residual, new.constraint, new.trace, new.converged) == (
+                ref.M, ref.residual, ref.constraint, ref.trace, ref.converged)
+            assert np.array_equal(new.q_hat.density, ref.q_hat.density)
+            assert caplog.records == []
+            return
+        stop = drops[3]
+        assert not ref.converged and not new.converged
+        assert len(new.trace) == stop + 2   # the iterates 0 ... stop, then the snap
+        assert new.trace[:-1] == ref.trace[:len(new.trace) - 1]
+        (record,) = caplog.records
+        assert record.name == "slmajorant" and record.levelname == "WARNING"
+        assert f"stops at iteration {stop}:" in record.getMessage()
+        assert repr(lams[stop]) in record.getMessage()
 
     def test_snapped_residual_above_tol_res_is_not_converged(self):
         # at gamma = 1.05 the loop stops with its residual below tol_res,
@@ -404,7 +436,8 @@ class TestAPrioriBounds:
     """Every converged answer lies between the constant potential's
     eigenvalue and the dual bound of the sine.  The non-converged large
     balls (e.g. ConstantWeight(1e-5), gamma = 2) end below the lower bound:
-    a known defect of the damped iteration, kept as a strict xfail."""
+    the damped iteration stops at a drop of lambda at the damping floor,
+    a known defect kept as a strict xfail."""
 
     @pytest.mark.parametrize("w,gamma,grid_n", [
         (PowerWeight(1, 1), 2.0, 1024), (PowerWeight(1, 1), 3.0, 256),
@@ -416,8 +449,8 @@ class TestAPrioriBounds:
         assert _lower_bound(w, gamma, grid_n) <= rep.M <= _upper_bound(w, gamma)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 4: the damped iteration stops after max_iter at "
-        "M = 165.39, below the lower bound 326.10"))
+        "ROADMAP item 4: the damped iteration stops at a lambda drop at "
+        "the damping floor at M = 210.40, below 326.10"))
     def test_large_ball_answer_within_bounds(self):
         w = ConstantWeight(1e-5)
         rep = solve_extremal_gamma_gt1(w, 2.0, SolverConfig(grid_n=32))

@@ -244,7 +244,7 @@ def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
     atoms = ((0.3, 5.0),)
     want = es.eigenvalue(Potential(16, np.zeros(16), atoms), 0, 1e-10)
     events = []
-    cold, phase = es.eigenvalue, prop.phase
+    cold, phase = es._eigenvalue_cold, prop.phase
 
     def counted_cold(*args):
         events.append("cold")
@@ -254,7 +254,7 @@ def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
         events.append("sweep")
         return phase(*args)
 
-    monkeypatch.setattr(es, "eigenvalue", counted_cold)
+    monkeypatch.setattr(es, "_eigenvalue_cold", counted_cold)
     monkeypatch.setattr(prop, "phase", counted_phase)
     for guess in (math.nan, math.inf, -math.inf):
         events.clear()
@@ -274,7 +274,7 @@ def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
     # so the warm atom solve builds its potential once, for the upper bound,
     # and the cold fallback solves it on an equal mesh with the phases the
     # search kept merged in: the fallback sweeps no lam the search swept
-    warm, cold, seen = es._eigenvalue_warm, es.eigenvalue, []
+    warm, cold, seen = es._eigenvalue_warm, es._eigenvalue_cold, []
     post_init, built = Potential.__post_init__, []
 
     def counted_post_init(self):
@@ -290,7 +290,7 @@ def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
         return cold(q, *args)
 
     monkeypatch.setattr(ex, "_eigenvalue_warm", recorded_warm)
-    monkeypatch.setattr(es, "eigenvalue", recorded_cold)
+    monkeypatch.setattr(es, "_eigenvalue_cold", recorded_cold)
     monkeypatch.setattr(es, "WARM_STEPS", 2)
     monkeypatch.setattr(Potential, "__post_init__", counted_post_init)
     atoms = [(0.3, 5.0)]
@@ -304,6 +304,26 @@ def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
     assert len(sweep_counter) == len(set(sweep_counter)) == len(q.phase_memo)
     # the bound the search computed is the fallback's upper bracket end
     assert upper_bound(q, 0) in q.phase_memo
+    assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
+
+
+def test_atom_fallback_computes_the_upper_bound_once(monkeypatch, caplog):
+    # the warm search computes upper_bound (one seminorm) for its bracket
+    # ends and hands it to the cold fallback, which does not compute it again
+    calls = []
+    seminorm = es.seminorm
+
+    def counted(q, ell):
+        calls.append(ell)
+        return seminorm(q, ell)
+
+    monkeypatch.setattr(es, "seminorm", counted)
+    monkeypatch.setattr(es, "WARM_STEPS", 2)
+    atoms = [(0.3, 5.0)]
+    with caplog.at_level("WARNING", logger="slmajorant"):
+        lam = ex._atom_ground(atoms, 1e-10, 1e3)
+    assert "falls back to the cold solve" in caplog.text
+    assert calls == [2]
     assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
 
 
