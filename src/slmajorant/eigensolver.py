@@ -43,10 +43,8 @@ __all__ = [
     "InternalSolverError",
     "EigenPair",
     "ShootingSolution",
-    "prufer_phase",
     "eigenvalue",
     "eigenfunction",
-    "energy_form",
     "pencil_form",
     "upper_bound",
     "gap_lower_bound",
@@ -126,7 +124,6 @@ class ShootingSolution:
     """
 
     def __init__(self, q: Potential, lam: float):
-        self.q = q
         self.lam = _check_lam(lam)
         xs, lens, qs, masses = q.fused_mesh
         self._xs, self._qs = np.asarray(xs), np.asarray(qs)
@@ -210,15 +207,6 @@ def _check_lam(lam) -> float:
 def _check_index(n: int) -> None:
     if n < 0 or n > MAX_INDEX:
         raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
-
-
-def prufer_phase(q: Potential, lam: float) -> float:
-    """Continuously unwound Pruefer angle theta(1; lam) of the shooting
-    solution; strictly increasing in lam, equal to (n+1)*pi at lambda_n.
-    DomainError if lam is not finite."""
-    _check_lam(lam)
-    _, lens, qs, masses = q.fused_mesh
-    return prop.phase(lens, qs, masses, lam)
 
 
 def _gap_fn(mesh: tuple, memo: dict, n: int):
@@ -513,63 +501,18 @@ def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
 # quadratic forms
 
 
-def _check_grid_samples(q: Potential, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (q.grid_n + 1,):
-        raise DomainError(
-            f"samples must live on the potential grid nodes "
-            f"({q.grid_n + 1} values), got shape {y.shape}"
-        )
-    tol = 1e-9 * (float(np.max(np.abs(y))) + 1.0)
-    if abs(y[0]) > tol or abs(y[-1]) > tol:
-        raise DomainError("samples must vanish at both endpoints")
-    return y
+def pencil_form(q: Potential, lam: float, pair: EigenPair) -> float:
+    """Pencil quadratic form: the integral of y'**2 plus the pairing of q
+    with y**2, minus lam * ||y||**2, for the eigenfunction of pair.
 
-
-def _pl_cells(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """6 / h times the exact integral over each cell of the product of two
-    piecewise-linear interpolants of node samples."""
-    ya, yb = y[:-1], y[1:]
-    za, zb = z[:-1], z[1:]
-    return 2 * ya * za + ya * zb + yb * za + 2 * yb * zb
-
-
-def _pl_value(q: Potential, y: np.ndarray, x: float) -> float:
-    return float(np.interp(x, q.edges(), y))
-
-
-def energy_form(q: Potential, y, z) -> float:
-    """Bilinear energy form: integral of y'z' plus the pairing of q with yz.
-
-    y and z are node samples on the potential's grid, interpreted as
-    piecewise-linear interpolants (derivatives are the per-cell finite
-    differences); both must vanish at the endpoints.
+    The form is assembled from the closed-form per-segment integrals on
+    q's node mesh and vanishes to root-finder accuracy at the eigenvalue.
+    TypeError if pair is not an EigenPair, DomainError if it is sampled
+    on another mesh.
     """
-    y = _check_grid_samples(q, y)
-    z = _check_grid_samples(q, z)
-    h = q.h
-    kinetic = float(np.sum(np.diff(y) * np.diff(z)) / h)
-    potential = float(np.dot(q.density, _pl_cells(y, z) * h / 6.0))
-    for pos, mass in q.atoms:
-        potential += mass * _pl_value(q, y, pos) * _pl_value(q, z, pos)
-    return kinetic + potential
-
-
-def pencil_form(q: Potential, lam: float, y) -> float:
-    """Pencil quadratic form: energy_form(q, y, y) - lam * ||y||^2.
-
-    Accepts raw node samples (finite-difference convention, residual
-    O(grid^-2) at an eigenpair) or an EigenPair, for which the form is
-    assembled from the closed-form per-segment integrals and vanishes to
-    root-finder accuracy at the eigenvalue.
-    """
-    if isinstance(y, EigenPair):
-        return _pencil_exact(q, lam, y)
-    y = _check_grid_samples(q, y)
-    return energy_form(q, y, y) - lam * float(np.sum(_pl_cells(y, y)) * q.h / 6.0)
-
-
-def _pencil_exact(q: Potential, lam: float, pair: EigenPair) -> float:
+    if not isinstance(pair, EigenPair):
+        raise TypeError(
+            f"pencil_form takes an EigenPair, not {type(pair).__name__}")
     xs, lens, qs, masses = prop.node_mesh(q.grid_n, q.density, q.atoms)
     if not np.array_equal(pair.xs, xs):
         raise DomainError("eigenpair is not sampled on this potential's node mesh")

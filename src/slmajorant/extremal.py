@@ -247,7 +247,8 @@ def solve_extremal_gamma_gt1(
         q = (1.0 - tau) * q + tau * v
 
     # snap to the exact best response: its constraint integral is one by
-    # construction and its own residual is a contraction of the last one
+    # construction, but its own residual can exceed the last iterate's,
+    # which the converged flag reports
     q_hat = Potential(n, v)
     lam = _ground(q_hat, cfg.tol_eigen, lam)
     _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)

@@ -51,7 +51,6 @@ __all__ = [
     "Potential",
     "PrimitiveFn",
     "Bins",
-    "weight_eval",
     "constraint_value",
     "primitive",
     "seminorm",
@@ -280,13 +279,6 @@ class TableWeight(Weight):
         return f"table-inline:{pairs}"
 
 
-def weight_eval(w: Weight, x: float) -> float:
-    """Evaluate the weight at x; x must lie strictly inside (0, 1)."""
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"weight evaluation point {x!r} outside (0, 1)")
-    return float(w(x))
-
-
 def parse_weight(text: str) -> Weight:
     """Parse a weight literal: const:<v>, power:<alpha>,<beta>, table:<path>,
     or table-inline:<x,r;x,r;...> (the round-trip form of table weights).
@@ -409,16 +401,7 @@ class Potential:
     ) -> "Potential":
         return cls(grid_n, np.zeros(grid_n), tuple(atoms))
 
-    @classmethod
-    def from_callable(cls, f, grid_n: int) -> "Potential":
-        mids = (np.arange(grid_n) + 0.5) / grid_n
-        return cls(grid_n, np.asarray([f(x) for x in mids], dtype=float))
-
     # -- geometry ----------------------------------------------------------
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.grid_n
 
     def edges(self) -> np.ndarray:
         return np.arange(self.grid_n + 1) / self.grid_n
@@ -529,16 +512,6 @@ class PrimitiveFn:
             return float(self.left[j + 1])
         return float(self.left[j] + self.jumps[j] + self.slopes[j] * (x - self.xs[j]))
 
-    def value_right(self, x: float) -> float:
-        """Right-continuous evaluation Q(x+); Q(1) from x = 1 on.
-        DomainError if x is NaN."""
-        if math.isnan(x):
-            raise DomainError(f"primitive evaluation point {x!r} is NaN")
-        if x >= self.xs[-1]:
-            return float(self.left[-1])
-        j = int(_cell_index(self.xs, x))
-        return float(self.left[j] + self.jumps[j] + self.slopes[j] * (x - self.xs[j]))
-
     def integrals(self, a: float, b: float) -> tuple[float, float]:
         """Exact (integral of Q, integral of Q**2) over [a, b]."""
         if not (0.0 <= a < b <= 1.0):
@@ -555,21 +528,6 @@ class PrimitiveFn:
         ln = hi - lo
         return (_ordered_sum(0.5 * (va + vb) * ln),
                 _ordered_sum(ln * (va * va + va * vb + vb * vb) / 3.0))
-
-    def pair(self, y_xs: np.ndarray, y_vals: np.ndarray) -> float:
-        """Duality pairing -integral of Q * y' for piecewise-linear y."""
-        y_xs = np.asarray(y_xs, dtype=float)
-        y_vals = np.asarray(y_vals, dtype=float)
-        total = 0.0
-        for k in range(len(y_xs) - 1):
-            x0, x1 = float(y_xs[k]), float(y_xs[k + 1])
-            if x1 <= x0:
-                continue
-            slope = (y_vals[k + 1] - y_vals[k]) / (x1 - x0)
-            if slope == 0.0:
-                continue
-            total -= slope * self.integrals(x0, x1)[0]
-        return total
 
 
 def _ordered_sum(terms: np.ndarray) -> float:
@@ -648,11 +606,6 @@ class Bins:
             raise ParameterError("bin count must be positive")
         a = 2.0 ** (-ell)
         return cls(np.linspace(a, 1.0 - a, count + 1))
-
-    def check_max_length(self, delta: float) -> None:
-        """Validate that every bin is shorter than delta**2."""
-        if np.max(np.diff(self.boundaries)) > delta * delta:
-            raise ParameterError("a bin exceeds the maximum length delta**2")
 
 
 def bin_project(q: Potential, w: Weight, gamma: float, bins: Bins) -> Potential:

@@ -100,32 +100,6 @@ def single_atom_lambda(z: float, weight: str) -> float:
         return float(k * k)
 
 
-def pl_pairing(q: Potential, xs, ys) -> float:
-    """Pairing of q with a piecewise-linear function given by (xs, ys):
-    density integrated exactly against the interpolant, atoms evaluated
-    pointwise.  Independent of the antiderivative representation."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    total = 0.0
-    edges = q.edges()
-    cuts = np.union1d(edges, xs)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        if mid <= xs[0] or mid >= xs[-1]:
-            ya = yb = 0.0
-            if xs[0] <= a and b <= xs[-1]:
-                ya = np.interp(a, xs, ys)
-                yb = np.interp(b, xs, ys)
-        else:
-            ya = np.interp(a, xs, ys)
-            yb = np.interp(b, xs, ys)
-        total += q.density_at(mid) * 0.5 * (ya + yb) * (b - a)
-    for pos, m in q.atoms:
-        if xs[0] < pos < xs[-1]:
-            total += m * float(np.interp(pos, xs, ys))
-    return total
-
-
 def dual_seminorm_oracle(q: Potential, ell: int, n_grid: int = 2048) -> float:
     """Discretized dual program for the compactness seminorm: maximize the
     pairing of q with a piecewise-linear y on an n_grid mesh of the support

@@ -31,9 +31,7 @@ sq_integrals' four and the phase must be the same floats.
 The right-open cell lookup is kept in the form Potential.density_at had
 before every cell lookup shared measures._cell_index: floor x * n, then
 correct by one against the node values i / n, then clip to the grid.
-_cell_index and density_at must give the same cell.  PrimitiveFn's
-right-continuous value keeps its own clipped lookup here, and must give
-the same float.
+_cell_index and density_at must give the same cell.
 
 The gamma = 1 atom solves are kept in the form they had before their
 per-call costs were cut, and must give the same floats: the scalar phase
@@ -149,17 +147,6 @@ def node_mesh_ref(grid_n, density, atoms):
     idx = np.searchsorted(edges, xs[:-1], side="right") - 1
     qs = np.asarray(density, dtype=float)[idx]
     return xs, lens, qs, masses[1:]
-
-
-def value_right_ref(p: PrimitiveFn, x: float) -> float:
-    """PrimitiveFn.value_right with its own right-open lookup: the last
-    breakpoint at or left of x, clipped to the breakpoints, Q(1) at the
-    last one."""
-    j = int(np.searchsorted(p.xs, x, side="right")) - 1
-    j = min(max(j, 0), len(p.xs) - 1)
-    if j == len(p.xs) - 1:
-        return float(p.left[-1])
-    return float(p.left[j] + p.jumps[j] + p.slopes[j] * (x - p.xs[j]))
 
 
 def cell_index_ref(grid_n: int, x: float) -> int:

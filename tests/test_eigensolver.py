@@ -14,10 +14,8 @@ from slmajorant import (
     convex_combination,
     eigenfunction,
     eigenvalue,
-    energy_form,
     gap_lower_bound,
     pencil_form,
-    prufer_phase,
     seminorm,
     upper_bound,
 )
@@ -26,27 +24,30 @@ from conftest import PI2, centered_atom_lambda, non_dyadic_potential, random_pot
 from reference import sq_integrals_ref
 
 
+def _theta(q: Potential, lam: float) -> float:
+    """Pruefer angle theta(1; lam) of q, swept on its fused mesh."""
+    return prop.phase(*q.fused_mesh[1:], lam)
+
+
 class TestPruferPhase:
     def test_free_particle_first(self):
-        assert prufer_phase(Potential.zero(), PI2) == pytest.approx(
-            math.pi, abs=1e-12
-        )
+        assert _theta(Potential.zero(), PI2) == pytest.approx(math.pi, abs=1e-12)
 
     def test_free_particle_second(self):
-        assert prufer_phase(Potential.zero(), 4 * PI2) == pytest.approx(
+        assert _theta(Potential.zero(), 4 * PI2) == pytest.approx(
             2 * math.pi, abs=1e-12
         )
 
     def test_atom_brackets_transcendental_root(self):
         q = Potential.from_atoms([(0.5, 1.0)])
-        assert prufer_phase(q, 11.0) < math.pi
-        assert prufer_phase(q, 12.5) > math.pi
+        assert _theta(q, 11.0) < math.pi
+        assert _theta(q, 12.5) > math.pi
 
     def test_monotone_in_lambda(self, rng):
         for _ in range(10):
             q = random_potential(rng, grid_n=32, max_atoms=2)
             lams = np.linspace(1.0, 400.0, 40)
-            phases = [prufer_phase(q, lam) for lam in lams]
+            phases = [_theta(q, lam) for lam in lams]
             assert all(b > a for a, b in zip(phases, phases[1:]))
 
 
@@ -187,8 +188,7 @@ class TestEigenfunction:
     def test_a_lambda_that_is_not_finite_is_refused(self, lam):
         # NaN once gave an all-NaN pair, and +-inf a bare math domain error
         q = Potential(16, np.zeros(16), ((0.3, 2.0),))
-        for call in (eigenfunction, lambda q, lam, n: ShootingSolution(q, lam),
-                     lambda q, lam, n: prufer_phase(q, lam)):
+        for call in (eigenfunction, lambda q, lam, n: ShootingSolution(q, lam)):
             with pytest.raises(DomainError, match="is not finite"):
                 call(q, lam, 0)
 
@@ -210,7 +210,7 @@ class TestEigenfunction:
         dens[58:60] = 1e5
         q = Potential(64, dens)
         lam0, lam1 = eigenvalue(q, 0), eigenvalue(q, 1)
-        assert abs(prufer_phase(q, lam0) - math.pi) > 1e-2
+        assert abs(_theta(q, lam0) - math.pi) > 1e-2
         pair = eigenfunction(q, lam0, 0)
         assert np.all(pair.ys >= -1e-4 * np.max(pair.ys))
         assert pencil_form(q, lam0, pair) == pytest.approx(0.0, abs=1e-6 * lam0)
@@ -219,45 +219,6 @@ class TestEigenfunction:
 
 
 class TestEnergyAndPencil:
-    def test_rayleigh_identity_free(self):
-        q = Potential.zero(2048)
-        xs = q.edges()
-        y = math.sqrt(2.0) * np.sin(math.pi * xs)
-        assert energy_form(q, y, y) == pytest.approx(PI2, rel=1e-6)
-
-    def test_atom_pairing(self):
-        q = Potential.from_atoms([(0.5, 2.0)], 64)
-        xs = q.edges()
-        y = np.sin(math.pi * xs)
-        kinetic = float(np.sum(np.diff(y) ** 2) * 64)
-        assert energy_form(q, y, y) == pytest.approx(
-            kinetic + 2.0 * np.interp(0.5, xs, y) ** 2, rel=1e-12
-        )
-
-    def test_symmetry(self, rng):
-        q = random_potential(rng, grid_n=32, max_atoms=2)
-        xs = q.edges()
-        y = np.concatenate(([0.0], rng.uniform(-1, 1, 31), [0.0]))
-        z = np.concatenate(([0.0], rng.uniform(-1, 1, 31), [0.0]))
-        assert energy_form(q, y, z) == pytest.approx(energy_form(q, z, y), rel=1e-14)
-
-    def test_boundary_samples_rejected(self):
-        q = Potential.zero(8)
-        y = np.ones(9)
-        with pytest.raises(DomainError):
-            energy_form(q, y, y)
-
-    def test_pencil_fd_mode_vanishes_at_eigenpair(self):
-        q = Potential.constant(3.0, 4096)
-        lam = eigenvalue(q, 0, 1e-12)
-        y = math.sqrt(2.0) * np.sin(math.pi * q.edges())
-        assert abs(pencil_form(q, lam, y)) <= 1e-6 * lam
-
-    def test_pencil_positive_at_lambda_zero(self, rng):
-        q = Potential.zero(32)
-        y = np.concatenate(([0.0], rng.uniform(0.1, 1, 31), [0.0]))
-        assert pencil_form(q, 0.0, y) > 0.0
-
     @pytest.mark.parametrize("grid_n", [48, 100])
     def test_pencil_exact_mode_residual(self, rng, grid_n):
         for _ in range(5):
@@ -297,11 +258,10 @@ class TestEnergyAndPencil:
         with pytest.raises(DomainError):
             pencil_form(Potential.constant(1.0, 48), pair.lam, pair)
 
-    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1)])
-    def test_pencil_form_rejects_samples_off_the_grid_nodes(self, shape):
-        # 8 cells have 9 nodes
-        with pytest.raises(DomainError, match="grid nodes"):
-            pencil_form(Potential.zero(8), PI2, np.zeros(shape))
+    def test_pencil_form_takes_an_eigenpair_only(self):
+        # node samples, even on the 9 nodes of 8 cells, are not a pair
+        with pytest.raises(TypeError, match="EigenPair"):
+            pencil_form(Potential.zero(8), PI2, np.zeros(9))
 
 
 class TestMeshes:

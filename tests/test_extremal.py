@@ -133,12 +133,15 @@ class TestSolveGammaGt1:
         assert repr(lams[stop]) in record.getMessage()
 
     def test_snapped_residual_above_tol_res_is_not_converged(self):
-        # at gamma = 1.05 the loop stops with its residual below tol_res,
-        # but the snapped answer's residual lands above it
-        rep = solve_extremal_gamma_gt1(PowerWeight(1, 1), 1.05, CFG)
-        assert len(rep.trace) < CFG.max_iter
-        assert rep.trace[-2][2] < CFG.tol_res <= rep.residual
-        assert not rep.converged
+        # at gamma = 1.05, and on a small ball at gamma = 3, the loop stops
+        # with its residual below tol_res, but the snapped answer's
+        # residual lands above it
+        for w, gamma, cfg in ((PowerWeight(1, 1), 1.05, CFG),
+                              (ConstantWeight(1e-6), 3.0, SolverConfig(grid_n=64))):
+            rep = solve_extremal_gamma_gt1(w, gamma, cfg)
+            assert len(rep.trace) < cfg.max_iter
+            assert rep.trace[-2][2] < cfg.tol_res <= rep.residual
+            assert not rep.converged
 
     def test_gamma_to_one_consistency(self):
         # M(gamma) at 1.05, 1.01 climbs toward the gamma = 1 supremum, the

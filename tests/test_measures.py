@@ -24,38 +24,31 @@ from slmajorant import (
     potential_to_dict,
     primitive,
     seminorm,
-    weight_eval,
 )
 from slmajorant.measures import _cell_index
 from conftest import (
     dual_seminorm_oracle,
     non_dyadic_potential,
-    pl_pairing,
     random_potential,
 )
-from reference import cell_index_ref, integrals_loop, primitive_ref, value_right_ref
+from reference import cell_index_ref, integrals_loop, primitive_ref
 
 
 class TestWeightEval:
     def test_constant(self):
-        assert weight_eval(ConstantWeight(1.0), 0.3) == 1.0
+        assert ConstantWeight(1.0)(0.3) == 1.0
 
     def test_power(self):
-        assert weight_eval(PowerWeight(1, 1), 0.5) == 0.25
+        assert PowerWeight(1, 1)(0.5) == 0.25
 
     def test_table_interpolation(self):
         w = TableWeight((0.25, 0.75), (2.0, 4.0))
-        assert weight_eval(w, 0.5) == pytest.approx(3.0, abs=1e-15)
+        assert w(0.5) == pytest.approx(3.0, abs=1e-15)
 
     def test_table_flat_extension(self):
         w = TableWeight((0.25, 0.75), (2.0, 4.0))
-        assert weight_eval(w, 0.01) == 2.0
-        assert weight_eval(w, 0.99) == 4.0
-
-    @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 2.0])
-    def test_domain_error(self, x):
-        with pytest.raises(DomainError):
-            weight_eval(ConstantWeight(1.0), x)
+        assert w(0.01) == 2.0
+        assert w(0.99) == 4.0
 
     def test_invalid_weights(self):
         with pytest.raises(ParameterError):
@@ -304,33 +297,16 @@ class TestPrimitive:
         p = primitive(Potential.from_atoms([(0.5, 2.0)], 8))
         assert p(0.25) == 0.0
         assert p(0.5) == 0.0          # left-continuous at the jump
-        assert p.value_right(0.5) == 2.0
+        assert p.right[np.searchsorted(p.xs, 0.5)] == 2.0   # Q(0.5+)
         assert p(0.75) == 2.0
         assert p(1.0) == 2.0
 
-    def test_value_right_is_the_reference_lookup(self, rng):
-        """value_right == its old clipped lookup at every breakpoint, the
-        float on each side of it, both ends and past them, on potentials
-        with atoms inside cells, on nodes and none."""
-        cases = [random_potential(rng, grid_n=32, max_atoms=3),
-                 Potential(7, rng.uniform(0.0, 5.0, 7), ((0.2, 1.0), (3 / 7, 2.0))),
-                 Potential.from_atoms(((0.5, 2.0),), 8), non_dyadic_potential()]
-        for q in cases:
-            p = primitive(q)
-            xs = p.xs.tolist()
-            points = [-1.0, -0.0, 1.5]
-            for x in xs:
-                points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
-            for x in points:
-                assert p.value_right(x) == value_right_ref(p, x), x
-
     def test_nan_is_refused_on_both_sides(self):
         # __call__ once raised IndexError (searchsorted puts NaN past the
-        # end), and value_right returned NaN
+        # end)
         p = primitive(Potential(8, np.ones(8), ((0.5, 2.0),)))
-        for evaluate in (p, p.value_right):
-            with pytest.raises(DomainError, match="is NaN"):
-                evaluate(math.nan)
+        with pytest.raises(DomainError, match="is NaN"):
+            p(math.nan)
 
     def test_nondecreasing(self, rng):
         q = random_potential(rng, grid_n=32, max_atoms=2)
@@ -338,26 +314,6 @@ class TestPrimitive:
         xs = np.linspace(0.001, 0.999, 500)
         vals = [p(x) for x in xs]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_pairing_consistency(self, rng):
-        # -integral(Q y') agrees with the direct density/atom pairing
-        for _ in range(25):
-            q = random_potential(rng, grid_n=48, max_atoms=2)
-            nodes = np.linspace(0.1, 0.9, 17)
-            vals = np.concatenate(([0.0], rng.uniform(-1, 1, 15), [0.0]))
-            via_primitive = primitive(q).pair(nodes, vals)
-            direct = pl_pairing(q, nodes, vals)
-            assert via_primitive == pytest.approx(direct, abs=1e-10)
-
-    def test_pair_skips_zero_length_and_flat_pieces(self, rng):
-        # a repeated node and a flat piece add nothing to -integral(Q y')
-        q = random_potential(rng, grid_n=48, max_atoms=2)
-        p = primitive(q)
-        nodes, vals = [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 1.0, -0.5, 0.0]
-        want = p.pair(nodes, vals)
-        assert want == pytest.approx(pl_pairing(q, nodes, vals), abs=1e-10)
-        assert p.pair([0.0, 0.25, 0.25, 0.5, 0.75, 1.0],
-                      [0.0, 1.0, 1.0, 1.0, -0.5, 0.0]) == want
 
 
     def test_integrals_match_the_piece_loop_bit_for_bit(self):
@@ -446,7 +402,8 @@ class TestBinProject:
 
     def test_linear_density_two_bins(self):
         # q(x) = 2x against two half-interval bins, gamma = 2, r constant
-        q = Potential.from_callable(lambda x: 2.0 * x, 4096)
+        mids = (np.arange(4096) + 0.5) / 4096
+        q = Potential(4096, 2 * mids)
         qt = bin_project(q, ConstantWeight(1.0), 2.0, Bins(np.array([0.0, 0.5, 1.0])))
         assert qt.density[0] == pytest.approx(0.5, rel=1e-12)
         assert qt.density[-1] == pytest.approx(1.5, rel=1e-12)
@@ -505,10 +462,6 @@ class TestBinProject:
             Bins(np.array([0.5, 0.5]))
         with pytest.raises(ParameterError):
             Bins.uniform(1, 4)
-        bins = Bins.uniform(2, 4)
-        with pytest.raises(ParameterError):
-            bins.check_max_length(0.1)  # bins of length 1/8 exceed 0.01
-        bins.check_max_length(0.5)
 
     def test_bins_copy_the_callers_array(self):
         bs = np.linspace(0.25, 0.75, 5)
