@@ -14,18 +14,19 @@ a bracket grows around the guess by a factor of 4 per step, and a secant
 through two of its ends predicts the step that first brackets the root.
 That relies on the computed phase being monotone across bracket ends at
 least 3e-6 |guess| apart; Brent's method then gets the bracket a
-step-by-step search would give it.
+step-by-step search would give it.  The bracket needs no upper bound:
+theta(1; lam) grows without bound in lam, and the lower end stops at the
+free-particle eigenvalue, which every eigenvalue lies above.
 
 On the short atom meshes of the gamma = 1 solvers a sweep costs a few
 microseconds, so a solve's own work is kept to what its sweeps need.  A
 solve sweeps a potential's fused mesh as build_segments gives it (tuples
 of floats below the scan's length), and the phase values live in one
-dict, the potential's phase_memo.  The warm solve takes a mesh and a
-phase dict and calls for the potential at most once, for the upper
-bound or the cold fallback, so the warm gamma = 1 atom solves, which
-build the mesh from their atoms (_propagate.run_mesh), build a Potential
-only then.  ShootingSolution propagates the same mesh as is, and makes
-arrays only of the breakpoints and densities it indexes.
+dict, the potential's phase_memo.  The warm solve takes only a mesh and
+a phase dict, so the warm gamma = 1 atom solves, which build the mesh
+from their atoms (_propagate.run_mesh), build no Potential.
+ShootingSolution propagates the same mesh as is, and makes arrays only
+of the breakpoints and densities it indexes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ PI2 = math.pi**2
 EPS = math.ulp(1.0)
 MAX_INDEX = 32  # higher indices are out of contract
 EIGEN_WINDOW = 1e-9  # eigenfunction's relative window for a steep phase
-WARM_STEPS = 80     # bracket steps of a warm solve before it solves cold
 
 
 class InternalSolverError(RuntimeError):
@@ -205,8 +205,11 @@ def _check_lam(lam) -> float:
 
 
 def _check_index(n: int) -> None:
-    if n < 0 or n > MAX_INDEX:
-        raise ParameterError(f"eigenvalue index must lie in [0, {MAX_INDEX}]")
+    """ParameterError unless n is an int (a bool is not) in [0, MAX_INDEX]."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 0 <= n <= MAX_INDEX):
+        raise ParameterError(
+            f"eigenvalue index must lie in [0, {MAX_INDEX}] and be an int, not {n!r}")
 
 
 def _gap_fn(mesh: tuple, memo: dict, n: int):
@@ -303,59 +306,53 @@ def _root(g, lo: float, hi: float, tol: float) -> float:
     return _brent(g, lo, hi, xtol=1e-15, rtol=max(tol, 4.0 * EPS))
 
 
+def _brackets(g, n: int, lo: float, hi: float, last: bool) -> bool:
+    """Whether g(lo) <= 0 <= g(hi), with hi swept only once lo passes.
+    InternalSolverError if not and no other bracket can pass: this one is
+    the last (the cold solve's), or lo fails at the free-particle bound."""
+    g_lo = g(lo)
+    if g_lo <= 0.0 <= g(hi):
+        return True
+    if last or (not (g_lo <= 0.0) and lo == _lower_end(n)):   # NaN fails too
+        target = (n + 1) * PI
+        raise InternalSolverError(
+            f"phase bracket violated: theta({lo})={g_lo + target}, "
+            f"theta({hi})={g(hi) + target}, target={target}")
+    return False
+
+
 def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
     """n-th Dirichlet eigenvalue: Brent's method on the phase gap.
 
     The bracket is [pi^2 (n+1)^2 (1 - 1e-12), upper_bound(q, n)]; the lower
     end is the free-particle eigenvalue (a lower bound since q >= 0), the
     upper end the computable spectral bound, so bracketing never fails.
+    n must be an int in [0, MAX_INDEX] and 0 < tol < inf (ParameterError).
     """
-    return _eigenvalue_cold(q, n, tol)
-
-
-def _eigenvalue_cold(q: Potential, n: int, tol: float,
-                     hi: float | None = None) -> float:
-    """eigenvalue(q, n, tol), with hi = upper_bound(q, n) when the caller
-    has computed it already (the warm solve's fallback)."""
     _check_index(n)
-    if not (tol > 0.0):
-        raise ParameterError("tolerance must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ParameterError("tolerance must be positive and finite")
     g = _gap_fn(q.fused_mesh, q.phase_memo, n)
-    lo = _lower_end(n)
-    if hi is None:
-        hi = upper_bound(q, n)
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if not (g_lo <= 0.0 <= g_hi):
-        target = (n + 1) * PI
-        raise InternalSolverError(
-            f"phase bracket violated: theta({lo})={g_lo + target}, "
-            f"theta({hi})={g_hi + target}, target={target}"
-        )
+    lo, hi = _lower_end(n), upper_bound(q, n)
+    _brackets(g, n, lo, hi, last=True)
     return _root(g, lo, hi, tol)
 
 
-def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
-                     potential) -> float:
+def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
+                     guess: float) -> float:
     """Eigenvalue solve with a bracket grown around a previous value.
 
     The solve sweeps mesh, a potential's fused mesh in the form phase
     sweeps, and reads and fills memo, a dict of its phases (see _gap_fn).
-    potential() returns that potential, whose fused_mesh must equal mesh;
-    it is called at most once, for the upper bound or the cold fallback,
-    so a caller that has the mesh without a Potential (the gamma = 1 atom
-    solves) builds one only then.  The fallback merges memo into the
-    potential's phase_memo, so it sweeps no lam the search swept, and
-    takes the upper bound the search computed, if any, so it computes
-    that bound only when the search did not.
 
     Step k brackets [max(guess - w_k, lower end), guess + w_k], with
-    w_k = max(1e-6 |guess|, 1e-9) * 4**k and the upper end clipped by
-    upper_bound.  Brent's method gets the first of the WARM_STEPS steps
-    whose ends both pass (g <= 0 below, g >= 0 above); when none does, or
-    the guess is not finite, the solve falls back to the cold one and logs
-    a warning.  The upper bound is at least 4 pi^2 (n+1)^2, so it is
-    computed only once guess + w_k goes past that.
+    w_k = max(1e-6 |guess|, 1e-9) * 4**k, and Brent's method gets the
+    first step whose ends both pass (g <= 0 below, g >= 0 above).  Some
+    step passes: theta(1; lam) grows without bound in lam, and the lower
+    end reaches the free-particle bound, which passes, within about
+    log4(1e6) = 10 steps.  A lower end that fails there raises the cold
+    solve's InternalSolverError (_brackets), and a guess that is not
+    finite raises ParameterError before any sweep.
 
     The first passing step is found without sweeping every step.  Step 0's
     ends show which end binds: the upper one when the lower one passes,
@@ -366,37 +363,27 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
     fail shows that no earlier step passes.  A prediction that falls short
     walks up one step at a time, which sweeps no more than the
     step-by-step search; one that overshoots bisects between the steps
-    known to fail and to pass, which can sweep up to 7 more (its own
-    check and ceil(log2(78)) steps, where the step-by-step search sweeps
-    at least one).  This assumes that the computed phase is monotone
-    across bracket ends at least 3 w_0 apart (no two distinct ends on
-    one side are closer); then the step found is the step-by-step
-    search's.  Both ends of that step are swept before Brent's method,
-    which needs them anyway; if one of them contradicts the assumption,
-    the search steps on from there.
+    known to fail and to pass, which costs its own check and
+    ceil(log2(K)) sweeps, where the step-by-step search sweeps at least
+    one.  This assumes that the computed phase is monotone across
+    bracket ends at least 3 w_0 apart (no two distinct ends on one side
+    are closer); then the step found is the step-by-step search's.  Both
+    ends of that step are swept before Brent's method, which needs them
+    anyway; if one of them contradicts the assumption, the search steps
+    on from there.
     A numpy scalar guess is taken as a float, so that the sweeps run in
     Python float arithmetic.
     """
     guess = float(guess)
     if not math.isfinite(guess):
-        return _cold_fallback(potential(), None, memo, n, tol,
-                              f"the guess {guess} is not finite")
+        raise ParameterError(f"warm-start guess {guess!r} is not finite")
     g = _gap_fn(mesh, memo, n)
     lo_glob = _lower_end(n)
-    base = _upper_base(n)
-    q = hi_glob = None
     w0 = max(1e-6 * abs(guess), 1e-9)
 
     def ends(k: int) -> tuple[float, float]:
-        nonlocal q, hi_glob
         w = w0 * 4.0**k     # exact: the same float as k products by 4
-        hi = guess + w
-        if hi > base:
-            if hi_glob is None:
-                q = potential()
-                hi_glob = upper_bound(q, n)
-            hi = min(hi, hi_glob)
-        return max(guess - w, lo_glob), hi
+        return max(guess - w, lo_glob), guess + w
 
     lo, hi = ends(0)
     upper = g(lo) <= 0.0   # the lower end passes, so the upper end binds
@@ -405,58 +392,37 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float, guess: float,
 
     def passes(k: int) -> bool:
         lo, hi = ends(k)
-        return g(hi) >= 0.0 if upper else g(lo) <= 0.0
+        # at lo_glob the search ends, and the step's check raises if it fails
+        return g(hi) >= 0.0 if upper else g(lo) <= 0.0 or lo == lo_glob
 
     # the second end swept: step 0's upper end, which failed, or step 1's
     # lower end
     ok = 0 if upper else 1
     if upper or not passes(ok):
-        # the binding end fails at step `fail` and passes at step `ok`.  A
-        # secant through step 0's lower end and the second end predicts
-        # where g crosses 0, and so the first step that passes; the search
-        # starts a step below it, so that the walk up sweeps it next
+        # the binding end fails at step `fail` and passes at step `ok`,
+        # None until a step is known to pass.  A secant through step 0's
+        # lower end and the second end predicts where g crosses 0, and so
+        # the first step that passes; the search starts a step below it,
+        # so that the walk up sweeps it next
         x1 = hi if upper else ends(1)[0]
-        fail, ok = ok, WARM_STEPS
+        fail, ok = ok, None
         k = fail + 1
         dx, g_x1 = x1 - lo, g(x1)
         slope = (g_x1 - g(lo)) / dx if dx else 0.0
         if slope > 0.0:
             reach = abs(max(x1 - g_x1 / slope, lo_glob) - guess) / w0
             if 1.0 < reach < math.inf:
-                k = max(k, min(WARM_STEPS - 1, math.ceil(math.log(reach, 4.0))) - 1)
-        while ok - fail > 1:
+                k = max(k, math.ceil(math.log(reach, 4.0)) - 1)
+        while ok is None or ok - fail > 1:
             if passes(k):
                 ok = k
             else:
                 fail = k
             # walk up while no step is known to pass, else bisect
-            k = fail + 1 if ok == WARM_STEPS else (fail + ok) // 2
-    for k in range(ok, WARM_STEPS):
-        lo, hi = ends(k)
-        if g(lo) <= 0.0 <= g(hi):
-            return _root(g, lo, hi, tol)
-    return _cold_fallback(
-        potential() if q is None else q, hi_glob, memo, n, tol,
-        f"no bracket around the guess {guess!r} in {WARM_STEPS} steps")
-
-
-def _cold_fallback(q: Potential, hi: float | None, memo: dict, n: int, tol: float,
-                   why: str) -> float:
-    """eigenvalue(q, n, tol) after memo, swept on q's mesh, joins
-    q.phase_memo; hi is upper_bound(q, n) when the search computed it."""
-    _warn("warm eigenvalue solve of index %d falls back to the cold solve: %s",
-          n, why)
-    q.phase_memo.update(memo)
-    return _eigenvalue_cold(q, n, tol, hi)
-
-
-def _warn(msg: str, *args) -> None:
-    """Log a WARNING on the slmajorant logger."""
-    # logging is imported on these rare paths only: importing the package
-    # would otherwise load it, about 0.45 MB and 10 ms
-    import logging
-
-    logging.getLogger("slmajorant").warning(msg, *args)
+            k = fail + 1 if ok is None else (fail + ok) // 2
+    while not _brackets(g, n, *ends(ok), last=False):
+        ok += 1
+    return _root(g, *ends(ok), tol)
 
 
 def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:
@@ -534,15 +500,9 @@ def pencil_form(q: Potential, lam: float, pair: EigenPair) -> float:
 # computable spectral bounds
 
 
-def _upper_base(n: int) -> float:
-    """4 pi^2 (n+1)^2: upper_bound with ||q||_2 = 0, and never above it,
-    since rounding is monotone and the other factor is at least 1."""
-    return 4.0 * PI2 * (n + 1) ** 2
-
-
 def upper_bound(q: Potential, n: int) -> float:
     """Computable upper bound 4 pi^2 (n+1)^2 (1 + 2 ||q||_2) for lambda_n."""
-    return _upper_base(n) * (1.0 + 2.0 * seminorm(q, 2))
+    return 4.0 * PI2 * (n + 1) ** 2 * (1.0 + 2.0 * seminorm(q, 2))
 
 
 def gap_lower_bound(q: Potential, n: int) -> tuple[float, int]:

@@ -30,8 +30,8 @@ Each outer step is written once: ``_ground`` (a cold or a warm ground
 solve of a potential), ``_saturating_atoms`` and ``_atom_potential``
 (atoms of saturating mass, and their potential), ``_atom_ground`` (the
 ground solve of such atoms: a warm one sweeps the one-run mesh that
-``_propagate.run_mesh`` builds from the atoms, and builds their potential
-only for the upper bound or a cold fallback), ``_atom_lam`` and
+``_propagate.run_mesh`` builds from the atoms, and builds no potential),
+``_atom_lam`` and
 ``_atom_scan`` (one saturating atom's ground solve, and a warm scan of
 those), ``_golden_max`` (the golden-section line search),
 ``_best_response`` (the gamma > 1 best response and its distance from
@@ -54,7 +54,6 @@ from .eigensolver import (
     ShootingSolution,
     _brent,
     _eigenvalue_warm,
-    _warn,
     eigenfunction,
     eigenvalue,
     pencil_form,
@@ -163,11 +162,20 @@ def _best_response(w, gamma, sol, mids, cell_r, q) -> tuple[np.ndarray, float]:
     return v, num / den
 
 
+def _warn(msg: str, *args) -> None:
+    """Log a WARNING on the slmajorant logger."""
+    # logging is imported on this rare path only: importing the package
+    # would otherwise load it, about 0.45 MB and 10 ms
+    import logging
+
+    logging.getLogger("slmajorant").warning(msg, *args)
+
+
 def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
     """Ground eigenvalue of pot: a cold solve, or a warm one from guess."""
     if guess is None:
         return eigenvalue(pot, 0, tol)
-    return _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess, lambda: pot)
+    return _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess)
 
 
 def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport:
@@ -306,13 +314,10 @@ def _atom_ground(atoms, tol: float, guess: float | None = None) -> float:
     that potential, or a warm one from guess on its fused mesh, built from
     the atoms alone.  The warm solve checks and merges the atoms as the
     potential would (_merge_atoms), sweeps run_mesh's one run of density 0
-    with a phase memo of its own, and builds the potential only for the
-    upper bound or a cold fallback, once."""
+    with a phase memo of its own, and builds no potential."""
     if guess is None:
         return eigenvalue(Potential.from_atoms(atoms), 0, tol)
-    atoms = _merge_atoms(atoms)
-    return _eigenvalue_warm(run_mesh(0.0, atoms), {}, 0, tol, guess,
-                            lambda: Potential.from_atoms(atoms))
+    return _eigenvalue_warm(run_mesh(0.0, _merge_atoms(atoms)), {}, 0, tol, guess)
 
 
 def _atom_lam(w: Weight, z: float, tol: float, guess: float | None = None) -> float:

@@ -266,16 +266,21 @@ def eigenvalue_ref(q, n: int = 0, tol: float = 1e-10) -> float:
 
 
 def eigenvalue_warm_ref(q, n: int, tol: float, guess: float) -> float:
-    """Warm solve: both ends swept at every step of the growing bracket."""
-    theta, target, lo_glob, hi_glob = _bracket(q, n)
+    """Warm solve: both ends swept at every step of the growing bracket,
+    whose lower end stops at the free-particle bound and whose upper end
+    grows without bound.  A lower end that fails at that bound violates
+    the bracket."""
+    theta, target = _phase_fn(q), (n + 1) * PI
+    lo_glob = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
     w = max(1e-6 * abs(guess), 1e-9)
-    for _ in range(80):
-        lo = max(guess - w, lo_glob)
-        hi = min(guess + w, hi_glob)
-        if theta(lo) - target <= 0.0 <= theta(hi) - target:
+    while True:
+        lo, hi = max(guess - w, lo_glob), guess + w
+        g_lo = theta(lo) - target
+        if g_lo <= 0.0 <= theta(hi) - target:
             return _root(theta, target, lo, hi, tol)
+        if g_lo > 0.0 and lo == lo_glob:
+            raise InternalSolverError("phase bracket violated")
         w *= 4.0
-    return eigenvalue_ref(q, n, tol)
 
 
 def eigenvalue_warm_one_sided_ref(q, n: int, tol: float,
@@ -283,9 +288,10 @@ def eigenvalue_warm_one_sided_ref(q, n: int, tol: float,
     """Warm solve by the one-sided step-by-step rule, which swept one
     bracket end per step: the lower end until it passes, then only the
     upper end, and the lower end again at the step where the upper end
-    passes.  Every lam is swept once; returns lambda and the sweep count,
-    the cold fallback's sweeps included."""
-    theta, target, lo_glob, hi_glob = _bracket(q, n)
+    passes.  The bracket is eigenvalue_warm_ref's.  Every lam is swept
+    once; returns lambda and the sweep count."""
+    theta, target = _phase_fn(q), (n + 1) * PI
+    lo_glob = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
     seen: dict[float, float] = {}
     sweeps = 0
 
@@ -297,27 +303,21 @@ def eigenvalue_warm_one_sided_ref(q, n: int, tol: float,
             v = seen[lam] = theta(lam) - target
         return v
 
-    def root(lo: float, hi: float) -> tuple[float, int]:
-        rtol = max(tol, 4.0 * np.finfo(float).eps)
-        return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15)), sweeps
-
     guess = float(guess)
     w = max(1e-6 * abs(guess), 1e-9)
     lo_ok = False
-    for _ in range(80):
-        lo = max(guess - w, lo_glob)
-        hi = min(guess + w, hi_glob)
+    while True:
+        lo, hi = max(guess - w, lo_glob), guess + w
         if not lo_ok:
             lo_ok = g(lo) <= 0.0
+            if not lo_ok and lo == lo_glob:
+                raise InternalSolverError("phase bracket violated")
         if lo_ok and g(hi) >= 0.0:
             if g(lo) <= 0.0:
-                return root(lo, hi)
+                rtol = max(tol, 4.0 * np.finfo(float).eps)
+                return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15)), sweeps
             lo_ok = False
         w *= 4.0
-    seen.clear()   # the cold solve swept with a memo of its own
-    if not (g(lo_glob) <= 0.0 <= g(hi_glob)):
-        raise InternalSolverError("phase bracket violated")
-    return root(lo_glob, hi_glob)
 
 
 def dumps_deterministic_ref(obj, indent: int = 0) -> str:

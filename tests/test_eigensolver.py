@@ -99,12 +99,16 @@ class TestEigenvalue:
             assert lhs >= rhs - 1e-9
 
     def test_index_validation(self):
-        with pytest.raises(ParameterError):
-            eigenvalue(Potential.zero(), -1)
-        with pytest.raises(ParameterError):
-            eigenvalue(Potential.zero(), 33)
-        with pytest.raises(ParameterError):
-            eigenvalue(Potential.zero(), 0, tol=-1.0)
+        # 0.5 once gave the lam where theta = 1.5 pi, True lambda_1, and
+        # tol = inf the bracket's lower end
+        q = Potential(16, np.ones(16))
+        for n in (-1, 33, 0.5, True, np.float64(1.0)):
+            with pytest.raises(ParameterError, match="index"):
+                eigenvalue(q, n)
+        for tol in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="tolerance"):
+                eigenvalue(q, 0, tol=tol)
+        assert eigenvalue(q, np.int64(1)) == eigenvalue(q, 1)
 
     def test_continuity_of_inverse(self):
         # a perturbation small in the level-ell seminorm moves 1/lambda_n
@@ -178,11 +182,12 @@ class TestEigenfunction:
         with pytest.raises(InternalSolverError):
             eigenfunction(q, lam0, 1)
 
-    @pytest.mark.parametrize("n", [-1, 33])
+    @pytest.mark.parametrize("n", [-1, 33, 0.5, True])
     def test_index_outside_the_contract_is_refused(self, n):
-        q = Potential.zero()
+        q = Potential(16, np.ones(16))
+        lam = eigenvalue(q, 0) if n != 0.5 else 23.2066   # theta = 1.5 pi
         with pytest.raises(ParameterError, match=r"index must lie in \[0, 32\]"):
-            eigenfunction(q, eigenvalue(q, 0), n)
+            eigenfunction(q, lam, n)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_a_lambda_that_is_not_finite_is_refused(self, lam):

@@ -12,10 +12,10 @@ import slmajorant.eigensolver as es
 import slmajorant.extremal as ex
 import slmajorant.measures as ms
 import slmajorant.oracle as orc
-from slmajorant import (ConstantWeight, Potential, PowerWeight, SolverConfig,
-                        atom_grid_search, eigenfunction, parse_weight,
-                        solve_extremal_gamma_eq1, solve_extremal_gamma_gt1,
-                        upper_bound)
+from slmajorant import (ConstantWeight, ParameterError, Potential, PowerWeight,
+                        SolverConfig, atom_grid_search, eigenfunction,
+                        parse_weight, solve_extremal_gamma_eq1,
+                        solve_extremal_gamma_gt1)
 from slmajorant import _propagate as prop
 from conftest import PI2, random_potential
 from reference import (eigenvalue_ref, eigenvalue_warm_one_sided_ref,
@@ -43,13 +43,14 @@ def _potential(case):
 def _warm(q, n: int, tol: float, guess: float) -> float:
     """A warm solve on q's fused mesh and phase memo, as extremal._ground
     makes it."""
-    return es._eigenvalue_warm(q.fused_mesh, q.phase_memo, n, tol, guess, lambda: q)
+    return es._eigenvalue_warm(q.fused_mesh, q.phase_memo, n, tol, guess)
 
 
 def _guesses(lam: float, n: int) -> list[float]:
     """Guesses 1e-9 to 50 % off lam on both sides, guesses at and below
     the lower end of the global bracket (where the lower end clips), and
-    guesses at and past 4 pi^2 (n+1)^2 (where the upper bound is needed)."""
+    guesses at and past 4 pi^2 (n+1)^2, the spectral upper bound of
+    q = 0, far above lam for the smaller potentials."""
     low = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
     base = 4.0 * PI2 * (n + 1) ** 2
     out = [lam * (1.0 + s * f) for f in OFFSETS for s in (-1.0, 1.0)]
@@ -82,26 +83,39 @@ def test_no_solve_sweeps_a_lam_twice(case, n, sweep_counter):
         assert len(sweep_counter) == len(set(sweep_counter)), guess
 
 
-def test_warm_solve_below_the_bound_base_skips_the_seminorm(monkeypatch):
-    calls = []
-    seminorm = es.seminorm
+def test_warm_solve_computes_no_seminorm_and_builds_no_potential(monkeypatch):
+    # the warm bracket has no upper clip, so no guess needs upper_bound:
+    # not one at or past 4 pi^2 (n+1)^2, nor one far above the root that
+    # once fell back to the cold solve
+    calls, built = [], []
+    seminorm, post_init = es.seminorm, Potential.__post_init__
 
     def counted(q, ell):
         calls.append(ell)
         return seminorm(q, ell)
 
-    monkeypatch.setattr(es, "seminorm", counted)
-    q = _potential(CASES[2])
-    lam = eigenvalue_ref(q, 0)
-    base = 4.0 * PI2
-    for f in (1e-9, 1e-6, 1e-3, 0.05):
-        for guess in (lam * (1.0 - f), lam * (1.0 + f)):
-            assert _warm(q, 0, 1e-10, guess) == eigenvalue_warm_ref(
-                q, 0, 1e-10, guess)
-    assert 3.0 * lam < base and calls == []
-    # a bracket that reaches past the base needs the bound, once per solve
-    _warm(q, 0, 1e-10, base)
-    assert calls == [2]
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    for case in CASES:
+        q = _potential(case)
+        for n in (0, 3):
+            lam = eigenvalue_ref(q, n)
+            with monkeypatch.context() as mp:
+                mp.setattr(es, "seminorm", counted)
+                mp.setattr(Potential, "__post_init__", counted_post_init)
+                for guess in _guesses(lam, n):
+                    _warm(q, n, 1e-10, guess)
+            assert calls == [] and built == []
+    atoms = [(0.3, 5.0)]
+    with monkeypatch.context() as mp:
+        mp.setattr(es, "seminorm", counted)
+        mp.setattr(Potential, "__post_init__", counted_post_init)
+        lam = ex._atom_ground(atoms, 1e-10, 1e3)
+    assert calls == [] and built == []
+    want = es.eigenvalue(Potential.from_atoms(atoms), 0, 1e-10)
+    assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
@@ -113,18 +127,23 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
             return solve(*args)
         return wrapped
 
-    def run(cold, warm):
-        monkeypatch.setattr(ex, "eigenvalue", counting(cold))
-        monkeypatch.setattr(ex, "_eigenvalue_warm", counting(warm))
+    def run():
         solves.clear()
         sweep_counter.clear()
         report = solve_extremal_gamma_gt1(PowerWeight(1.0, 1.0), 2.0,
                                           SolverConfig(grid_n=256))
         return report, len(solves), len(sweep_counter)
 
-    ref, ref_solves, ref_sweeps = run(
-        eigenvalue_ref, lambda mesh, memo, n, tol, guess, potential:
-        eigenvalue_warm_ref(potential(), n, tol, guess))
+    def ground_ref(pot, tol, guess=None):
+        # the reference solves take the potential, which every solve of
+        # the loop gets through extremal._ground
+        if guess is None:
+            return eigenvalue_ref(pot, 0, tol)
+        return eigenvalue_warm_ref(pot, 0, tol, guess)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ex, "_ground", counting(ground_ref))
+        ref, ref_solves, ref_sweeps = run()
 
     builds = []
     build_segments = ms.build_segments
@@ -134,7 +153,9 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
         return build_segments(*args)
 
     monkeypatch.setattr(ms, "build_segments", counted_build)
-    new, solves_n, sweeps = run(es.eigenvalue, es._eigenvalue_warm)
+    monkeypatch.setattr(ex, "eigenvalue", counting(es.eigenvalue))
+    monkeypatch.setattr(ex, "_eigenvalue_warm", counting(es._eigenvalue_warm))
+    new, solves_n, sweeps = run()
     assert (new.M, new.residual, new.trace) == (ref.M, ref.residual, ref.trace)
     assert solves_n == ref_solves
     assert sweeps <= ref_sweeps - 2 * ref_solves
@@ -145,24 +166,30 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
 
 def _paired_warm_sweeps(monkeypatch, run) -> list[tuple[int, int]]:
     """Calls run() with every warm solve of the outer loops made twice: by
-    the library on the mesh and phase memo the loop passes (an atom
-    solve's own, a new potential's), and by the one-sided step-by-step
-    rule on the cell loop's mesh of the potential.  Both must give the
-    same lambda; returns each solve's pair of sweep counts (library,
-    one-sided rule)."""
+    the library, through extremal._ground (on a new potential's mesh and
+    phase memo) or _atom_ground (on an atom solve's own), and by the
+    one-sided step-by-step rule on the cell loop's mesh of the potential.
+    Both must give the same lambda; returns each solve's pair of sweep
+    counts (library, one-sided rule)."""
     pairs = []
-    warm = es._eigenvalue_warm
 
-    def paired(mesh, memo, n, tol, guess, potential):
-        assert not memo   # every warm solve of these loops sweeps afresh
-        want, want_count = eigenvalue_warm_one_sided_ref(potential(), n, tol, guess)
-        with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
-            got = warm(mesh, memo, n, tol, guess, potential)
-        assert got == want, guess
-        pairs.append((sweeps.call_count, want_count))
-        return got
+    def paired(solve, potential):
+        def wrapped(arg, tol, guess=None):
+            if guess is None:
+                return solve(arg, tol)
+            q = potential(arg)
+            assert not q.phase_memo   # every warm solve sweeps afresh
+            want, want_count = eigenvalue_warm_one_sided_ref(q, 0, tol, guess)
+            with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
+                got = solve(arg, tol, guess)
+            assert got == want, guess
+            pairs.append((sweeps.call_count, want_count))
+            return got
+        return wrapped
 
-    monkeypatch.setattr(ex, "_eigenvalue_warm", paired)
+    monkeypatch.setattr(ex, "_ground", paired(ex._ground, lambda pot: pot))
+    monkeypatch.setattr(ex, "_atom_ground",
+                        paired(ex._atom_ground, Potential.from_atoms))
     run()
     return pairs
 
@@ -237,94 +264,38 @@ def test_atom_searches_solve_through_the_traced_entries(monkeypatch, weight, sea
         weight, search]
 
 
-def test_warm_solve_falls_back_to_one_cold_solve(monkeypatch, caplog):
-    # a guess that is not finite brackets nothing, so the warm solve goes
-    # straight to the cold solve, logging it: no sweep runs before the
-    # cold solve's own
-    atoms = ((0.3, 5.0),)
-    want = es.eigenvalue(Potential(16, np.zeros(16), atoms), 0, 1e-10)
-    events = []
-    cold, phase = es._eigenvalue_cold, prop.phase
-
-    def counted_cold(*args):
-        events.append("cold")
-        return cold(*args)
-
-    def counted_phase(*args):
-        events.append("sweep")
-        return phase(*args)
-
-    monkeypatch.setattr(es, "_eigenvalue_cold", counted_cold)
-    monkeypatch.setattr(prop, "phase", counted_phase)
+def test_a_warm_guess_that_is_not_finite_is_refused(sweep_counter):
+    # a guess that is not finite brackets nothing: the warm solve refuses
+    # it before any sweep
     for guess in (math.nan, math.inf, -math.inf):
-        events.clear()
-        caplog.clear()
-        q = Potential(16, np.zeros(16), atoms)
-        with caplog.at_level("WARNING", logger="slmajorant"):
-            assert _warm(q, 0, 1e-10, guess) == want
-        assert events[0] == "cold" and events.count("cold") == 1
-        (record,) = caplog.records
-        assert record.name == "slmajorant" and record.levelname == "WARNING"
-        assert "falls back to the cold solve" in record.getMessage()
+        q = Potential(16, np.zeros(16), ((0.3, 5.0),))
+        with pytest.raises(ParameterError, match="not finite"):
+            _warm(q, 0, 1e-10, guess)
+        assert sweep_counter == [] and q.phase_memo == {}
 
 
-def test_atom_fallback_solves_on_the_warm_search_s_mesh_and_memo(
-        monkeypatch, caplog, sweep_counter):
-    # two bracket steps around a guess far above the root bracket nothing,
-    # so the warm atom solve builds its potential once, for the upper bound,
-    # and the cold fallback solves it on an equal mesh with the phases the
-    # search kept merged in: the fallback sweeps no lam the search swept
-    warm, cold, seen = es._eigenvalue_warm, es._eigenvalue_cold, []
-    post_init, built = Potential.__post_init__, []
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    def recorded_warm(mesh, memo, *args):
-        seen.append((mesh, memo))
-        return warm(mesh, memo, *args)
-
-    def recorded_cold(q, *args):
-        seen.append(q)
-        return cold(q, *args)
-
-    monkeypatch.setattr(ex, "_eigenvalue_warm", recorded_warm)
-    monkeypatch.setattr(es, "_eigenvalue_cold", recorded_cold)
-    monkeypatch.setattr(es, "WARM_STEPS", 2)
-    monkeypatch.setattr(Potential, "__post_init__", counted_post_init)
-    atoms = [(0.3, 5.0)]
-    with caplog.at_level("WARNING", logger="slmajorant"):
-        lam = ex._atom_ground(atoms, 1e-10, 1e3)
-    assert "falls back to the cold solve" in caplog.text
-    (mesh, memo), q = seen
-    assert built == [q] and q.atoms == tuple(atoms)
-    assert q.fused_mesh == mesh
-    assert memo.keys() <= q.phase_memo.keys()
-    assert len(sweep_counter) == len(set(sweep_counter)) == len(q.phase_memo)
-    # the bound the search computed is the fallback's upper bracket end
-    assert upper_bound(q, 0) in q.phase_memo
-    assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
-
-
-def test_atom_fallback_computes_the_upper_bound_once(monkeypatch, caplog):
-    # the warm search computes upper_bound (one seminorm) for its bracket
-    # ends and hands it to the cold fallback, which does not compute it again
-    calls = []
-    seminorm = es.seminorm
-
-    def counted(q, ell):
-        calls.append(ell)
-        return seminorm(q, ell)
-
-    monkeypatch.setattr(es, "seminorm", counted)
-    monkeypatch.setattr(es, "WARM_STEPS", 2)
-    atoms = [(0.3, 5.0)]
-    with caplog.at_level("WARNING", logger="slmajorant"):
-        lam = ex._atom_ground(atoms, 1e-10, 1e3)
-    assert "falls back to the cold solve" in caplog.text
-    assert calls == [2]
-    assert lam == eigenvalue_ref(Potential.from_atoms(atoms), 0, 1e-10)
+@pytest.mark.parametrize("excess", [1.0, math.nan])
+def test_a_phase_failing_at_the_free_particle_bound_violates_both_brackets(
+        monkeypatch, excess):
+    # a phase above every target (or NaN) fails the lower end at the
+    # free-particle bound: the cold solve and the warm one, from any
+    # guess, raise the same error
+    atoms = ((0.3, 5.0),)
+    for n in (0, 3):
+        monkeypatch.setattr(prop, "phase", lambda lens, qs, masses, lam, n=n:
+                            (n + 1) * math.pi + excess)
+        with pytest.raises(es.InternalSolverError) as cold:
+            es.eigenvalue(Potential(16, np.zeros(16), atoms), n, 1e-10)
+        low = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+        prefix = f"phase bracket violated: theta({low})="
+        assert str(cold.value).startswith(prefix)
+        for guess in (low, 50.0 * (n + 1) ** 2, 1e3, 1e9):
+            with pytest.raises(es.InternalSolverError) as warm:
+                _warm(Potential(16, np.zeros(16), atoms), n, 1e-10, guess)
+            assert str(warm.value).startswith(prefix)
+            # the same theta at the lower end; only the upper ends differ
+            assert (str(warm.value).split(", theta(")[0]
+                    == str(cold.value).split(", theta(")[0])
 
 
 @st.composite
@@ -388,8 +359,12 @@ def _guess(spec, lam: float, n: int) -> float:
 
 
 # A prediction past the first passing step costs its own sweep and a
-# bisection of at most 78 steps, ceil(log2(78)) = 7 sweeps, where the
-# step-by-step rule sweeps at least one end: at most 7 more sweeps.
+# bisection below the predicted step K, ceil(log2(K)) sweeps, where the
+# step-by-step rule sweeps at least one end.  Two float gaps of one sign
+# differ by at least 2**-53 of the smaller, so the secant predicts at
+# most 2**53 secant widths past its second end, and a width is at most
+# 1e13 w_0: K stays below 64, and so at most 6 more sweeps.  The bound
+# keeps one sweep in hand.
 OVERSHOOT_SWEEPS = 7
 
 
