@@ -20,18 +20,31 @@ counted once, in the segment it terminates.
 phase and propagate take a mesh in one form and sweep it in one of two
 ways with the same rules, picked at their top by its length.  Below
 SCAN_MIN_SEGMENTS segments each steps one segment at a time in its own
-scalar loop (phase renormalizes the state after an atom jump, propagate
-before it, keeping the norm in a log-scale).  Longer meshes take every
-boundary state from one prefix product of the segment matrices (Blelloch,
-"Prefix sums and their applications", 1990): pairs multiply level by
-level, each product rescaled by a power of two, and the states come back
-down the levels, bit for bit as if the mesh were padded with identities
-to a power of two, though a level with an odd count only pairs its last
-block with one identity.  The basis values and the angle increments
-take one path in numpy: the oscillatory formulas on the whole arrays,
-then the segments that need another formula overwritten, with atan2(y,
-y') taken once per node.  The two ways agree to rounding (about 1e-13
-relative in theta), not bit for bit.
+scalar loop.  The two loops share their step formulas, the oscillatory
+and cosh/sinh steps inlined and the rare ones through cs_scalar; they
+differ in the renormalization only (phase renormalizes the state after
+an atom jump, propagate before it, keeping the norm in a log-scale).
+Longer meshes take every boundary state from one prefix product of the
+segment matrices (Blelloch, "Prefix sums and their applications", 1990):
+pairs multiply level by level, each product rescaled by a power of two,
+and the states come back down the levels, bit for bit as if the mesh
+were padded with identities to a power of two, though a level with an
+odd count only pairs its last block with one identity.  The basis values
+and the angle increments take one path in numpy: the oscillatory
+formulas on the whole arrays, then the segments that need another
+formula overwritten, with atan2(y, y') taken once per node.  The two
+ways agree to rounding (about 1e-13 relative in theta), not bit for
+bit.
+
+A long mesh of read-only arrays, as build_segments and run_mesh give
+it, can be told to keep the scans (states and basis values) of the last
+two lam swept on it (keep_scans): it is then scanned once per swept
+(mesh, lam), and propagate and sq_integrals read the scans from there.
+A solve ends on one of its last two sweeps, so ShootingSolution at the
+solved eigenvalue runs no scan and no cs_arrays of its own; the mesh
+then lets its scans go (take_swept_basis), and at the latest they go
+with the mesh.  Only a solve followed by a shooting keeps them: kept
+where no shooting reads them, they only add to the peak memory.
 
 One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
 atoms, and gives each piece the density of the cell its right end closes
@@ -53,16 +66,17 @@ run of density 0 cut at 1-3 atoms, meshes of 2-4 segments, about 17k
 solves of about 7 sweeps each per benchmark pass.  A sweep there is a
 few microseconds, so what surrounds it counts as much: run_mesh builds a
 single run's tuples straight from the floats with no numpy array, and
-phase's loop inlines only its two hot branches, oscillatory and
+the scalar loops inline only their two hot branches, oscillatory and
 cosh/sinh.
 The series, non-oscillatory cos/sin and exp-scaled steps go through
-cs_scalar: a seed-1 extremal-gt1 bench pass takes them 11, 0 and 0 times,
-and cosh/sinh 189,147 times.
+cs_scalar: a seed-1 extremal-gt1 bench pass takes them 11, 0 and 0 times
+in phase, and cosh/sinh 189,147 times.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -249,7 +263,7 @@ _ISS_COEFF = np.asarray([
 ])
 
 
-def sq_integrals(d: np.ndarray, t: np.ndarray):
+def sq_integrals(d: np.ndarray, t: np.ndarray, basis=None):
     """Integrals over [0, t] of c^2, c*s, s^2 for the basis of y'' = d*y.
 
     Returned as (Icc, Ics, Iss, log_scale): true integrals are the returned
@@ -257,11 +271,12 @@ def sq_integrals(d: np.ndarray, t: np.ndarray):
       (s c)' = c^2 + d s^2,   c^2 - d s^2 = 1
     give Icc = (t + s c)/2 and Iss = (s c - t)/(2 d), taken on the whole
     arrays; Iss is then overwritten by a series in d t^2 where |d t^2| <
-    1e-3, where cancellation would bite.
+    1e-3, where cancellation would bite.  basis is cs_arrays(d, t) where
+    the caller has it (take_swept_basis), else None.
     """
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
-    c, s, ls = cs_arrays(d, t)
+    c, s, ls = cs_arrays(d, t) if basis is None else basis
     x = d * t * t
     te = t * np.exp(-2.0 * ls)  # t scaled like c*s (exp(-0.0) = 1 leaves t)
     sc = s * c
@@ -293,8 +308,8 @@ def propagate(lens, qs, masses, lam: float):
     """March (y, y') across all segments with per-boundary renormalization.
 
     Takes and dispatches a mesh as phase does; a short one is stepped here
-    through cs_scalar, renormalized before its atom jump with the norm
-    kept in the log-scale.  Returns (y_b, dy_arr, dy_dep, logscale):
+    with phase's step formulas, renormalized before its atom jump with the
+    norm kept in the log-scale.  Returns (y_b, dy_arr, dy_dep, logscale):
     boundary arrays of length nseg + 1.  True values at boundary j are
     exp(logscale[j]) times the stored ones, and (y_b[j], dy_arr[j]) has
     unit length; dy_arr is the arriving derivative (left limit), dy_dep
@@ -304,17 +319,28 @@ def propagate(lens, qs, masses, lam: float):
         return _propagate_scan(lens, qs, masses, lam)
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
-    hypot, log = math.hypot, math.log
+    sqrt, hypot, log = math.sqrt, math.hypot, math.log
+    cos, sin, cosh, sinh = math.cos, math.sin, math.cosh, math.sinh
     y = 0.0
     dy = 1.0
     ls = 0.0
     y_b, dy_arr, dy_dep, logsc = [y], [dy], [dy], [ls]
     for t, qv, m in zip(lens, qs, masses):
         d = qv - lam
-        c, s, sc = cs_scalar(d, t)
+        x = d * t * t
+        if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+            om = sqrt(-d)
+            ot = om * t
+            c = cos(ot)
+            s = sin(ot) / om
+        elif x >= TAYLOR_CUT and (kt := (k := sqrt(d)) * t) <= BIG_ARG:
+            c = cosh(kt)
+            s = sinh(kt) / k
+        else:
+            c, s, sc = cs_scalar(d, t)
+            ls += sc
         y1 = c * y + s * dy
         dy1 = d * s * y + c * dy
-        ls += sc
         r = hypot(y1, dy1)
         if r != 0.0:
             y1 /= r
@@ -343,9 +369,9 @@ def phase(lens, qs, masses, lam: float) -> float:
     the change of the angle taken in [0, pi), plus pi for a sign change of
     y.  An atom turns the angle at fixed y, from the atan2(y, y') its
     segment has already computed.  The two hot branches, oscillatory and
-    cosh/sinh, are inlined with the math functions bound locally: the
-    gamma = 1 atom meshes have 2-4 segments, so the per-call cost is most
-    of a sweep.  The three rare ones take cs_scalar.
+    cosh/sinh, are inlined with the math functions bound locally, as in
+    propagate's loop: the gamma = 1 atom meshes have 2-4 segments, so the
+    per-call cost is most of a sweep.  The three rare ones take cs_scalar.
     """
     if len(lens) >= SCAN_MIN_SEGMENTS:
         return _phase_scan(lens, qs, masses, lam)
@@ -421,9 +447,10 @@ def _scan(lens, qs, masses, lam: float):
     block a padding to a power of two would put there (I, and 0.5 I with
     exponent 1 above the first level), so every bit is the padded scan's.
 
-    Returns (y, dy, expo, ls): boundary arrays of length nseg + 1 whose
-    true values are (y, dy) * 2**expo * exp(sum of ls before it), ls being
-    cs_arrays' log-scale of each segment.
+    Returns (y, dy, expo, ls, c, s): boundary arrays y, dy and expo of
+    length nseg + 1 whose true values are (y, dy) * 2**expo * exp(sum of
+    ls before it), and the basis values (c, s, ls) = cs_arrays(qs - lam,
+    lens) the scan was built from.
     """
     k = len(lens)
     d = qs - lam
@@ -468,7 +495,81 @@ def _scan(lens, qs, masses, lam: float):
         nx[0::2] = sx[: k // 2 + 1]
         nx[1::2] = sx[:-1] + expo[0::2] + j
         state, sx = nxt, nx
-    return state[0], state[1], sx, ls
+    return state[0], state[1], sx, ls, c, s
+
+
+# the scans kept by the meshes told to keep them (keep_scans):
+# id(lens) -> (qs, masses, weakref to lens, [(lam, scan), ...])
+_SWEPT: dict = {}
+
+
+def _frozen(a) -> bool:
+    """Whether a is a read-only array that owns its data, so that nothing
+    can write to it."""
+    return not a.flags.writeable and a.flags.owndata
+
+
+def keep_scans(lens, qs, masses) -> None:
+    """Have a long mesh keep the scans of the last two lam swept on it (the
+    two a solve can end on), until take_swept_basis lets them go.
+
+    Only a mesh of SCAN_MIN_SEGMENTS segments or more whose three arrays
+    are read-only and own their data (build_segments' and run_mesh's)
+    keeps scans; any other is scanned at every call.  The scans are keyed
+    by the identity of the arrays and dropped with lens at the latest, so
+    none outlives the mesh."""
+    if len(lens) < SCAN_MIN_SEGMENTS or not (
+            _frozen(lens) and _frozen(qs) and _frozen(masses)):
+        return
+    key = id(lens)
+    memo = _SWEPT.get(key)
+    if memo is None or memo[0] is not qs or memo[1] is not masses:
+        drop = weakref.ref(lens, lambda _, pop=_SWEPT.pop: pop(key, None))
+        _SWEPT[key] = (qs, masses, drop, [])
+
+
+def _kept(lens, qs, masses):
+    """The (lam, scan) pairs the mesh keeps, most recent last, or None."""
+    memo = _SWEPT.get(id(lens))
+    if memo is None or memo[0] is not qs or memo[1] is not masses:
+        return None
+    return memo[3]
+
+
+def _kept_scan(runs, lam):
+    """The scan at lam among the kept runs, or None."""
+    for lam_k, scan in runs:
+        # 0.0 and -0.0 are equal, but can give zeros of other signs in qs - lam
+        if lam_k == lam and math.copysign(1.0, lam_k) == math.copysign(1.0, lam):
+            return scan
+    return None
+
+
+def _swept(lens, qs, masses, lam):
+    """_scan(lens, qs, masses, lam), read from the scans the mesh keeps
+    (keep_scans) when one of them is at lam; a new scan is kept in place
+    of the older one."""
+    runs = _kept(lens, qs, masses)
+    if runs is None:
+        return _scan(lens, qs, masses, lam)
+    scan = _kept_scan(runs, lam)
+    if scan is None:
+        scan = _scan(lens, qs, masses, lam)
+        runs[:] = [*runs[-1:], (lam, scan)]
+    return scan
+
+
+def take_swept_basis(lens, qs, masses, lam):
+    """cs_arrays(qs - lam, lens) from the scan at lam that the mesh keeps
+    (keep_scans), or None; sq_integrals takes it.  The mesh then keeps no
+    scan: a solve ends in one shooting, which needs none after this, and
+    the memory goes before the shooting's next steps."""
+    runs = _kept(lens, qs, masses)
+    scan = None if runs is None else _kept_scan(runs, lam)
+    if scan is None:
+        return None
+    del _SWEPT[id(lens)]
+    return scan[4], scan[5], scan[3]
 
 
 def _frac(a, y):
@@ -485,7 +586,7 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
     jump); the oscillatory increment is taken on the whole arrays, then
     the other segments are overwritten by the non-oscillatory rule, which
     reads those angles in [0, pi) at their ends only."""
-    y, dy_arr, _, _ = _scan(lens, qs, masses, lam)
+    y, dy_arr = _swept(lens, qs, masses, lam)[:2]
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
     d = qs - lam
@@ -510,7 +611,7 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
 
 
 def _propagate_scan(lens, qs, masses, lam: float):
-    y, dy, expo, ls = _scan(lens, qs, masses, lam)
+    y, dy, expo, ls = _swept(lens, qs, masses, lam)[:4]
     r = np.hypot(y, dy)
     y_b = y / r
     dy_arr = dy / r

@@ -26,7 +26,12 @@ dict, the potential's phase_memo.  The warm solve takes only a mesh and
 a phase dict, so the warm gamma = 1 atom solves, which build the mesh
 from their atoms (_propagate.run_mesh), build no Potential.
 ShootingSolution propagates the same mesh as is, and makes arrays only
-of the breakpoints and densities it indexes.
+of the breakpoints and densities it indexes.  A long fused mesh told to
+keep its scans (_propagate.keep_scans; extremal._ground does, since its
+callers shoot at each answer) is scanned once per swept (mesh, lam): it
+keeps the scans of the last two lam swept on it, one of which a solve
+returns, and ShootingSolution at that eigenvalue reads them instead of
+scanning again, and lets them go.
 """
 
 from __future__ import annotations
@@ -105,9 +110,13 @@ class EigenPair:
 def _shoot(lens, qs, masses, lam: float):
     """propagate's boundary arrays plus (seg, ref): the y**2 mass of each
     segment times exp(-2 * ref), ref being the largest log-scale.  The
-    mesh comes in any form propagate takes."""
+    mesh comes in any form propagate takes.  On a long fused mesh that
+    keeps its scan at lam, propagate and sq_integrals read that scan's
+    states and basis values, which the mesh keeps no longer after
+    (prop.take_swept_basis)."""
     y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-    icc, ics, iss, ils = prop.sq_integrals(np.subtract(qs, lam), lens)
+    basis = prop.take_swept_basis(lens, qs, masses, lam)
+    icc, ics, iss, ils = prop.sq_integrals(np.subtract(qs, lam), lens, basis)
     expo = logsc[:-1] + ils
     ref = float(np.max(expo))
     seg = prop.seg_sq(y_b[:-1], dy_dep[:-1], icc, ics, iss) * np.exp(
@@ -121,6 +130,11 @@ class ShootingSolution:
     normalized to unit L2 norm, evaluable anywhere on [0, 1] in closed form.
     DomainError if lam is not finite, or lies so far below the potential
     (about -1e205 for q = 0) that the integral of y**2 underflows.
+
+    It propagates q's fused mesh.  At a lam one of its last two sweeps
+    took, a long mesh told to keep its scans (prop.keep_scans) gives the
+    states and basis values of that sweep, the same floats a new scan
+    would give, and keeps no scan after.
     """
 
     def __init__(self, q: Potential, lam: float):
@@ -501,8 +515,10 @@ def pencil_form(q: Potential, lam: float, pair: EigenPair) -> float:
 
 
 def upper_bound(q: Potential, n: int) -> float:
-    """Computable upper bound 4 pi^2 (n+1)^2 (1 + 2 ||q||_2) for lambda_n."""
-    return 4.0 * PI2 * (n + 1) ** 2 * (1.0 + 2.0 * seminorm(q, 2))
+    """Computable upper bound 4 pi^2 (n+1)^2 (1 + 2 ||q||_2) for lambda_n.
+    n must be an int in [0, MAX_INDEX] (ParameterError)."""
+    _check_index(n)
+    return 4.0 * PI2 * (n + 1) ** 2 * (1.0 + 2.0 * q.seminorm_2)
 
 
 def gap_lower_bound(q: Potential, n: int) -> tuple[float, int]:
@@ -511,8 +527,10 @@ def gap_lower_bound(q: Potential, n: int) -> tuple[float, int]:
     Picks the smallest integer ell > 5 + n + 2 ||q||_2 and returns
     (2**-ell * exp(-2**(-ell/2) * ||q||_{ell+1}), ell).  Valid for
     continuous compactly supported potentials; callers should only assert
-    it for atom-free q.
+    it for atom-free q.  n must be an int in [0, MAX_INDEX]
+    (ParameterError).
     """
-    ell = int(math.floor(5.0 + n + 2.0 * seminorm(q, 2))) + 1
+    _check_index(n)
+    ell = int(math.floor(5.0 + n + 2.0 * q.seminorm_2)) + 1
     bound = 2.0 ** (-ell) * math.exp(-(2.0 ** (-ell / 2.0)) * seminorm(q, ell + 1))
     return bound, ell

@@ -27,7 +27,8 @@ The defect shrinks only as the atom count grows toward the density-type
 limit.
 
 Each outer step is written once: ``_ground`` (a cold or a warm ground
-solve of a potential), ``_saturating_atoms`` and ``_atom_potential``
+solve of a potential, whose long fused mesh keeps its last scans for the
+shooting after), ``_saturating_atoms`` and ``_atom_potential``
 (atoms of saturating mass, and their potential), ``_atom_ground`` (the
 ground solve of such atoms: a warm one sweeps the one-run mesh that
 ``_propagate.run_mesh`` builds from the atoms, and builds no potential),
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagate import run_mesh
+from ._propagate import keep_scans, run_mesh
 from .config import SolverConfig
 from .eigensolver import (
     EigenPair,
@@ -140,23 +141,24 @@ class PerturbationSpec:
 
 
 def _char_map(
-    w: Weight, gamma: float, mids: np.ndarray, cell_r: np.ndarray, ymid: np.ndarray
+    log_r, gamma: float, cell_r: np.ndarray, ymid: np.ndarray
 ) -> np.ndarray:
     """Best-response density: (y^2/r)^(1/(gamma-1)), normalized so the
     discrete constraint integral equals one exactly.  Evaluated in log
-    space so that gamma close to 1 cannot overflow."""
-    rv = w(mids)
-    s = (2.0 * np.log(np.maximum(ymid, 1e-300)) - np.log(rv)) / (gamma - 1.0)
+    space so that gamma close to 1 cannot overflow; log_r is log r at the
+    cell midpoints, taken once per solve."""
+    s = (2.0 * np.log(np.maximum(ymid, 1e-300)) - log_r) / (gamma - 1.0)
     s -= s.max()
     u = np.exp(s)
     d_hat = float(np.dot(cell_r, u**gamma))
     return u * d_hat ** (-1.0 / gamma)
 
 
-def _best_response(w, gamma, sol, mids, cell_r, q) -> tuple[np.ndarray, float]:
+def _best_response(log_r, gamma, sol, mids, cell_r, q) -> tuple[np.ndarray, float]:
     """Best response v to the eigenfunction of sol, and the relative
-    weighted-L^gamma distance from the cell values q to it."""
-    v = _char_map(w, gamma, mids, cell_r, sol.values(mids))
+    weighted-L^gamma distance from the cell values q to it; log_r is
+    log r at mids."""
+    v = _char_map(log_r, gamma, cell_r, sol.values(mids))
     num = float(np.dot(cell_r, np.abs(q - v) ** gamma)) ** (1.0 / gamma)
     den = float(np.dot(cell_r, q**gamma)) ** (1.0 / gamma)
     return v, num / den
@@ -172,7 +174,11 @@ def _warn(msg: str, *args) -> None:
 
 
 def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
-    """Ground eigenvalue of pot: a cold solve, or a warm one from guess."""
+    """Ground eigenvalue of pot: a cold solve, or a warm one from guess.
+    Each caller shoots at the answer next (the gamma > 1 iteration and the
+    oracle's steps), so a long fused mesh keeps the scans of the solve's
+    last two sweeps for that shooting (keep_scans)."""
+    keep_scans(*pot.fused_mesh[1:])
     if guess is None:
         return eigenvalue(pot, 0, tol)
     return _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess)
@@ -226,9 +232,9 @@ def solve_extremal_gamma_gt1(
         raise ParameterError("this solver requires gamma > 1")
     _weight_precheck(w, gamma)
     n = cfg.grid_n
-    edges = np.arange(n + 1) / n
     mids = (np.arange(n) + 0.5) / n
-    cell_r = w.cell_pow_integrals(edges)
+    cell_r = w.cell_pow_integrals(np.arange(n + 1) / n)
+    log_r = np.log(w(mids))
     q = np.full(n, float(np.sum(cell_r)) ** (-1.0 / gamma))
 
     tau = DAMPING
@@ -238,7 +244,8 @@ def solve_extremal_gamma_gt1(
     for k in range(cfg.max_iter):
         pot = Potential(n, q)
         lam = _ground(pot, cfg.tol_eigen, lam_prev)
-        v, res = _best_response(w, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
+        v, res = _best_response(log_r, gamma, ShootingSolution(pot, lam), mids,
+                                cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
             if abs(lam - lam_prev) < TOL_OUTER * lam and res < cfg.tol_res:
@@ -259,7 +266,8 @@ def solve_extremal_gamma_gt1(
     # which the converged flag reports
     q_hat = Potential(n, v)
     lam = _ground(q_hat, cfg.tol_eigen, lam)
-    _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
+    _, res = _best_response(log_r, gamma, ShootingSolution(q_hat, lam), mids,
+                            cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
                    converged and res < cfg.tol_res)
@@ -634,7 +642,8 @@ def characterization_residual(
                 "the gamma > 1 characterization applies to atom-free q"
             )
         cell_r = w.cell_pow_integrals(q.edges())
-        return _best_response(w, gamma, sol, q.midpoints(), cell_r, q.density)[1]
+        mids = q.midpoints()
+        return _best_response(np.log(w(mids)), gamma, sol, mids, cell_r, q.density)[1]
     return _eq1_defect(w, q, sol)
 
 

@@ -19,11 +19,13 @@ non-finite parameters when it is built, and ``parse_weight`` raises
 ParameterError on every malformed literal or table file.
 
 All values here are immutable after construction.  A potential keeps
-two caches, each a ``functools.cached_property``.  ``Potential.fused_mesh``
+three caches, each a ``functools.cached_property``.  ``Potential.fused_mesh``
 is built on first use in the form phase sweeps and immutable after.
 ``Potential.phase_memo`` holds the phase theta(1; lam) of every lam swept
 on the potential, keyed by lam; a sweep depends on the fused mesh and lam
 alone, so the value is the one a new sweep would give.
+``Potential.seminorm_2`` is seminorm(q, 2), which the spectral bounds of
+every index read.
 """
 
 from __future__ import annotations
@@ -435,6 +437,12 @@ class Potential:
         lam: the solves of every index, and eigenfunction's check of
         their answers, sweep each lam once."""
         return {}
+
+    @cached_property
+    def seminorm_2(self) -> float:
+        """seminorm(self, 2), computed once: the spectral bounds of every
+        index read it."""
+        return seminorm(self, 2)
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) / self.grid_n) + sum(

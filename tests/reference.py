@@ -567,9 +567,10 @@ def cs_arrays_ref(d: np.ndarray, t: np.ndarray):
     return c, s, ls
 
 
-def sq_integrals_ref(d: np.ndarray, t: np.ndarray):
+def sq_integrals_ref(d: np.ndarray, t: np.ndarray, basis=None):
     """sq_integrals with the series for the integral of s**2 gathered and
-    scattered through a mask."""
+    scattered through a mask.  A basis passed in is not read: the basis
+    values are computed afresh."""
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
     c, s, ls = cs_arrays_ref(d, t)
@@ -593,7 +594,8 @@ def sq_integrals_ref(d: np.ndarray, t: np.ndarray):
 
 
 def scan_ref(lens, qs, masses, lam: float):
-    """_scan on the mesh padded with identities to a power of two."""
+    """_scan on the mesh padded with identities to a power of two, and the
+    basis values it was built from."""
     n = len(lens)
     d = qs - lam
     c, s, ls = cs_arrays_ref(d, lens)
@@ -637,7 +639,7 @@ def scan_ref(lens, qs, masses, lam: float):
         state, sx = nxt, nx
     y_b = np.append(state[0], y)[: n + 1]
     dy_b = np.append(state[1], dy)[: n + 1]
-    return y_b, dy_b, np.append(sx, x)[: n + 1], ls
+    return y_b, dy_b, np.append(sx, x)[: n + 1], ls, c, s
 
 
 def _frac_angles_arrays_ref(y, dy):
@@ -651,7 +653,7 @@ def _frac_angles_arrays_ref(y, dy):
 def phase_scan_ref(lens, qs, masses, lam: float) -> float:
     """_phase_scan with the angles of every boundary in [0, pi) and the
     oscillatory increments gathered through a mask."""
-    y, dy_arr, _, _ = scan_ref(lens, qs, masses, lam)
+    y, dy_arr = scan_ref(lens, qs, masses, lam)[:2]
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
     d = qs - lam
@@ -682,6 +684,7 @@ def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
     edges = np.arange(n + 1) / n
     mids = (np.arange(n) + 0.5) / n
     cell_r = w.cell_pow_integrals(edges)
+    log_r = np.log(w(mids))
     q = np.full(n, float(np.sum(cell_r)) ** (-1.0 / gamma))
     tau = DAMPING
     lam_prev = None
@@ -690,7 +693,7 @@ def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
     for k in range(cfg.max_iter):
         pot = Potential(n, q)
         lam = _ground(pot, cfg.tol_eigen, lam_prev)
-        v, res = _best_response(w, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
+        v, res = _best_response(log_r, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
             if lam < lam_prev - 1e-12 * max(lam, 1.0):
@@ -702,7 +705,7 @@ def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
         q = (1.0 - tau) * q + tau * v
     q_hat = Potential(n, v)
     lam = _ground(q_hat, cfg.tol_eigen, lam)
-    _, res = _best_response(w, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
+    _, res = _best_response(log_r, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
                    converged and res < cfg.tol_res)

@@ -20,6 +20,7 @@ from slmajorant import (
     upper_bound,
 )
 from slmajorant import _propagate as prop
+from slmajorant import measures as ms
 from conftest import PI2, centered_atom_lambda, non_dyadic_potential, random_potential
 from reference import sq_integrals_ref
 
@@ -102,9 +103,10 @@ class TestEigenvalue:
         # 0.5 once gave the lam where theta = 1.5 pi, True lambda_1, and
         # tol = inf the bracket's lower end
         q = Potential(16, np.ones(16))
-        for n in (-1, 33, 0.5, True, np.float64(1.0)):
-            with pytest.raises(ParameterError, match="index"):
-                eigenvalue(q, n)
+        for n in (-3, -1, 33, 0.5, True, np.float64(1.0)):
+            for fn in (eigenvalue, upper_bound, gap_lower_bound):
+                with pytest.raises(ParameterError, match="index"):
+                    fn(q, n)
         for tol in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ParameterError, match="tolerance"):
                 eigenvalue(q, 0, tol=tol)
@@ -389,6 +391,25 @@ class TestSpectralBounds:
         lam0, lam1 = eigenvalue(q, 0), eigenvalue(q, 1)
         bound, _ = gap_lower_bound(q, 0)
         assert lam1 - lam0 >= bound
+
+    def test_seminorm_2_is_computed_once_per_potential(self, rng, monkeypatch):
+        # every cold solve's upper_bound, and upper_bound and gap_lower_bound
+        # of every index, read one seminorm(q, 2)
+        q = random_potential(rng, grid_n=64, max_atoms=1)
+        want = seminorm(q, 2)
+        levels = []
+        original = ms.seminorm
+
+        def counted(q, ell):
+            levels.append(ell)
+            return original(q, ell)
+
+        monkeypatch.setattr(ms, "seminorm", counted)
+        lams = [eigenvalue(q, n) for n in range(4)]
+        for n in range(3):
+            assert lams[n] <= upper_bound(q, n)
+            gap_lower_bound(q, n)
+        assert levels == [2] and q.seminorm_2 == want
 
     def test_gap_bound_random(self, rng):
         for _ in range(15):

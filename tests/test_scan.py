@@ -2,20 +2,25 @@
 against the one-segment-at-a-time loops (through their references, bit
 for bit equal to phase's and propagate's own) and, bit for bit, against
 the padded, masked kernels they replaced (with cs_arrays, sq_integrals
-and ShootingSolution); and the mesh builders
-(build_segments, node_mesh) against the reference builders they replaced."""
+and ShootingSolution); the scans a read-only fused mesh keeps (keep_scans);
+and the mesh builders (build_segments, node_mesh) against the reference
+builders they replaced."""
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slmajorant import Potential, eigenvalue
+from slmajorant import (Potential, PowerWeight, SolverConfig, eigenvalue,
+                        solve_extremal_gamma_gt1)
 from slmajorant import _propagate as prop
+from slmajorant import extremal as ex
 from slmajorant.measures import _merge_atoms
 from slmajorant.eigensolver import ShootingSolution
 
@@ -407,6 +412,161 @@ def test_shooting_solution_is_the_masked_kernels(monkeypatch, make_q):
             monkeypatch.setattr(prop, name, ref)
         want = evaluate()
     _assert_same_arrays(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the scans a long fused mesh keeps
+
+
+def _kept_scans_potential(nseg, top):
+    """A potential whose fused mesh has exactly nseg segments: nseg - 1
+    cells of distinct densities up to top, an atom on a node and one inside
+    a cell.  With top = 1 every segment is oscillatory at every eigenvalue;
+    with top = 1e3 the low eigenvalues mix in hyperbolic segments."""
+    grid_n = nseg - 1
+    rng = np.random.default_rng([nseg, int(top)])
+    atoms = ((grid_n // 3 / grid_n, 5.0), ((2 * grid_n // 3 + 0.4) / grid_n, 2.0))
+    q = Potential(grid_n, rng.uniform(0.0, top, grid_n), atoms)
+    assert len(q.fused_mesh[1]) == nseg
+    return q
+
+
+def _counting(monkeypatch, name, counts):
+    """Wrap prop.<name> so that each call adds one to counts[name]."""
+    original = getattr(prop, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    counts[name] = 0
+    monkeypatch.setattr(prop, name, counted)
+
+
+@pytest.mark.parametrize("nseg", [512, 513, 1024, 4097, 4098])
+@pytest.mark.parametrize("top", [1.0, 1e3], ids=["oscillatory", "mixed"])
+def test_shooting_at_a_kept_eigenvalue_reads_its_scan(monkeypatch, nseg, top):
+    """ShootingSolution at the eigenvalue a cold or a warm extremal._ground
+    solve has just returned runs no scan and no cs_arrays, and leaves its
+    mesh keeping no scan; after eigenvalue, which keeps none, it scans as
+    before.  Either way its values and cell masses are the floats of the
+    padded, masked kernels on a mesh that keeps nothing."""
+    fresh = lambda: _kept_scans_potential(nseg, top)  # noqa: E731
+    rng = np.random.default_rng(nseg)
+    q_plain, q_cold, q_warm = fresh(), fresh(), fresh()
+    points = np.concatenate((q_plain.edges(), q_plain.fused_mesh[0],
+                             rng.uniform(0.0, 1.0, 200)))
+    lam_plain = eigenvalue(q_plain, 0)
+    lam_cold = ex._ground(q_cold, 1e-10)
+    lam_warm = ex._ground(q_warm, 1e-10, lam_plain * (1.0 + 1e-4))
+    rescan, kept = {"_scan": 1, "cs_arrays": 2}, {"_scan": 0, "cs_arrays": 0}
+    cases = ((q_plain, lam_plain, rescan), (q_cold, lam_cold, kept),
+             (q_warm, lam_warm, kept))
+    counts = {}
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, lam, scans in cases:
+            with monkeypatch.context() as mp:
+                for name in ("_scan", "cs_arrays"):
+                    _counting(mp, name, counts)
+                sol = ShootingSolution(q, lam)
+                assert counts == scans
+            assert id(q.fused_mesh[1]) not in prop._SWEPT
+            got.append((sol.values(points), sol.cell_square_masses(q.edges())))
+        for name, ref in (("cs_arrays", cs_arrays_ref), ("sq_integrals", sq_integrals_ref),
+                          ("_scan", scan_ref)):
+            monkeypatch.setattr(prop, name, ref)
+        for (values, masses), (_, lam, _) in zip(got, cases):
+            q = fresh()
+            sol = ShootingSolution(q, lam)
+            _assert_same_arrays([values, masses],
+                                [sol.values(points), sol.cell_square_masses(q.edges())])
+
+
+def test_a_gamma_gt1_solve_scans_once_per_sweep(monkeypatch):
+    """A gamma > 1 solve at 1024 cells runs one raw scan per phase sweep of
+    a long fused mesh, plus one for eigenfunction's node mesh, which is no
+    fused mesh: each of its shootings reads the scan of the solve before
+    it.  (The first solve sweeps the constant start, one segment.)"""
+    counts = {}
+    for name in ("_scan", "node_mesh"):
+        _counting(monkeypatch, name, counts)
+    sweep = prop.phase
+
+    def long_sweep(lens, qs, masses, lam):
+        counts["long sweeps"] += len(lens) >= prop.SCAN_MIN_SEGMENTS
+        return sweep(lens, qs, masses, lam)
+
+    counts["long sweeps"] = 0
+    monkeypatch.setattr(prop, "phase", long_sweep)
+    report = solve_extremal_gamma_gt1(PowerWeight(1.0, 1.0), 2.0, SolverConfig(grid_n=1024))
+    assert report.converged and len(report.trace) > 10
+    assert counts["node_mesh"] == 1
+    assert counts["_scan"] == counts["long sweeps"] + 1
+
+
+def test_only_a_read_only_mesh_keeps_its_scans(monkeypatch):
+    """A mesh of read-only arrays that own their data, told to keep its
+    scans, is scanned once per lam; a new mesh of equal values is scanned
+    afresh, and a mesh not told to, a writeable mesh, a read-only view of
+    writeable memory or the kept lens with other densities at every call,
+    each giving the floats of a new scan."""
+    q = _kept_scans_potential(600, 1e3)
+    _, lens, qs, masses = q.fused_mesh
+    lam = 300.0
+    counts = {}
+    _counting(monkeypatch, "_scan", counts)
+
+    def sweep_twice(mesh, lam, keep=True):
+        if keep:
+            prop.keep_scans(*mesh)
+        counts["_scan"] = 0
+        theta = prop.phase(*mesh, lam)
+        return theta, prop.propagate(*mesh, lam), counts["_scan"]
+
+    theta, states, scans = sweep_twice((lens, qs, masses), lam)
+    assert scans == 1
+    writeable = tuple(np.array(v) for v in (lens, qs, masses))
+    views = tuple(v.view() for v in writeable)
+    for v in views:
+        v.setflags(write=False)
+    new = Potential(q.grid_n, q.density, q.atoms).fused_mesh[1:]
+    for mesh, keep, want in ((new, True, 1),
+                             (Potential(q.grid_n, q.density, q.atoms).fused_mesh[1:],
+                              False, 2),
+                             (writeable, True, 2), (views, True, 2)):
+        got = sweep_twice(mesh, lam, keep)
+        assert got[0] == theta and got[2] == want
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], states))
+    # other densities: changed in place between the sweeps, or the kept
+    # lens with other read-only densities; propagate sees them
+    writeable[1][100] += 50.0
+    other_qs = np.array(writeable[1])
+    other_qs.setflags(write=False)
+    want = prop._propagate_scan(*(np.array(v) for v in writeable), lam)
+    sweep_twice((lens, qs, masses), lam)
+    for mesh in (writeable, (lens, other_qs, masses)):
+        counts["_scan"] = 0
+        got = prop.propagate(*mesh, lam)
+        assert counts["_scan"] == 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # 0.0 and -0.0 are kept apart
+    assert sweep_twice((lens, qs, masses), 0.0)[2] == 1
+    counts["_scan"] = 0
+    prop.propagate(lens, qs, masses, -0.0)
+    assert counts["_scan"] == 1
+
+
+def test_no_kept_scan_outlives_its_mesh():
+    q = _kept_scans_potential(1024, 1e3)
+    ex._ground(q, 1e-10)
+    lens = weakref.ref(q.fused_mesh[1])
+    assert id(lens()) in prop._SWEPT
+    del q
+    gc.collect()
+    assert lens() is None
+    assert all(memo[2]() is not None for memo in prop._SWEPT.values())
 
 
 def _peak_bytes(fn, *args):

@@ -82,8 +82,9 @@ def test_phase_loop_equals_the_reference_on_every_branch(branch, seed):
 def test_propagate_loop_equals_the_reference_on_every_branch(branch, seed):
     """propagate on tuples, lists and arrays of 1 to SCAN_MIN_SEGMENTS - 1
     segments, with and without atoms, gives the reference loop's arrays:
-    every cs_scalar branch, densities up to 1e8 past BIG_ARG, and (in the
-    mixed meshes) segments of length 0."""
+    the inlined oscillatory and cosh/sinh steps, every other cs_scalar
+    branch, densities up to 1e8 past BIG_ARG, and (in the mixed meshes)
+    segments of length 0."""
     rng = np.random.default_rng([seed, BRANCHES.index(branch), 1])
     for nseg in (1, 2, 3, 17, 100, prop.SCAN_MIN_SEGMENTS - 1):
         lens, qs, masses, lam = _mesh(rng, branch, nseg)
@@ -106,11 +107,13 @@ def _fused_mesh_arrays(q):
 def test_propagate_and_shooting_take_the_fused_mesh_as_it_is(monkeypatch):
     """propagate on q.fused_mesh (tuples on an atom potential and a
     256-cell grid, read-only arrays on a 600-cell grid) gives the array
-    call's arrays, and ShootingSolution the values it gave from arrays."""
+    call's arrays, the reference loop's below SCAN_MIN_SEGMENTS segments,
+    and ShootingSolution the values it gave from arrays.  The atoms sit on
+    nodes (0.5) and inside cells."""
     rng = np.random.default_rng(17)
     cases = [Potential.from_atoms(((0.2, 3.0), (0.55, 1.5), (0.8, 4.0))),
              Potential(256, rng.uniform(0.0, 1e3, 256)),
-             Potential(256, rng.uniform(0.0, 1e3, 256), ((0.3, 2.0),)),
+             Potential(256, rng.uniform(0.0, 1e3, 256), ((0.3, 2.0), (0.5, 1.0))),
              Potential(600, rng.uniform(0.0, 1e3, 600))]
     points = rng.uniform(0.0, 1.0, 50)
     lams = [eigenvalue(q, 1) for q in cases]
@@ -121,6 +124,9 @@ def test_propagate_and_shooting_take_the_fused_mesh_as_it_is(monkeypatch):
             want = prop.propagate(*arrays, x)
             assert all(np.array_equal(g, w)
                        for g, w in zip(prop.propagate(*mesh, x), want))
+            if len(mesh[0]) < prop.SCAN_MIN_SEGMENTS:
+                assert all(np.array_equal(g, w)
+                           for g, w in zip(propagate_loop_ref(*arrays, x), want))
         sol = ShootingSolution(q, lam)
         sols.append((sol.values(points), sol.cell_square_masses(q.edges())))
     monkeypatch.setattr(Potential, "fused_mesh", property(_fused_mesh_arrays))
@@ -178,8 +184,9 @@ def _branch_draw(rng, branch, nseg):
 def test_non_oscillatory_branches_equal_the_reference(branch, atoms):
     """Every segment of each draw takes the named branch (the series, the
     non-oscillatory cos/sin pair and the exp-scaled pair through
-    cs_scalar, cosh/sinh inline), and phase gives the reference loop's
-    theta bit for bit, with atoms after the segments or without."""
+    cs_scalar, cosh/sinh inline), and phase and propagate give the
+    reference loops' theta and boundary arrays bit for bit, with atoms
+    after the segments or without."""
     rng = np.random.default_rng([len(branch), atoms])
     for nseg in (1, 2, 3, 17, 100):
         lens, qs, lam = _branch_draw(rng, branch, nseg)
@@ -190,6 +197,11 @@ def test_non_oscillatory_branches_equal_the_reference(branch, atoms):
         assert math.isfinite(want)
         assert prop.phase(*(tuple(v.tolist()) for v in (lens, qs, masses)), lam) == want
         assert prop.phase(lens, qs, masses, lam) == want
+        states = propagate_loop_ref(lens, qs, masses, lam)
+        for mesh in (tuple(tuple(v.tolist()) for v in (lens, qs, masses)),
+                     (lens, qs, masses)):
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(prop.propagate(*mesh, lam), states))
 
 
 def test_zero_exactly_at_a_boundary():

@@ -88,7 +88,7 @@ def test_warm_solve_computes_no_seminorm_and_builds_no_potential(monkeypatch):
     # not one at or past 4 pi^2 (n+1)^2, nor one far above the root that
     # once fell back to the cold solve
     calls, built = [], []
-    seminorm, post_init = es.seminorm, Potential.__post_init__
+    seminorm, post_init = ms.seminorm, Potential.__post_init__
 
     def counted(q, ell):
         calls.append(ell)
@@ -103,14 +103,16 @@ def test_warm_solve_computes_no_seminorm_and_builds_no_potential(monkeypatch):
         for n in (0, 3):
             lam = eigenvalue_ref(q, n)
             with monkeypatch.context() as mp:
-                mp.setattr(es, "seminorm", counted)
+                for mod in (es, ms):   # Potential.seminorm_2 reads ms.seminorm
+                    mp.setattr(mod, "seminorm", counted)
                 mp.setattr(Potential, "__post_init__", counted_post_init)
                 for guess in _guesses(lam, n):
                     _warm(q, n, 1e-10, guess)
             assert calls == [] and built == []
     atoms = [(0.3, 5.0)]
     with monkeypatch.context() as mp:
-        mp.setattr(es, "seminorm", counted)
+        for mod in (es, ms):
+            mp.setattr(mod, "seminorm", counted)
         mp.setattr(Potential, "__post_init__", counted_post_init)
         lam = ex._atom_ground(atoms, 1e-10, 1e3)
     assert calls == [] and built == []
