@@ -218,8 +218,12 @@ def cs_arrays(d: np.ndarray, t: np.ndarray):
 
     cos(omega t) and sin(omega t) / omega are taken on the whole arrays,
     with omega = sqrt(|d|); then the segments of another branch are
-    overwritten: the 4-term series below TAYLOR_CUT, cosh/sinh, and the
-    exp-scaled pair past BIG_ARG."""
+    overwritten.  One index holds them all (d t^2 > -TAYLOR_CUT), and
+    each branch's patch takes its own part of it: the 4-term series
+    below TAYLOR_CUT, cosh/sinh, and the exp-scaled pair past BIG_ARG.
+    A patch whose part is empty is skipped, so an all-oscillatory call
+    (ShootingSolution.values at a few points, or a scan above the
+    densities) makes one index and no patch."""
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
     x = d * t * t
@@ -229,27 +233,36 @@ def cs_arrays(d: np.ndarray, t: np.ndarray):
     with np.errstate(invalid="ignore"):   # 0 / 0 only where d = 0: a series segment
         s = np.sin(kt) / root
     ls = np.zeros_like(x)
+    rare = np.flatnonzero(x > -TAYLOR_CUT)
+    if not rare.size:
+        return c, s, ls
+    xr = x[rare]
 
-    tiny = np.flatnonzero(np.abs(x) < TAYLOR_CUT)
-    hyp = np.flatnonzero(x >= TAYLOR_CUT)   # d > 0 and not tiny: x has the sign of d
+    tiny = rare[xr < TAYLOR_CUT]
+    if tiny.size:
+        xt = x[tiny]
+        c[tiny] = 1.0 + xt * (0.5 + xt * (1.0 / 24.0 + xt / 720.0))
+        s[tiny] = t[tiny] * (
+            1.0 + xt * (1.0 / 6.0 + xt * (1.0 / 120.0 + xt / 5040.0))
+        )
+
+    hyp = rare[xr >= TAYLOR_CUT]   # d > 0 and not tiny: x has the sign of d
+    if not hyp.size:
+        return c, s, ls
     over = kt[hyp] > BIG_ARG
     big, hyp = hyp[over], hyp[~over]
 
-    xt = x[tiny]
-    c[tiny] = 1.0 + xt * (0.5 + xt * (1.0 / 24.0 + xt / 720.0))
-    s[tiny] = t[tiny] * (
-        1.0 + xt * (1.0 / 6.0 + xt * (1.0 / 120.0 + xt / 5040.0))
-    )
+    if hyp.size:
+        kh = kt[hyp]
+        c[hyp] = np.cosh(kh)
+        s[hyp] = np.sinh(kh) / root[hyp]
 
-    kh = kt[hyp]
-    c[hyp] = np.cosh(kh)
-    s[hyp] = np.sinh(kh) / root[hyp]
-
-    kb = kt[big]
-    e = np.exp(-2.0 * kb)
-    c[big] = 0.5 * (1.0 + e)
-    s[big] = 0.5 * (1.0 - e) / root[big]
-    ls[big] = kb
+    if big.size:
+        kb = kt[big]
+        e = np.exp(-2.0 * kb)
+        c[big] = 0.5 * (1.0 + e)
+        s[big] = 0.5 * (1.0 - e) / root[big]
+        ls[big] = kb
     return c, s, ls
 
 
@@ -584,8 +597,10 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
 
     atan2(y, y') is taken once per node (and once more after each atom
     jump); the oscillatory increment is taken on the whole arrays, then
-    the other segments are overwritten by the non-oscillatory rule, which
-    reads those angles in [0, pi) at their ends only."""
+    the other segments, one index of them, are overwritten by the
+    non-oscillatory rule, which reads those angles in [0, pi) at their
+    ends only.  The patch and the atom turns are skipped where their
+    index is empty: above the densities, or on a mesh with no atom."""
     y, dy_arr = _swept(lens, qs, masses, lam)[:2]
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
@@ -594,7 +609,8 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
     jump = np.flatnonzero(masses) + 1
     a_arr = np.arctan2(y, dy_arr)
     a_dep = a_arr.copy()
-    a_dep[jump] = np.arctan2(y[jump], dy_dep[jump])
+    if jump.size:
+        a_dep[jump] = np.arctan2(y[jump], dy_dep[jump])
     # oscillatory rule: the scaled angle atan2(om y, y') advances by om t
     om = np.sqrt(np.abs(d))
     inc = (np.arctan2(om * y0, dy0) - a_dep[:-1]) + om * lens - (
@@ -602,12 +618,16 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
     )
     # non-oscillatory rule: at most one zero, counted from the sign change
     no = np.flatnonzero((d >= -TAYLOR_CUT) | (d * lens * lens > -TAYLOR_CUT))
-    ya, yb = y0[no], y1[no]
-    z = (ya != 0.0) & ((yb == 0.0) | ((ya > 0.0) != (yb > 0.0)))
-    inc[no] = z * _PI + _frac(a_arr[no + 1], yb) - _frac(a_dep[no], ya)
-    # atom jumps turn the angle at fixed y
-    yj = y[jump]
-    return float(np.sum(inc) + np.sum(_frac(a_dep[jump], yj) - _frac(a_arr[jump], yj)))
+    if no.size:
+        ya, yb = y0[no], y1[no]
+        z = (ya != 0.0) & ((yb == 0.0) | ((ya > 0.0) != (yb > 0.0)))
+        inc[no] = z * _PI + _frac(a_arr[no + 1], yb) - _frac(a_dep[no], ya)
+    theta = np.sum(inc)
+    if jump.size:
+        # atom jumps turn the angle at fixed y
+        yj = y[jump]
+        theta = theta + np.sum(_frac(a_dep[jump], yj) - _frac(a_arr[jump], yj))
+    return float(theta)
 
 
 def _propagate_scan(lens, qs, masses, lam: float):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import SolverConfig, is_finite_real
 from .eigensolver import (
+    MAX_INDEX,
     EigenPair,
     ShootingSolution,
     eigenfunction,
@@ -85,6 +86,9 @@ class RunRequest:
             raise UsageError("mode 'perturb' requires key 'direction'")
 
 
+# the largest n_max of the modes that read it: eigenvalue indices stop at
+# MAX_INDEX, and bounds solves index n_max + 1 for the last gap
+_N_MAX_LIMITS = {"solve": MAX_INDEX, "bounds": MAX_INDEX - 1}
 _REQUEST_KEYS = {f.name for f in fields(RunRequest)}
 _CONFIG_KEYS = {f.name for f in fields(SolverConfig)}
 
@@ -144,6 +148,10 @@ def parse_config(text: str) -> tuple[RunRequest, SolverConfig]:
     n_max = doc.get("n_max", 0)
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise UsageError("key 'n_max': must be a nonnegative integer")
+    limit = _N_MAX_LIMITS.get(mode)
+    if limit is not None and n_max > limit:
+        raise UsageError(f"key 'n_max': mode {mode!r} takes at most {limit}, "
+                         f"not {n_max}")
     alpha = None
     if "alpha" in doc:
         alpha = doc["alpha"]

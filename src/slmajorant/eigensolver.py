@@ -20,9 +20,15 @@ free-particle eigenvalue, which every eigenvalue lies above.
 
 On the short atom meshes of the gamma = 1 solvers a sweep costs a few
 microseconds, so a solve's own work is kept to what its sweeps need.  A
-solve sweeps a potential's fused mesh as build_segments gives it (tuples
-of floats below the scan's length), and the phase values live in one
-dict, the potential's phase_memo.  The warm solve takes only a mesh and
+warm solve decides its first bracket step inline, reads each bracket
+end's gap once and hands the ends' gaps to Brent's method, which calls
+the gap only inside the bracket: besides its sweeps, one of the 17k
+warm solves of an atoms-eq1 bench pass costs about 5.5 microseconds of
+Python (Xeon, 2 CPUs) for the bracket search, Brent's steps and the
+phase memo together, against about 2.6 per sweep.  A solve sweeps a
+potential's fused mesh as build_segments gives it (tuples of floats below
+the scan's length), and the phase values live in one dict, the
+potential's phase_memo.  The warm solve takes only a mesh and
 a phase dict, so the warm gamma = 1 atom solves, which build the mesh
 from their atoms (_propagate.run_mesh), build no Potential.
 ShootingSolution propagates the same mesh as is, and makes arrays only
@@ -230,17 +236,18 @@ def _gap_fn(mesh: tuple, memo: dict, n: int):
     """g(lam) = theta(1; lam) - (n+1)*pi on a fused mesh, with theta read
     from the mesh's phase memo (a potential's fused_mesh and phase_memo)
     when lam has been swept on it, so that no lam is swept twice: not by
-    one solve (Brent's method starts by evaluating the bracket ends, which
-    the bracket search has swept), nor by eigenfunction checking the
-    answer of a solve on the same potential.  prop.phase is looked up at
-    each sweep, so that a wrapper installed on it sees every one."""
+    one solve (the bracket search sweeps the ends it hands to Brent's
+    method), nor by eigenfunction checking the answer of a solve on the
+    same potential.  prop.phase is looked up here, once per solve, so
+    that a wrapper installed on it before the solve sees every sweep."""
     _, lens, qs, masses = mesh
     target = (n + 1) * PI
+    phase, get = prop.phase, memo.get
 
     def g(lam: float) -> float:
-        theta = memo.get(lam)
+        theta = get(lam)
         if theta is None:
-            theta = memo[lam] = prop.phase(lens, qs, masses, lam)
+            theta = memo[lam] = phase(lens, qs, masses, lam)
         return theta - target
 
     return g
@@ -251,8 +258,14 @@ def _lower_end(n: int) -> float:
     return PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
 
 
+def _nan_value(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; "
+                      "solver cannot continue.")
+
+
 def _brent(f, a: float, b: float, xtol: float, rtol: float,
-           maxiter: int = 100) -> float:
+           maxiter: int = 100, fa: float | None = None,
+           fb: float | None = None) -> float:
     """Root of f in [a, b] by Brent's method (Brent, *Algorithms for
     Minimization Without Derivatives*, 1973, ch. 4).
 
@@ -260,18 +273,17 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
     same root, bit for bit, and the same errors -- ValueError for a NaN
     value or for ends of the same sign, RuntimeError after maxiter steps.
     It stops when f is 0 or the half-bracket is below (xtol + rtol |x|)/2.
+    fa and fb are f(a) and f(b) where the caller has them (the warm
+    solve's bracket search does); f is then called only inside.
     """
-
-    def fval(x):
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fval(xpre), fval(xcur)
+    fpre = float(f(xpre)) if fa is None else fa
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = float(f(xcur)) if fb is None else fb
+    if fcur != fcur:
+        raise _nan_value(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -287,9 +299,11 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0.0 or abis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:    # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:               # extrapolate
@@ -297,9 +311,9 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (
                     dblk * dpre * (fblk - fpre))
-            lim = 3.0 * abs(sbis) - delta
-            if abs(spre) < lim:
-                lim = abs(spre)
+            lim = 3.0 * abis - delta
+            if aspre < lim:
+                lim = aspre
             if 2.0 * abs(stry) < lim:    # good short step
                 spre, scur = scur, stry
             else:
@@ -311,28 +325,29 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = fval(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_value(xcur)
     raise RuntimeError(
         f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
-def _root(g, lo: float, hi: float, tol: float) -> float:
-    return _brent(g, lo, hi, xtol=1e-15, rtol=max(tol, 4.0 * EPS))
+def _root(g, lo: float, hi: float, tol: float, g_lo: float | None = None,
+          g_hi: float | None = None) -> float:
+    return _brent(g, lo, hi, xtol=1e-15, rtol=max(tol, 4.0 * EPS), fa=g_lo, fb=g_hi)
 
 
-def _brackets(g, n: int, lo: float, hi: float, last: bool) -> bool:
-    """Whether g(lo) <= 0 <= g(hi), with hi swept only once lo passes.
-    InternalSolverError if not and no other bracket can pass: this one is
-    the last (the cold solve's), or lo fails at the free-particle bound."""
+def _check_bracket(g, n: int, lo: float, hi: float) -> None:
+    """InternalSolverError unless g(lo) <= 0 <= g(hi), with hi swept only
+    once lo passes (a NaN fails).  The cold solve checks its bracket so;
+    a warm solve calls it only where its lower end fails at the
+    free-particle bound, to raise the same error."""
     g_lo = g(lo)
-    if g_lo <= 0.0 <= g(hi):
-        return True
-    if last or (not (g_lo <= 0.0) and lo == _lower_end(n)):   # NaN fails too
+    if not (g_lo <= 0.0 <= g(hi)):
         target = (n + 1) * PI
         raise InternalSolverError(
             f"phase bracket violated: theta({lo})={g_lo + target}, "
             f"theta({hi})={g(hi) + target}, target={target}")
-    return False
 
 
 def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
@@ -348,7 +363,7 @@ def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
         raise ParameterError("tolerance must be positive and finite")
     g = _gap_fn(q.fused_mesh, q.phase_memo, n)
     lo, hi = _lower_end(n), upper_bound(q, n)
-    _brackets(g, n, lo, hi, last=True)
+    _check_bracket(g, n, lo, hi)
     return _root(g, lo, hi, tol)
 
 
@@ -365,7 +380,7 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
     step passes: theta(1; lam) grows without bound in lam, and the lower
     end reaches the free-particle bound, which passes, within about
     log4(1e6) = 10 steps.  A lower end that fails there raises the cold
-    solve's InternalSolverError (_brackets), and a guess that is not
+    solve's InternalSolverError (_check_bracket), and a guess that is not
     finite raises ParameterError before any sweep.
 
     The first passing step is found without sweeping every step.  Step 0's
@@ -387,6 +402,13 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
     on from there.
     A numpy scalar guess is taken as a float, so that the sweeps run in
     Python float arithmetic.
+
+    On the 2-4 segment atom meshes a sweep is about 2.6 microseconds and a
+    solve makes about 7, so the Python around them counts.  Step 0, where
+    the outer loops end up once they converge, is decided with no helper
+    call; each end's gap is read once, and the two ends of the step found
+    go to Brent's method with their gaps, so no end is read twice.  Besides
+    its sweeps a solve then costs about 5.5 microseconds (module docstring).
     """
     guess = float(guess)
     if not math.isfinite(guess):
@@ -394,49 +416,65 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
     g = _gap_fn(mesh, memo, n)
     lo_glob = _lower_end(n)
     w0 = max(1e-6 * abs(guess), 1e-9)
-
-    def ends(k: int) -> tuple[float, float]:
-        w = w0 * 4.0**k     # exact: the same float as k products by 4
-        return max(guess - w, lo_glob), guess + w
-
-    lo, hi = ends(0)
-    upper = g(lo) <= 0.0   # the lower end passes, so the upper end binds
-    if upper and g(hi) >= 0.0:   # step 0 brackets the root
-        return _root(g, lo, hi, tol)
-
-    def passes(k: int) -> bool:
-        lo, hi = ends(k)
-        # at lo_glob the search ends, and the step's check raises if it fails
-        return g(hi) >= 0.0 if upper else g(lo) <= 0.0 or lo == lo_glob
-
-    # the second end swept: step 0's upper end, which failed, or step 1's
-    # lower end
-    ok = 0 if upper else 1
-    if upper or not passes(ok):
-        # the binding end fails at step `fail` and passes at step `ok`,
-        # None until a step is known to pass.  A secant through step 0's
-        # lower end and the second end predicts where g crosses 0, and so
-        # the first step that passes; the search starts a step below it,
-        # so that the walk up sweeps it next
-        x1 = hi if upper else ends(1)[0]
-        fail, ok = ok, None
+    lo, hi = max(guess - w0, lo_glob), guess + w0
+    g_lo = g(lo)
+    upper = g_lo <= 0.0   # the lower end passes, so the upper end binds
+    if upper:
+        g_hi = g(hi)
+        if g_hi >= 0.0:   # step 0 brackets the root
+            return _root(g, lo, hi, tol, g_lo, g_hi)
+        # the binding end fails at step `fail` and passes at step `ok`
+        # (its gap g_ok), None until a step is known to pass; x1 is the
+        # second end swept, step 0's upper end
+        fail, ok, x1, g_x1 = 0, None, hi, g_hi
+    else:
+        # the second end swept: step 1's lower end, which passes like any
+        # lower end at lo_glob (where the step's check raises if it fails)
+        x1 = max(guess - 4.0 * w0, lo_glob)   # exact: w_1 = w_0 * 4
+        g_x1 = g(x1)
+        if g_x1 <= 0.0 or x1 == lo_glob:
+            ok, g_ok = 1, g_x1
+        else:
+            fail, ok = 1, None
+    if ok is None:
+        # A secant through step 0's lower end and the second end predicts
+        # where g crosses 0, and so the first step that passes; the search
+        # starts a step below it, so that the walk up sweeps it next
         k = fail + 1
-        dx, g_x1 = x1 - lo, g(x1)
-        slope = (g_x1 - g(lo)) / dx if dx else 0.0
+        dx = x1 - lo
+        slope = (g_x1 - g_lo) / dx if dx else 0.0
         if slope > 0.0:
             reach = abs(max(x1 - g_x1 / slope, lo_glob) - guess) / w0
             if 1.0 < reach < math.inf:
                 k = max(k, math.ceil(math.log(reach, 4.0)) - 1)
         while ok is None or ok - fail > 1:
-            if passes(k):
-                ok = k
+            w = w0 * 4.0**k     # exact: the same float as k products by 4
+            if upper:
+                g_end = g(guess + w)
+                passed = g_end >= 0.0
+            else:
+                end = max(guess - w, lo_glob)
+                g_end = g(end)
+                passed = g_end <= 0.0 or end == lo_glob
+            if passed:
+                ok, g_ok = k, g_end
             else:
                 fail = k
             # walk up while no step is known to pass, else bisect
             k = fail + 1 if ok is None else (fail + ok) // 2
-    while not _brackets(g, n, *ends(ok), last=False):
-        ok += 1
-    return _root(g, *ends(ok), tol)
+    # step ok: its binding end's gap is g_ok; check its other end, and
+    # step on while an end contradicts the monotone phase
+    while True:
+        w = w0 * 4.0**ok
+        lo, hi = max(guess - w, lo_glob), guess + w
+        g_lo = g(lo) if upper or g_ok is None else g_ok
+        if g_lo <= 0.0:
+            g_hi = g_ok if upper and g_ok is not None else g(hi)
+            if g_hi >= 0.0:
+                return _root(g, lo, hi, tol, g_lo, g_hi)
+        elif lo == lo_glob:
+            _check_bracket(g, n, lo, hi)   # raises
+        ok, g_ok = ok + 1, None
 
 
 def eigenfunction(q: Potential, lam: float, n: int) -> EigenPair:

@@ -175,9 +175,10 @@ def _warn(msg: str, *args) -> None:
 
 def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
     """Ground eigenvalue of pot: a cold solve, or a warm one from guess.
-    Each caller shoots at the answer next (the gamma > 1 iteration and the
-    oracle's steps), so a long fused mesh keeps the scans of the solve's
-    last two sweeps for that shooting (keep_scans)."""
+    Each caller shoots at the answer next (the gamma > 1 iteration, the
+    oracle's steps and directional_derivative), so a long fused mesh
+    keeps the scans of the solve's last two sweeps for that shooting
+    (keep_scans)."""
     keep_scans(*pot.fused_mesh[1:])
     if guess is None:
         return eigenvalue(pot, 0, tol)
@@ -689,7 +690,7 @@ def directional_derivative(spec: PerturbationSpec, gamma: float) -> float:
             raise ParameterError(
                 f"alpha = {spec.alpha} must not fall below {bound}"
             )
-    lam = eigenvalue(spec.base, 0, 1e-13)
+    lam = _ground(spec.base, 1e-13)   # a long mesh keeps its scan for sol
     sol = ShootingSolution(spec.base, lam)
     pair_p = sol.pair(spec.direction)
     pair_q = sol.pair(spec.base)

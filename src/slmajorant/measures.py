@@ -331,8 +331,10 @@ def _read_table(path: Path) -> TableWeight:
 
 
 def _cell_index(edges: np.ndarray, x):
-    """Clipped index i of the right-open [edges[i], edges[i + 1]) holding x."""
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    """Clipped index i of the right-open [edges[i], edges[i + 1]) holding x:
+    the count of inner edges at or below x, so 0 below the first cell and
+    the last cell at or past the last edge (and at NaN, which sorts last)."""
+    return np.searchsorted(edges[1:-1], x, side="right")
 
 
 def _merge_atoms(atoms) -> tuple[tuple[float, float], ...]:

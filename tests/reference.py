@@ -5,6 +5,9 @@ faster shape: the eigen-solve loops that sweep every bracket end and
 brentq value afresh and compute the spectral upper bound on every solve,
 the warm solve's one-sided bracket search that walks one step at a time
 (with its sweep count, to compare the library's predicted step with),
+the predicted-step search with its bracket ends as closures and every
+end read through the memo (the library's must sweep the same lams in
+the same order),
 the per-piece loops for an antiderivative and its integrals and for the
 perturbation threshold ``alpha_lower_bound``, the three mesh builders
 one vectorized builder replaced (a cell loop and a run-end pass for the
@@ -159,6 +162,12 @@ def cell_index_ref(grid_n: int, x: float) -> int:
     elif x >= (i + 1) / n:
         i += 1
     return min(max(i, 0), n - 1)
+
+
+def cell_index_clip_ref(edges: np.ndarray, x):
+    """measures._cell_index as it was: the right-open search over every
+    edge, less one, clipped to the cells."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
 
 
 def sup_y2_over_r_ref(w, sol, probes: int = 2049):
@@ -318,6 +327,77 @@ def eigenvalue_warm_one_sided_ref(q, n: int, tol: float,
                 return float(brentq(g, lo, hi, rtol=rtol, xtol=1e-15)), sweeps
             lo_ok = False
         w *= 4.0
+
+
+def eigenvalue_warm_predicted_ref(mesh, memo: dict, n: int, tol: float,
+                                  guess: float) -> float:
+    """The predicted-step warm solve as it was written first: the bracket
+    ends and the passing test as closures, every end read through the
+    phase memo (so read again where already swept), the found step
+    checked by the two-sided rule, and brentq.  It sweeps mesh through
+    prop.phase, so the sweep_counter fixture lists its lams in order."""
+    _, lens, qs, masses = mesh
+    target = (n + 1) * PI
+
+    def g(lam):
+        theta = memo.get(lam)
+        if theta is None:
+            theta = memo[lam] = prop.phase(lens, qs, masses, lam)
+        return theta - target
+
+    def root(lo, hi):
+        return float(brentq(g, lo, hi, xtol=1e-15,
+                            rtol=max(tol, 4.0 * np.finfo(float).eps)))
+
+    def brackets(lo, hi):
+        g_lo = g(lo)
+        if g_lo <= 0.0 <= g(hi):
+            return True
+        if not (g_lo <= 0.0) and lo == lo_glob:
+            raise InternalSolverError(
+                f"phase bracket violated: theta({lo})={g_lo + target}, "
+                f"theta({hi})={g(hi) + target}, target={target}")
+        return False
+
+    guess = float(guess)
+    if not math.isfinite(guess):
+        raise ParameterError(f"warm-start guess {guess!r} is not finite")
+    lo_glob = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
+    w0 = max(1e-6 * abs(guess), 1e-9)
+
+    def ends(k):
+        w = w0 * 4.0**k
+        return max(guess - w, lo_glob), guess + w
+
+    lo, hi = ends(0)
+    upper = g(lo) <= 0.0
+    if upper and g(hi) >= 0.0:
+        return root(lo, hi)
+
+    def passes(k):
+        lo, hi = ends(k)
+        return g(hi) >= 0.0 if upper else g(lo) <= 0.0 or lo == lo_glob
+
+    ok = 0 if upper else 1
+    if upper or not passes(ok):
+        x1 = hi if upper else ends(1)[0]
+        fail, ok = ok, None
+        k = fail + 1
+        dx, g_x1 = x1 - lo, g(x1)
+        slope = (g_x1 - g(lo)) / dx if dx else 0.0
+        if slope > 0.0:
+            reach = abs(max(x1 - g_x1 / slope, lo_glob) - guess) / w0
+            if 1.0 < reach < math.inf:
+                k = max(k, math.ceil(math.log(reach, 4.0)) - 1)
+        while ok is None or ok - fail > 1:
+            if passes(k):
+                ok = k
+            else:
+                fail = k
+            k = fail + 1 if ok is None else (fail + ok) // 2
+    while not brackets(*ends(ok)):
+        ok += 1
+    return root(*ends(ok))
 
 
 def dumps_deterministic_ref(obj, indent: int = 0) -> str:

@@ -89,6 +89,33 @@ def test_phase_gaps_match_brentq(xtol, rtol):
                          upper_bound(q, n), xtol, rtol)
 
 
+@pytest.mark.parametrize("xtol, rtol", TOLS)
+def test_ends_values_passed_in_save_exactly_their_two_calls(xtol, rtol):
+    """f(a) and f(b) passed in: the same root from the same iterates, and
+    f is called at every point but the two ends."""
+    rng = np.random.default_rng(13)
+    for f, a, b in _smooth(rng) + _steps(rng):
+        for lo, hi in ((a, b), (b, a)):
+            g1, xs1 = _recorded(f)
+            g2, xs2 = _recorded(f)
+            root = _brent(g1, lo, hi, xtol, rtol)
+            fa, fb = float(f(lo)), float(f(hi))
+            assert _brent(g2, lo, hi, xtol, rtol, fa=fa, fb=fb) == root
+            assert xs1[:2] == [lo, hi] and xs2 == xs1[2:]
+
+
+def test_ends_values_passed_in_are_checked_like_f_s():
+    f = lambda x: x - 0.5   # noqa: E731
+    with pytest.raises(ValueError, match="NaN"):
+        _brent(f, 0.0, 1.0, 1e-15, 1e-10, fa=math.nan, fb=0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        _brent(f, 0.0, 1.0, 1e-15, 1e-10, fa=-0.5, fb=math.nan)
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(f, 0.0, 1.0, 1e-15, 1e-10, fa=0.5, fb=0.5)
+    assert _brent(f, 0.0, 1.0, 1e-15, 1e-10, fa=0.0, fb=0.5) == 0.0
+    assert _brent(f, 0.0, 1.0, 1e-15, 1e-10, fa=-0.5, fb=0.0) == 1.0
+
+
 def test_an_exact_zero_at_either_end_is_returned():
     for f in (lambda x: x - 1.0, lambda x: 2.0 - 2.0 * x):
         assert _assert_same(f, 1.0, 3.0, 1e-15, 1e-10) == 1.0

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from slmajorant.cli import (
     run,
 )
 from slmajorant.config import SolverConfig
-from slmajorant.eigensolver import EigenPair, ShootingSolution
+from slmajorant.eigensolver import MAX_INDEX, EigenPair, ShootingSolution
 from slmajorant.measures import ParameterError, Potential, potential_to_dict
 from conftest import PI2, centered_atom_lambda
 from reference import csv_text_ref, dumps_deterministic_ref, fused_mesh_ref
@@ -118,6 +119,33 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"key {key!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, limit", [("solve", MAX_INDEX), ("bounds", MAX_INDEX - 1)])
+    def test_n_max_past_the_index_limit_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, mode, limit):
+        # bounds solves index n_max + 1, so its limit is one lower; the
+        # refusal comes before any solve and before the output directory
+        solves = []
+        monkeypatch.setattr(cli, "eigenvalue", lambda *a: solves.append(a))
+        path, doc = make_config(tmp_path, mode=mode, n_max=limit + 1)
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key 'n_max': mode {mode!r} takes at most {limit}, not {limit + 1}" in err
+        assert solves == [] and not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("mode, limit", [("solve", MAX_INDEX), ("bounds", MAX_INDEX - 1)])
+    def test_n_max_at_the_index_limit_runs(self, tmp_path, mode, limit):
+        path, doc = make_config(tmp_path, mode=mode, n_max=limit)
+        assert main(["--config", str(path)]) == 0
+        res = json.loads((Path(doc["output_dir"]) / "result.json").read_text())
+        lams = res["lambdas"] if mode == "solve" else [r["lambda"] for r in res["rows"]]
+        assert len(lams) == limit + 1
+        assert lams[-1] == pytest.approx(PI2 * (limit + 1) ** 2, rel=1e-9)
+
+    def test_n_max_is_not_limited_where_no_mode_reads_it(self):
+        req, _ = parse_config(json.dumps(
+            {"mode": "extremal", "weight": "const:1", "gamma": 2, "n_max": 40}))
+        assert req.n_max == 40
 
     def test_well_typed_optional_keys_parse(self):
         req, _ = parse_config(json.dumps({

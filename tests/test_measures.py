@@ -31,7 +31,8 @@ from conftest import (
     non_dyadic_potential,
     random_potential,
 )
-from reference import cell_index_ref, integrals_loop, primitive_ref
+from reference import (cell_index_clip_ref, cell_index_ref, integrals_loop,
+                       primitive_ref)
 
 
 class TestWeightEval:
@@ -626,6 +627,29 @@ class TestPotential:
         # bounded so that x * n stays finite for the flooring rule
         q = Potential(n, np.arange(n, dtype=float))
         self._assert_lookup_equals_the_flooring_rule(q, [x])
+
+    @pytest.mark.parametrize("edges", [
+        np.array([0.0, 1.0]),
+        np.arange(8) / 7,
+        non_dyadic_potential().edges(),
+        Potential(64, np.zeros(64), ((0.3, 1.0), (0.71, 2.0))).fused_mesh[0],
+        np.array([0.0, 0.3, 0.3005, 0.7, 1.0]),
+    ], ids=["one cell", "7 cells", "100 cells", "one run, two atoms", "breakpoints"])
+    def test_cell_lookup_is_the_clipped_search_over_every_edge(self, edges):
+        # below, above, on and next to every edge, inside each cell, +-inf
+        # and NaN, as an array and one float at a time
+        edges = np.asarray(edges, dtype=float)
+        xs = np.concatenate((
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            (edges[:-1] + edges[1:]) / 2.0,
+            [-0.0, -5e-324, -1.0, -1.7e308, 1.5, 1.7e308, -np.inf, np.inf, np.nan],
+        ))
+        want = cell_index_clip_ref(edges, xs)
+        got = _cell_index(edges, xs)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for x in xs.tolist():
+            got, want = _cell_index(edges, x), cell_index_clip_ref(edges, x)
+            assert type(got) is type(want) and got == want
 
     def test_density_at_past_the_flooring_rules_range(self):
         # x * n overflows here, so the flooring rule cannot be the oracle

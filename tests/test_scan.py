@@ -300,7 +300,12 @@ def _cs_cases():
     t = rng.uniform(1e-4, 0.05, 3000)
     osc = -rng.uniform(1.0, 1e6, 3000)
     yield "oscillatory", osc, t
-    for name, value in (("hyperbolic", 5.0), ("taylor", -0.9 * prop.TAYLOR_CUT)):
+    # the few points of ShootingSolution.values, all oscillatory: no patch
+    for size in (0, 1, 3, 33, 65):
+        yield f"oscillatory, {size} points", osc[:size], t[:size]
+    # each rare branch alone
+    for name, value in (("hyperbolic", 5.0), ("taylor", -0.9 * prop.TAYLOR_CUT),
+                        ("past BIG_ARG", 1e12)):
         one_off = osc.copy()
         one_off[1234] = value
         yield f"all oscillatory but one {name}", one_off, t
@@ -358,6 +363,38 @@ def test_sq_integrals_is_the_masked_kernel(case):
         warnings.simplefilter("error")
         got, want = prop.sq_integrals(d, t), sq_integrals_ref(d, t)
     _assert_same_arrays(got, want)
+
+
+@pytest.mark.parametrize("n_atoms", [0, 2])
+@pytest.mark.parametrize("branch", ["none", "taylor", "hyperbolic", "past BIG_ARG"])
+@pytest.mark.parametrize("nseg", [514, 1026])
+def test_phase_scan_patches_each_rare_branch_alone(nseg, branch, n_atoms):
+    """On a mesh that is oscillatory at lam but for one segment of another
+    branch (or none), with and without atoms, the phase, the scan and the
+    basis values are the padded, masked kernels' floats."""
+    rng = np.random.default_rng(nseg)
+    lens = rng.uniform(0.5, 1.5, nseg)
+    lens /= lens.sum()
+    lam = 1000.0
+    qs = rng.uniform(0.0, 100.0, nseg)
+    j = nseg // 2
+    qs[j] = {"none": qs[j], "taylor": lam, "hyperbolic": lam + 50.0,
+             "past BIG_ARG": lam + 1e10}[branch]
+    masses = np.zeros(nseg)
+    masses[[nseg // 3, 2 * nseg // 3][:n_atoms]] = [5.0, 2.0][:n_atoms]
+    x = (qs - lam) * lens * lens
+    assert np.flatnonzero(x > -prop.TAYLOR_CUT).tolist() == ([] if branch == "none" else [j])
+    kt = math.sqrt(abs(qs[j] - lam)) * lens[j]
+    assert branch != "taylor" or abs(x[j]) < prop.TAYLOR_CUT
+    assert branch != "hyperbolic" or x[j] >= prop.TAYLOR_CUT and kt <= prop.BIG_ARG
+    assert branch != "past BIG_ARG" or kt > prop.BIG_ARG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prop._phase_scan(lens, qs, masses, lam) == phase_scan_ref(
+            lens, qs, masses, lam)
+        _assert_same_arrays(prop._scan(lens, qs, masses, lam),
+                            scan_ref(lens, qs, masses, lam))
+        _assert_same_arrays(prop.cs_arrays(qs - lam, lens), cs_arrays_ref(qs - lam, lens))
 
 
 def test_frac_is_the_reference_angle():
@@ -504,6 +541,31 @@ def test_a_gamma_gt1_solve_scans_once_per_sweep(monkeypatch):
     assert report.converged and len(report.trace) > 10
     assert counts["node_mesh"] == 1
     assert counts["_scan"] == counts["long sweeps"] + 1
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_directional_derivative_shoots_on_its_solve_s_scan(monkeypatch, gamma):
+    """directional_derivative solves through extremal._ground, so on a
+    1024-cell base its ShootingSolution reads the scan of the solve's last
+    sweep: one raw scan fewer than a solve that keeps none, and the same
+    derivative, bit for bit."""
+    rng = np.random.default_rng(20)
+    dens, direction = rng.uniform(0.5, 40.0, 1024), rng.uniform(0.0, 40.0, 1024)
+
+    def derivative():
+        base, p = Potential(1024, dens), Potential(1024, direction)
+        w = PowerWeight(1.0, 1.0)
+        alpha = 0.0 if gamma == 1.0 else ex.alpha_lower_bound(w, gamma, base, p) + 1.0
+        counts["_scan"] = 0
+        value = ex.directional_derivative(ex.PerturbationSpec(base, p, alpha, w), gamma)
+        return value, counts["_scan"]
+
+    counts = {}
+    _counting(monkeypatch, "_scan", counts)
+    kept = derivative()
+    monkeypatch.setattr(ex, "keep_scans", lambda lens, qs, masses: None)
+    rescanned = derivative()
+    assert kept[0] == rescanned[0] and kept[1] == rescanned[1] - 1
 
 
 def test_only_a_read_only_mesh_keeps_its_scans(monkeypatch):

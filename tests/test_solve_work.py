@@ -19,7 +19,7 @@ from slmajorant import (ConstantWeight, ParameterError, Potential, PowerWeight,
 from slmajorant import _propagate as prop
 from conftest import PI2, random_potential
 from reference import (eigenvalue_ref, eigenvalue_warm_one_sided_ref,
-                       eigenvalue_warm_ref)
+                       eigenvalue_warm_predicted_ref, eigenvalue_warm_ref)
 
 CASES = [  # (seed, grid_n, max_density, max_atoms)
     (1, 64, 2.0, 0),
@@ -118,6 +118,76 @@ def test_warm_solve_computes_no_seminorm_and_builds_no_potential(monkeypatch):
     assert calls == [] and built == []
     want = es.eigenvalue(Potential.from_atoms(atoms), 0, 1e-10)
     assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _sweeps_of(sweep_counter, solve, mesh, memo, n, tol, guess):
+    """What solve returns (or the message it raises) from a copy of memo,
+    and the lams it sweeps, in order."""
+    sweep_counter.clear()
+    try:
+        out = "lam", solve(mesh, dict(memo), n, tol, guess)
+    except es.InternalSolverError as exc:
+        out = "raised", str(exc)
+    return out, list(sweep_counter)
+
+
+def _assert_predicted_sweeps(sweep_counter, calls):
+    """Each warm solve (mesh, memo, n, tol, guess) returns the lambda of
+    the predicted-step reference, or raises its error, after sweeping the
+    same lams in the same order."""
+    for call in calls:
+        got = _sweeps_of(sweep_counter, es._eigenvalue_warm, *call)
+        assert got == _sweeps_of(sweep_counter, eigenvalue_warm_predicted_ref, *call), call[2:]
+
+
+@pytest.mark.parametrize("n", [0, 3, 16])
+@pytest.mark.parametrize("case", CASES)
+def test_warm_solves_sweep_the_predicted_step_s_lams(case, n, sweep_counter):
+    """From guesses on both sides of lambda, at and below the lower end's
+    free-particle bound and far above, on a fresh memo and on the memo a
+    cold solve has filled."""
+    q = _potential(case)
+    lam = eigenvalue_ref(q, n)
+    es.eigenvalue(q, n)
+    filled = dict(q.phase_memo)
+    _assert_predicted_sweeps(sweep_counter, [
+        (q.fused_mesh, memo, n, tol, guess) for guess in _guesses(lam, n)
+        for memo in ({}, filled) for tol in (1e-10, 1e-13)])
+
+
+def _recorded_warm_solves(monkeypatch, run) -> list[tuple]:
+    """(mesh, memo, n, tol, guess) of every warm solve that run() makes
+    through extremal's global, with a copy of the memo it started from."""
+    calls = []
+    warm = es._eigenvalue_warm
+
+    def recorded(mesh, memo, n, tol, guess):
+        calls.append((mesh, dict(memo), n, tol, guess))
+        return warm(mesh, memo, n, tol, guess)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ex, "_eigenvalue_warm", recorded)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("search", ["scan", "k = 2", "gamma = 2, 1024 cells"])
+def test_recorded_warm_solves_sweep_the_predicted_step_s_lams(
+        monkeypatch, sweep_counter, search):
+    """The warm solves of an atom scan and a 2-atom search, on the atom
+    meshes they build, and of a gamma > 1 solve on a 1024-cell grid,
+    whose fused meshes the scan sweeps."""
+    w = PowerWeight(1.5, 1.25)
+    run = {"scan": lambda: atom_grid_search(w, 201),
+           "k = 2": lambda: solve_extremal_gamma_eq1(w, 2, SolverConfig(k_atoms=2,
+                                                                        grid_n=64)),
+           "gamma = 2, 1024 cells": lambda: solve_extremal_gamma_gt1(
+               PowerWeight(1.0, 1.0), 2.0, SolverConfig(grid_n=1024))}[search]
+    calls = _recorded_warm_solves(monkeypatch, run)
+    assert len(calls) > 10
+    long = [len(mesh[1]) >= prop.SCAN_MIN_SEGMENTS for mesh, *_ in calls]
+    assert all(long[1:]) if search.startswith("gamma") else not any(long)
+    _assert_predicted_sweeps(sweep_counter, calls)
 
 
 def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
@@ -283,9 +353,10 @@ def test_a_phase_failing_at_the_free_particle_bound_violates_both_brackets(
     # free-particle bound: the cold solve and the warm one, from any
     # guess, raise the same error
     atoms = ((0.3, 5.0),)
+    sweeps, runs = [], []
     for n in (0, 3):
         monkeypatch.setattr(prop, "phase", lambda lens, qs, masses, lam, n=n:
-                            (n + 1) * math.pi + excess)
+                            sweeps.append(lam) or (n + 1) * math.pi + excess)
         with pytest.raises(es.InternalSolverError) as cold:
             es.eigenvalue(Potential(16, np.zeros(16), atoms), n, 1e-10)
         low = PI2 * (n + 1) ** 2 * (1.0 - 1e-12)
@@ -298,6 +369,15 @@ def test_a_phase_failing_at_the_free_particle_bound_violates_both_brackets(
             # the same theta at the lower end; only the upper ends differ
             assert (str(warm.value).split(", theta(")[0]
                     == str(cold.value).split(", theta(")[0])
+            # the predicted-step search's sweeps and message
+            mesh = Potential(16, np.zeros(16), atoms).fused_mesh
+            for solve in (es._eigenvalue_warm, eigenvalue_warm_predicted_ref):
+                sweeps.clear()
+                with pytest.raises(es.InternalSolverError) as raised:
+                    solve(mesh, {}, n, 1e-10, guess)
+                assert str(raised.value) == str(warm.value)
+                runs.append(list(sweeps))
+            assert runs[-2] == runs[-1]
 
 
 @st.composite
@@ -390,3 +470,14 @@ def test_predicted_step_keeps_the_one_sided_bracket(q, n, specs):
         want, want_count = eigenvalue_warm_one_sided_ref(q, n, 1e-10, guess)
         assert got == want == eigenvalue_warm_ref(q, n, 1e-10, guess), guess
         assert count <= want_count + OVERSHOOT_SWEEPS, guess
+    # the lams of the predicted-step search, in its order, also where the
+    # secant overshoots and the search bisects back
+    with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
+        for guess, _, _ in solves:
+            runs = []
+            for solve in (es._eigenvalue_warm, eigenvalue_warm_predicted_ref):
+                sweeps.reset_mock()
+                runs.append((solve(Potential(q.grid_n, q.density, q.atoms).fused_mesh,
+                                   {}, n, 1e-10, guess),
+                             [c.args[3] for c in sweeps.call_args_list]))
+            assert runs[0] == runs[1], guess
