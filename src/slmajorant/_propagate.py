@@ -36,15 +36,13 @@ formula overwritten, with atan2(y, y') taken once per node.  The two
 ways agree to rounding (about 1e-13 relative in theta), not bit for
 bit.
 
-A long mesh of read-only arrays, as build_segments and run_mesh give
-it, can be told to keep the scans (states and basis values) of the last
-two lam swept on it (keep_scans): it is then scanned once per swept
-(mesh, lam), and propagate and sq_integrals read the scans from there.
-A solve ends on one of its last two sweeps, so ShootingSolution at the
-solved eigenvalue runs no scan and no cs_arrays of its own; the mesh
-then lets its scans go (take_swept_basis), and at the latest they go
-with the mesh.  Only a solve followed by a shooting keeps them: kept
-where no shooting reads them, they only add to the peak memory.
+A sweep of a long mesh can leave its scan (states and basis values) in
+a list its caller owns: phase(..., scans) keeps there the (lam, scan) of
+the last two lam it swept.  An eigen-solve ends on one of its last two
+sweeps, so the shooting at its eigenvalue hands that scan to propagate
+(its states) and sq_integrals (its basis values), and runs no scan and
+no cs_arrays of its own (eigensolver's solve record).  The list dies
+with the solve's caller; this module keeps no state across calls.
 
 One mesh builder: _mesh cuts [0, 1] at given nodes j / grid_n and at the
 atoms, and gives each piece the density of the cell its right end closes
@@ -76,7 +74,6 @@ in phase, and cosh/sinh 189,147 times.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -93,6 +90,7 @@ _SCAN_TOP = 64      # the scan's top level: blocks left to a scalar loop
 _PI = math.pi
 _LN2 = math.log(2.0)
 _EYE = np.eye(2)[:, :, None]
+_EYE.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +272,7 @@ _ISS_COEFF = np.asarray([
     ) / (2 * n + 3)
     for n in range(10)
 ])
+_ISS_COEFF.setflags(write=False)
 
 
 def sq_integrals(d: np.ndarray, t: np.ndarray, basis=None):
@@ -285,7 +284,8 @@ def sq_integrals(d: np.ndarray, t: np.ndarray, basis=None):
     give Icc = (t + s c)/2 and Iss = (s c - t)/(2 d), taken on the whole
     arrays; Iss is then overwritten by a series in d t^2 where |d t^2| <
     1e-3, where cancellation would bite.  basis is cs_arrays(d, t) where
-    the caller has it (take_swept_basis), else None.
+    the caller has it (the basis values of a solve's kept scan), else
+    None.
     """
     d = np.asarray(d, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -317,31 +317,36 @@ def seg_sq(y0, dy0, icc, ics, iss):
 # phase and propagation: entry points
 
 
-def propagate(lens, qs, masses, lam: float):
+def propagate(lens, qs, masses, lam: float, scan=None):
     """March (y, y') across all segments with per-boundary renormalization.
 
     Takes and dispatches a mesh as phase does; a short one is stepped here
     with phase's step formulas, renormalized before its atom jump with the
-    norm kept in the log-scale.  Returns (y_b, dy_arr, dy_dep, logscale):
+    norm kept in the log-scale.  A long one takes its states from scan,
+    the _scan of the mesh at lam that a solve has kept (phase's scans),
+    or else from a new scan.  Returns (y_b, dy_arr, dy_dep, logscale):
     boundary arrays of length nseg + 1.  True values at boundary j are
     exp(logscale[j]) times the stored ones, and (y_b[j], dy_arr[j]) has
     unit length; dy_arr is the arriving derivative (left limit), dy_dep
     the departing one (after an atom jump, if any).
     """
     if len(lens) >= SCAN_MIN_SEGMENTS:
-        return _propagate_scan(lens, qs, masses, lam)
+        return _propagate_scan(lens, qs, masses, lam, scan)
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
     sqrt, hypot, log = math.sqrt, math.hypot, math.log
     cos, sin, cosh, sinh = math.cos, math.sin, math.cosh, math.sinh
+    neg_cut = -TAYLOR_CUT
     y = 0.0
     dy = 1.0
     ls = 0.0
     y_b, dy_arr, dy_dep, logsc = [y], [dy], [dy], [ls]
+    put_y, put_arr, put_dep, put_ls = (
+        y_b.append, dy_arr.append, dy_dep.append, logsc.append)
     for t, qv, m in zip(lens, qs, masses):
         d = qv - lam
         x = d * t * t
-        if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+        if d < neg_cut and x <= neg_cut:
             om = sqrt(-d)
             ot = om * t
             c = cos(ot)
@@ -359,21 +364,22 @@ def propagate(lens, qs, masses, lam: float):
             y1 /= r
             dy1 /= r
             ls += log(r)
-        y_b.append(y1)
-        dy_arr.append(dy1)
+        put_y(y1)
+        put_arr(dy1)
         if m != 0.0:
             dy1 = dy1 + m * y1
-        dy_dep.append(dy1)
-        logsc.append(ls)
+        put_dep(dy1)
+        put_ls(ls)
         y, dy = y1, dy1
     return np.array(y_b), np.array(dy_arr), np.array(dy_dep), np.array(logsc)
 
 
-def phase(lens, qs, masses, lam: float) -> float:
+def phase(lens, qs, masses, lam: float, scans=None) -> float:
     """Continuously unwound Pruefer angle theta(1; lam) for y(0)=0, y'(0)=1.
 
     A mesh of SCAN_MIN_SEGMENTS segments or more, as arrays, goes to the
-    scan.  A shorter one, as build_segments gives it (tuples of floats) or
+    scan; scans, where given, is a list that keeps the (lam, scan) of the
+    last two such sweeps, most recent last.  A shorter one, as build_segments gives it (tuples of floats) or
     as arrays, is swept here one segment at a time, renormalizing the
     state after each.  On an oscillatory segment the rescaled angle
     atan2(omega y, y') advances by omega t; on any other segment (the
@@ -387,12 +393,13 @@ def phase(lens, qs, masses, lam: float) -> float:
     per-call cost is most of a sweep.  The three rare ones take cs_scalar.
     """
     if len(lens) >= SCAN_MIN_SEGMENTS:
-        return _phase_scan(lens, qs, masses, lam)
+        return _phase_scan(lens, qs, masses, lam, scans)
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
     atan2, sqrt, hypot = math.atan2, math.sqrt, math.hypot
     cos, sin, cosh, sinh = math.cos, math.sin, math.cosh, math.sinh
     pi = _PI
+    neg_cut = -TAYLOR_CUT
     y = 0.0
     dy = 1.0
     theta = 0.0
@@ -400,7 +407,7 @@ def phase(lens, qs, masses, lam: float) -> float:
     for t, qv, m in zip(lens, qs, masses):
         d = qv - lam
         x = d * t * t
-        if d < -TAYLOR_CUT and x <= -TAYLOR_CUT:
+        if d < neg_cut and x <= neg_cut:
             om = sqrt(-d)
             ot = om * t
             c = cos(ot)
@@ -511,80 +518,6 @@ def _scan(lens, qs, masses, lam: float):
     return state[0], state[1], sx, ls, c, s
 
 
-# the scans kept by the meshes told to keep them (keep_scans):
-# id(lens) -> (qs, masses, weakref to lens, [(lam, scan), ...])
-_SWEPT: dict = {}
-
-
-def _frozen(a) -> bool:
-    """Whether a is a read-only array that owns its data, so that nothing
-    can write to it."""
-    return not a.flags.writeable and a.flags.owndata
-
-
-def keep_scans(lens, qs, masses) -> None:
-    """Have a long mesh keep the scans of the last two lam swept on it (the
-    two a solve can end on), until take_swept_basis lets them go.
-
-    Only a mesh of SCAN_MIN_SEGMENTS segments or more whose three arrays
-    are read-only and own their data (build_segments' and run_mesh's)
-    keeps scans; any other is scanned at every call.  The scans are keyed
-    by the identity of the arrays and dropped with lens at the latest, so
-    none outlives the mesh."""
-    if len(lens) < SCAN_MIN_SEGMENTS or not (
-            _frozen(lens) and _frozen(qs) and _frozen(masses)):
-        return
-    key = id(lens)
-    memo = _SWEPT.get(key)
-    if memo is None or memo[0] is not qs or memo[1] is not masses:
-        drop = weakref.ref(lens, lambda _, pop=_SWEPT.pop: pop(key, None))
-        _SWEPT[key] = (qs, masses, drop, [])
-
-
-def _kept(lens, qs, masses):
-    """The (lam, scan) pairs the mesh keeps, most recent last, or None."""
-    memo = _SWEPT.get(id(lens))
-    if memo is None or memo[0] is not qs or memo[1] is not masses:
-        return None
-    return memo[3]
-
-
-def _kept_scan(runs, lam):
-    """The scan at lam among the kept runs, or None."""
-    for lam_k, scan in runs:
-        # 0.0 and -0.0 are equal, but can give zeros of other signs in qs - lam
-        if lam_k == lam and math.copysign(1.0, lam_k) == math.copysign(1.0, lam):
-            return scan
-    return None
-
-
-def _swept(lens, qs, masses, lam):
-    """_scan(lens, qs, masses, lam), read from the scans the mesh keeps
-    (keep_scans) when one of them is at lam; a new scan is kept in place
-    of the older one."""
-    runs = _kept(lens, qs, masses)
-    if runs is None:
-        return _scan(lens, qs, masses, lam)
-    scan = _kept_scan(runs, lam)
-    if scan is None:
-        scan = _scan(lens, qs, masses, lam)
-        runs[:] = [*runs[-1:], (lam, scan)]
-    return scan
-
-
-def take_swept_basis(lens, qs, masses, lam):
-    """cs_arrays(qs - lam, lens) from the scan at lam that the mesh keeps
-    (keep_scans), or None; sq_integrals takes it.  The mesh then keeps no
-    scan: a solve ends in one shooting, which needs none after this, and
-    the memory goes before the shooting's next steps."""
-    runs = _kept(lens, qs, masses)
-    scan = None if runs is None else _kept_scan(runs, lam)
-    if scan is None:
-        return None
-    del _SWEPT[id(lens)]
-    return scan[4], scan[5], scan[3]
-
-
 def _frac(a, y):
     """The angles a = atan2(y, dy) taken in [0, pi), and 0 where y = 0."""
     f = np.where(a < 0.0, a + _PI, a)
@@ -592,7 +525,7 @@ def _frac(a, y):
     return f
 
 
-def _phase_scan(lens, qs, masses, lam: float) -> float:
+def _phase_scan(lens, qs, masses, lam: float, scans=None) -> float:
     """phase's loop increments, segment by segment, from _scan's states.
 
     atan2(y, y') is taken once per node (and once more after each atom
@@ -600,8 +533,12 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
     the other segments, one index of them, are overwritten by the
     non-oscillatory rule, which reads those angles in [0, pi) at their
     ends only.  The patch and the atom turns are skipped where their
-    index is empty: above the densities, or on a mesh with no atom."""
-    y, dy_arr = _swept(lens, qs, masses, lam)[:2]
+    index is empty: above the densities, or on a mesh with no atom.
+    The scan is kept in scans, in place of the older of two, where given."""
+    scan = _scan(lens, qs, masses, lam)
+    if scans is not None:
+        scans[:] = [*scans[-1:], (lam, scan)]
+    y, dy_arr = scan[:2]
     dy_dep = dy_arr.copy()
     dy_dep[1:] += masses * y[1:]
     d = qs - lam
@@ -630,8 +567,10 @@ def _phase_scan(lens, qs, masses, lam: float) -> float:
     return float(theta)
 
 
-def _propagate_scan(lens, qs, masses, lam: float):
-    y, dy, expo, ls = _swept(lens, qs, masses, lam)[:4]
+def _propagate_scan(lens, qs, masses, lam: float, scan=None):
+    if scan is None:
+        scan = _scan(lens, qs, masses, lam)
+    y, dy, expo, ls = scan[:4]
     r = np.hypot(y, dy)
     y_b = y / r
     dy_arr = dy / r

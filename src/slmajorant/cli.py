@@ -16,7 +16,8 @@ join of the pieces ``_write_json`` writes.
 
 Exit status: 0 when every requested assertion passes and all solvers
 converge, 1 on solver non-convergence or a failed assertion (partial
-outputs are still written), 2 on a malformed config.
+outputs are still written), 2 on a malformed config.  A WARNING of the
+``slmajorant`` logger goes to stderr as ``WARNING slmajorant: ...``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .config import SolverConfig, is_finite_real
 from .eigensolver import (
     MAX_INDEX,
     EigenPair,
-    ShootingSolution,
     eigenfunction,
     eigenvalue,
     gap_lower_bound,
@@ -351,7 +351,7 @@ def _run_extremal(req: RunRequest, cfg: SolverConfig, out: Path) -> tuple[dict, 
     result = {"gamma": req.gamma, **report.to_dict()}
     q = _Column(report.q_hat.density)
     result["q_hat"]["density"] = q
-    sol = ShootingSolution(report.q_hat, report.M)
+    sol = report.shooting   # the solver's own shooting at M: none again here
     mids = report.q_hat.midpoints()
     yv = sol.values(mids)
     rv = req.weight(mids)
@@ -432,6 +432,21 @@ def run(request: RunRequest, cfg: SolverConfig) -> int:
     return status
 
 
+def _log_to_stderr():
+    """Print the slmajorant logger's records on stderr behind their level
+    and logger name; returns the function that removes the handler.
+
+    Only the gamma > 1 extremal solver logs (a stop at the damping
+    floor), so only its runs import logging, about 0.45 MB and 10 ms."""
+    import logging
+
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("slmajorant")
+    logger.addHandler(handler)
+    return lambda: logger.removeHandler(handler)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="slmajorant",
@@ -453,11 +468,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
+    logs = request.mode == "extremal" and request.gamma > 1.0
+    unlog = _log_to_stderr() if logs else None
     try:
         status = run(request, cfg)
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if unlog is not None:   # main runs many times in one process
+            unlog()
     return status
 
 

@@ -32,12 +32,13 @@ potential's phase_memo.  The warm solve takes only a mesh and
 a phase dict, so the warm gamma = 1 atom solves, which build the mesh
 from their atoms (_propagate.run_mesh), build no Potential.
 ShootingSolution propagates the same mesh as is, and makes arrays only
-of the breakpoints and densities it indexes.  A long fused mesh told to
-keep its scans (_propagate.keep_scans; extremal._ground does, since its
-callers shoot at each answer) is scanned once per swept (mesh, lam): it
-keeps the scans of the last two lam swept on it, one of which a solve
-returns, and ShootingSolution at that eigenvalue reads them instead of
-scanning again, and lets them go.
+of the breakpoints and densities it indexes.  A solve given a list
+(``_scans``) leaves there the (lam, scan) of its last two sweeps of a
+long mesh, one of which is at the eigenvalue it returns: _Solved holds
+the eigenvalue and that list, the record extremal._ground gives the
+sites that shoot at each answer.  ShootingSolution built on the record
+reads the scan at its eigenvalue instead of scanning again, and the
+scans go with the record.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,19 +111,29 @@ class EigenPair:
         }
 
 
+class _Solved(NamedTuple):
+    """An eigen-solve's record: its eigenvalue, and the list in which the
+    solve left the (lam, scan) of its last two sweeps of a long mesh
+    (prop.phase's scans), one of which is at lam unless the solve ended
+    on a phase read from the memo."""
+
+    lam: float
+    scans: list
+
+
 # ---------------------------------------------------------------------------
 # shooting solution: propagate once, evaluate anywhere
 
 
-def _shoot(lens, qs, masses, lam: float):
+def _shoot(lens, qs, masses, lam: float, scan=None):
     """propagate's boundary arrays plus (seg, ref): the y**2 mass of each
     segment times exp(-2 * ref), ref being the largest log-scale.  The
-    mesh comes in any form propagate takes.  On a long fused mesh that
-    keeps its scan at lam, propagate and sq_integrals read that scan's
-    states and basis values, which the mesh keeps no longer after
-    (prop.take_swept_basis)."""
-    y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam)
-    basis = prop.take_swept_basis(lens, qs, masses, lam)
+    mesh comes in any form propagate takes.  scan is the long mesh's
+    prop._scan at lam where a solve's record has it: propagate and
+    sq_integrals then read its states and basis values, and no scan or
+    cs_arrays runs here."""
+    y_b, dy_arr, dy_dep, logsc = prop.propagate(lens, qs, masses, lam, scan)
+    basis = None if scan is None else (scan[4], scan[5], scan[3])
     icc, ics, iss, ils = prop.sq_integrals(np.subtract(qs, lam), lens, basis)
     expo = logsc[:-1] + ils
     ref = float(np.max(expo))
@@ -137,18 +149,20 @@ class ShootingSolution:
     DomainError if lam is not finite, or lies so far below the potential
     (about -1e205 for q = 0) that the integral of y**2 underflows.
 
-    It propagates q's fused mesh.  At a lam one of its last two sweeps
-    took, a long mesh told to keep its scans (prop.keep_scans) gives the
-    states and basis values of that sweep, the same floats a new scan
-    would give, and keeps no scan after.
+    It propagates q's fused mesh.  lam may also be the record of a solve
+    of q (_Solved, which extremal._ground returns): on a long mesh the
+    shooting then reads the scan the solve kept at its eigenvalue, the
+    same floats a new scan would give.
     """
 
     def __init__(self, q: Potential, lam: float):
-        self.lam = _check_lam(lam)
+        lam, scans = lam if isinstance(lam, _Solved) else (lam, ())
+        self.lam = lam = _check_lam(lam)
+        scan = next((sc for lam_k, sc in scans if lam_k == lam), None)
         xs, lens, qs, masses = q.fused_mesh
         self._xs, self._qs = np.asarray(xs), np.asarray(qs)
         self._y, _, self._dy_dep, self._ls, seg, self._ref = _shoot(
-            lens, qs, masses, lam
+            lens, qs, masses, lam, scan
         )
         self._cum_sq = np.concatenate(([0.0], np.cumsum(seg)))
         total = self._cum_sq[-1]
@@ -232,14 +246,15 @@ def _check_index(n: int) -> None:
             f"eigenvalue index must lie in [0, {MAX_INDEX}] and be an int, not {n!r}")
 
 
-def _gap_fn(mesh: tuple, memo: dict, n: int):
+def _gap_fn(mesh: tuple, memo: dict, n: int, scans: list | None = None):
     """g(lam) = theta(1; lam) - (n+1)*pi on a fused mesh, with theta read
     from the mesh's phase memo (a potential's fused_mesh and phase_memo)
     when lam has been swept on it, so that no lam is swept twice: not by
     one solve (the bracket search sweeps the ends it hands to Brent's
     method), nor by eigenfunction checking the answer of a solve on the
-    same potential.  prop.phase is looked up here, once per solve, so
-    that a wrapper installed on it before the solve sees every sweep."""
+    same potential.  The sweeps of a long mesh keep their last two scans
+    in scans, where given.  prop.phase is looked up here, once per solve,
+    so that a wrapper installed on it before the solve sees every sweep."""
     _, lens, qs, masses = mesh
     target = (n + 1) * PI
     phase, get = prop.phase, memo.get
@@ -247,7 +262,7 @@ def _gap_fn(mesh: tuple, memo: dict, n: int):
     def g(lam: float) -> float:
         theta = get(lam)
         if theta is None:
-            theta = memo[lam] = phase(lens, qs, masses, lam)
+            theta = memo[lam] = phase(lens, qs, masses, lam, scans)
         return theta - target
 
     return g
@@ -350,29 +365,33 @@ def _check_bracket(g, n: int, lo: float, hi: float) -> None:
             f"theta({hi})={g(hi) + target}, target={target}")
 
 
-def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10) -> float:
+def eigenvalue(q: Potential, n: int = 0, tol: float = 1e-10, *,
+               _scans: list | None = None) -> float:
     """n-th Dirichlet eigenvalue: Brent's method on the phase gap.
 
     The bracket is [pi^2 (n+1)^2 (1 - 1e-12), upper_bound(q, n)]; the lower
     end is the free-particle eigenvalue (a lower bound since q >= 0), the
     upper end the computable spectral bound, so bracketing never fails.
     n must be an int in [0, MAX_INDEX] and 0 < tol < inf (ParameterError).
+    _scans is private to extremal._ground, whose solve record it fills
+    (see _gap_fn).
     """
     _check_index(n)
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
-    g = _gap_fn(q.fused_mesh, q.phase_memo, n)
+    g = _gap_fn(q.fused_mesh, q.phase_memo, n, _scans)
     lo, hi = _lower_end(n), upper_bound(q, n)
     _check_bracket(g, n, lo, hi)
     return _root(g, lo, hi, tol)
 
 
 def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
-                     guess: float) -> float:
+                     guess: float, scans: list | None = None) -> float:
     """Eigenvalue solve with a bracket grown around a previous value.
 
     The solve sweeps mesh, a potential's fused mesh in the form phase
-    sweeps, and reads and fills memo, a dict of its phases (see _gap_fn).
+    sweeps, reads and fills memo, a dict of its phases, and keeps the
+    last two scans of a long mesh in scans, where given (see _gap_fn).
 
     Step k brackets [max(guess - w_k, lower end), guess + w_k], with
     w_k = max(1e-6 |guess|, 1e-9) * 4**k, and Brent's method gets the
@@ -413,7 +432,7 @@ def _eigenvalue_warm(mesh: tuple, memo: dict, n: int, tol: float,
     guess = float(guess)
     if not math.isfinite(guess):
         raise ParameterError(f"warm-start guess {guess!r} is not finite")
-    g = _gap_fn(mesh, memo, n)
+    g = _gap_fn(mesh, memo, n, scans)
     lo_glob = _lower_end(n)
     w0 = max(1e-6 * abs(guess), 1e-9)
     lo, hi = max(guess - w0, lo_glob), guess + w0

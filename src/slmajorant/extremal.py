@@ -27,8 +27,9 @@ The defect shrinks only as the atom count grows toward the density-type
 limit.
 
 Each outer step is written once: ``_ground`` (a cold or a warm ground
-solve of a potential, whose long fused mesh keeps its last scans for the
-shooting after), ``_saturating_atoms`` and ``_atom_potential``
+solve of a potential, returned as the solve's record, which carries the
+solve's last scans of a long fused mesh to the shooting after),
+``_saturating_atoms`` and ``_atom_potential``
 (atoms of saturating mass, and their potential), ``_atom_ground`` (the
 ground solve of such atoms: a warm one sweeps the one-run mesh that
 ``_propagate.run_mesh`` builds from the atoms, and builds no potential),
@@ -44,16 +45,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._propagate import keep_scans, run_mesh
+from ._propagate import run_mesh
 from .config import SolverConfig
 from .eigensolver import (
     EigenPair,
     ShootingSolution,
     _brent,
+    _Solved,
     _eigenvalue_warm,
     eigenfunction,
     eigenvalue,
@@ -99,7 +101,12 @@ ZOOM_POINTS = 33          # points per zoom round of _sup_y2_over_r
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Outcome of an extremal solve."""
+    """Outcome of an extremal solve.
+
+    shooting is the solver's last ShootingSolution, at M on a potential
+    whose fused mesh is q_hat's (so its values are q_hat's ground state),
+    where the solver has one: the gamma > 1 and the k-atom solvers, which
+    the CLI calls.  to_dict leaves it out."""
 
     M: float
     q_hat: Potential
@@ -108,6 +115,8 @@ class ExtremalReport:
     constraint: float
     trace: tuple[tuple[int, float, float], ...]
     converged: bool
+    shooting: ShootingSolution | None = field(default=None, repr=False,
+                                              compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -173,21 +182,26 @@ def _warn(msg: str, *args) -> None:
     logging.getLogger("slmajorant").warning(msg, *args)
 
 
-def _ground(pot: Potential, tol: float, guess: float | None = None) -> float:
-    """Ground eigenvalue of pot: a cold solve, or a warm one from guess.
-    Each caller shoots at the answer next (the gamma > 1 iteration, the
-    oracle's steps and directional_derivative), so a long fused mesh
-    keeps the scans of the solve's last two sweeps for that shooting
-    (keep_scans)."""
-    keep_scans(*pot.fused_mesh[1:])
+def _ground(pot: Potential, tol: float, guess: float | None = None) -> _Solved:
+    """Ground solve of pot, cold or warm from guess, as its record: the
+    eigenvalue and the scans of the solve's last two sweeps of a long
+    fused mesh.  Each caller shoots at the answer next (the gamma > 1
+    iteration, the oracle's steps and directional_derivative), and
+    ShootingSolution(pot, record) reads the scan at the eigenvalue
+    instead of scanning again; the scans go with the record."""
+    scans = []
     if guess is None:
-        return eigenvalue(pot, 0, tol)
-    return _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess)
+        lam = eigenvalue(pot, 0, tol, _scans=scans)
+    else:
+        lam = _eigenvalue_warm(pot.fused_mesh, pot.phase_memo, 0, tol, guess, scans)
+    return _Solved(lam, scans)
 
 
-def _report(w, gamma, q_hat, pair, residual, trace, converged) -> ExtremalReport:
+def _report(w, gamma, q_hat, pair, residual, trace, converged,
+            shooting=None) -> ExtremalReport:
     return ExtremalReport(pair.lam, q_hat, pair, residual,
-                          constraint_value(w, gamma, q_hat), tuple(trace), converged)
+                          constraint_value(w, gamma, q_hat), tuple(trace), converged,
+                          shooting)
 
 
 def _weight_precheck(w: Weight, gamma: float) -> None:
@@ -244,9 +258,9 @@ def solve_extremal_gamma_gt1(
     converged = False
     for k in range(cfg.max_iter):
         pot = Potential(n, q)
-        lam = _ground(pot, cfg.tol_eigen, lam_prev)
-        v, res = _best_response(log_r, gamma, ShootingSolution(pot, lam), mids,
-                                cell_r, q)
+        sol = ShootingSolution(pot, _ground(pot, cfg.tol_eigen, lam_prev))
+        lam = sol.lam
+        v, res = _best_response(log_r, gamma, sol, mids, cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
             if abs(lam - lam_prev) < TOL_OUTER * lam and res < cfg.tol_res:
@@ -266,12 +280,12 @@ def solve_extremal_gamma_gt1(
     # construction, but its own residual can exceed the last iterate's,
     # which the converged flag reports
     q_hat = Potential(n, v)
-    lam = _ground(q_hat, cfg.tol_eigen, lam)
-    _, res = _best_response(log_r, gamma, ShootingSolution(q_hat, lam), mids,
-                            cell_r, v)
+    sol = ShootingSolution(q_hat, _ground(q_hat, cfg.tol_eigen, lam))
+    lam = sol.lam
+    _, res = _best_response(log_r, gamma, sol, mids, cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,
-                   converged and res < cfg.tol_res)
+                   converged and res < cfg.tol_res, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +477,17 @@ def solve_extremal_gamma_eq1(
             shares = shares[keep] / float(np.sum(shares[keep]))
             lam = lam_of(zs, shares)
         pot = _atom_potential(w, zs, shares)
-        res = _eq1_defect(w, pot, ShootingSolution(pot, lam))
+        sol = ShootingSolution(pot, lam)
+        res = _eq1_defect(w, pot, sol)
         trace.append((sweep, lam, res))
         if max_move < POS_TOL and abs(lam - lam_start) < TOL_OUTER * lam:
             converged = True
             break
 
+    # pot and q_hat have one fused mesh, run_mesh(0.0, atoms): sol is q_hat's
     q_hat = _atom_potential(w, zs, shares, grid_n=cfg.grid_n)
     return _report(w, 1.0, q_hat, eigenfunction(q_hat, lam, 0), trace[-1][2],
-                   trace, converged)
+                   trace, converged, sol)
 
 
 def _eq1_defect(w: Weight, q: Potential, sol: ShootingSolution) -> float:
@@ -690,8 +706,7 @@ def directional_derivative(spec: PerturbationSpec, gamma: float) -> float:
             raise ParameterError(
                 f"alpha = {spec.alpha} must not fall below {bound}"
             )
-    lam = _ground(spec.base, 1e-13)   # a long mesh keeps its scan for sol
-    sol = ShootingSolution(spec.base, lam)
+    sol = ShootingSolution(spec.base, _ground(spec.base, 1e-13))
     pair_p = sol.pair(spec.direction)
     pair_q = sol.pair(spec.base)
     if gamma == 1.0:

@@ -101,8 +101,9 @@ def brute_force_max(
     dens = np.full(n_cells, float(np.sum(cell_r)) ** (-1.0 / gamma))
 
     pot = Potential(n_cells, dens)
-    lam = _ground(pot, tol)
-    grad = ShootingSolution(pot, lam).cell_square_masses(edges)
+    sol = ShootingSolution(pot, _ground(pot, tol))
+    lam = sol.lam
+    grad = sol.cell_square_masses(edges)
     step = 1.0 / float(np.max(grad))
     # ascent along the tangent component of the eigenvalue gradient;
     # stepping along the raw gradient stalls on the radial-stationary set
@@ -122,11 +123,11 @@ def brute_force_max(
                 step *= 0.5
                 continue
             pot_t = Potential(n_cells, trial)
-            lam_t = _ground(pot_t, tol, lam)
-            gain = lam_t - lam
+            solved = _ground(pot_t, tol, lam)
+            gain = solved.lam - lam
             if gain >= ARMIJO * predicted:
-                dens, lam, pot = trial, lam_t, pot_t
-                grad = ShootingSolution(pot, lam).cell_square_masses(edges)
+                dens, lam, pot = trial, solved.lam, pot_t
+                grad = ShootingSolution(pot, solved).cell_square_masses(edges)
                 if halving == 0:
                     step *= 2.0
                 accepted = True

@@ -135,9 +135,9 @@ def sweep_counter(monkeypatch):
     lams = []
     phase = prop.phase
 
-    def counted(lens, qs, masses, lam):
+    def counted(lens, qs, masses, lam, scans=None):
         lams.append(lam)
-        return phase(lens, qs, masses, lam)
+        return phase(lens, qs, masses, lam, scans)
 
     monkeypatch.setattr(prop, "phase", counted)
     return lams

@@ -474,9 +474,10 @@ def _frac_angle_ref(y: float, dy: float) -> float:
     return a
 
 
-def phase_loop_ref(lens, qs, masses, lam: float) -> float:
+def phase_loop_ref(lens, qs, masses, lam: float, scans=None) -> float:
     """theta(1; lam) one segment at a time, through cs_scalar_ref and a
-    per-angle helper."""
+    per-angle helper; as prop.phase does on a short mesh, it keeps no
+    scan in scans."""
     if isinstance(lens, np.ndarray):
         lens, qs, masses = lens.tolist(), qs.tolist(), masses.tolist()
     y = 0.0
@@ -772,7 +773,7 @@ def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
     converged = False
     for k in range(cfg.max_iter):
         pot = Potential(n, q)
-        lam = _ground(pot, cfg.tol_eigen, lam_prev)
+        lam = _ground(pot, cfg.tol_eigen, lam_prev).lam
         v, res = _best_response(log_r, gamma, ShootingSolution(pot, lam), mids, cell_r, q)
         trace.append((k, lam, res))
         if lam_prev is not None:
@@ -784,7 +785,7 @@ def solve_extremal_gamma_gt1_ref(w, gamma: float, cfg):
         lam_prev = lam
         q = (1.0 - tau) * q + tau * v
     q_hat = Potential(n, v)
-    lam = _ground(q_hat, cfg.tol_eigen, lam)
+    lam = _ground(q_hat, cfg.tol_eigen, lam).lam
     _, res = _best_response(log_r, gamma, ShootingSolution(q_hat, lam), mids, cell_r, v)
     trace.append((len(trace), lam, res))
     return _report(w, gamma, q_hat, eigenfunction(q_hat, lam, 0), res, trace,

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from slmajorant import eigenvalue, constraint_value, potential_from_dict, parse_weight
 from slmajorant import cli
+from slmajorant import _propagate as prop
 from slmajorant.cli import (
     RunRequest,
     UsageError,
@@ -329,6 +332,28 @@ class TestModes:
         assert res["converged"] is False
         assert res["residual"] >= 1e-6
 
+    def test_a_damping_floor_stop_logs_its_level_and_logger(self, tmp_path, capsys):
+        # the 32-cell large ball stops at a lambda drop at the damping
+        # floor; the handler goes when main returns
+        path, _ = make_config(tmp_path, mode="extremal", weight="const:1e-5",
+                              gamma=2, grid_n=32)
+        assert main(["--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("WARNING slmajorant: gamma > 1 iteration stops")
+        assert "at the damping floor" in line
+        import logging
+        assert not logging.getLogger("slmajorant").handlers
+
+    def test_a_run_that_cannot_log_imports_no_logging(self, tmp_path):
+        path, _ = make_config(tmp_path, mode="bounds", gamma=2, n_max=2)
+        code = ("import sys; from slmajorant.cli import main; "
+                f"status = main(['--config', {str(path)!r}]); "
+                "print(status, 'logging' in sys.modules)")
+        src = str(Path(cli.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split() == ["0", "False"]
+
     def test_usage_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"mode":"solve","weight":"const:1","gamma":0.5}')
@@ -586,6 +611,40 @@ class TestOutputsMatchTheReference:
             "trace.csv": csv_text_ref(["iter", "lambda0", "residual"], rep.trace),
         }
         assert _read_all(tmp_path / "out") == want
+
+    @pytest.mark.parametrize("gamma, solver, extra", [
+        (2, "solve_extremal_gamma_gt1", {"weight": "power:1,1", "grid_n": 1024}),
+        (1, "solve_extremal_gamma_eq1",
+         {"weight": "power:1.5,1.25", "k_atoms": 2, "grid_n": 64})])
+    def test_extremal_mode_shoots_no_more_after_its_solver(
+            self, tmp_path, monkeypatch, gamma, solver, extra):
+        # extremal.csv comes from the solver's own last shooting at M (on a
+        # 1024-cell grid, a long fused mesh), with the bytes of a new one
+        reports, after = [], []
+        scan, init = prop._scan, ShootingSolution.__init__
+
+        def counted_scan(*args):
+            after.extend(["_scan"] * bool(reports))
+            return scan(*args)
+
+        def counted_init(self, *args):
+            after.extend(["shooting"] * bool(reports))
+            init(self, *args)
+
+        monkeypatch.setattr(prop, "_scan", counted_scan)
+        monkeypatch.setattr(ShootingSolution, "__init__", counted_init)
+        _record(monkeypatch, solver, reports)
+        path, doc = make_config(tmp_path, mode="extremal", gamma=gamma, **extra)
+        assert main(["--config", str(path)]) == 0
+        (rep,) = reports
+        assert after == []
+        mids = rep.q_hat.midpoints()
+        yv = ShootingSolution(rep.q_hat, rep.M).values(mids)
+        rv = parse_weight(doc["weight"])(mids)
+        assert (tmp_path / "out" / "extremal.csv").read_text() == csv_text_ref(
+            ["x", "y", "q", "y2_over_r"],
+            zip(mids.tolist(), yv.tolist(), rep.q_hat.density.tolist(),
+                (yv * yv / rv).tolist()))
 
     def test_oracle_gamma_one(self, tmp_path, monkeypatch):
         results = []

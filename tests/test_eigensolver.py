@@ -176,6 +176,16 @@ class TestEigenfunction:
         scale = float(np.max(np.abs(pair.ys)))
         assert np.max(np.abs(pair.ys - sol.values(pair.xs))) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("grid_n", [16, 600])
+    def test_shooting_runs_in_double_at_a_float32_lambda(self, grid_n):
+        # a float32 lambda once left q - lam in float32 on the short mesh
+        # (7.8e-8 off at 16 cells): the shooting propagates float(lambda)
+        q = Potential(grid_n, np.linspace(0.0, 5.0, grid_n))
+        lam = np.float32(30.1)
+        points = [0.3, 0.7]
+        assert np.array_equal(ShootingSolution(q, lam).values(points),
+                              ShootingSolution(q, float(lam)).values(points))
+
     def test_index_mismatch_detected(self):
         q = Potential.zero()
         lam0 = eigenvalue(q, 0)

@@ -2,9 +2,9 @@
 against the one-segment-at-a-time loops (through their references, bit
 for bit equal to phase's and propagate's own) and, bit for bit, against
 the padded, masked kernels they replaced (with cs_arrays, sq_integrals
-and ShootingSolution); the scans a read-only fused mesh keeps (keep_scans);
-and the mesh builders (build_segments, node_mesh) against the reference
-builders they replaced."""
+and ShootingSolution); the scans a solve's record keeps for the shooting
+at its eigenvalue; and the mesh builders (build_segments, node_mesh)
+against the reference builders they replaced."""
 
 import gc
 import math
@@ -483,22 +483,26 @@ def _counting(monkeypatch, name, counts):
 @pytest.mark.parametrize("nseg", [512, 513, 1024, 4097, 4098])
 @pytest.mark.parametrize("top", [1.0, 1e3], ids=["oscillatory", "mixed"])
 def test_shooting_at_a_kept_eigenvalue_reads_its_scan(monkeypatch, nseg, top):
-    """ShootingSolution at the eigenvalue a cold or a warm extremal._ground
-    solve has just returned runs no scan and no cs_arrays, and leaves its
-    mesh keeping no scan; after eigenvalue, which keeps none, it scans as
-    before.  Either way its values and cell masses are the floats of the
-    padded, masked kernels on a mesh that keeps nothing."""
+    """ShootingSolution built on the record of a cold or a warm
+    extremal._ground solve runs no scan and no cs_arrays: the record keeps
+    the scans of the solve's last two long sweeps, one at its eigenvalue.
+    At the float of eigenvalue, which keeps none, it scans as before.
+    Either way its values and cell masses are the floats of the padded,
+    masked kernels at that eigenvalue."""
     fresh = lambda: _kept_scans_potential(nseg, top)  # noqa: E731
     rng = np.random.default_rng(nseg)
     q_plain, q_cold, q_warm = fresh(), fresh(), fresh()
     points = np.concatenate((q_plain.edges(), q_plain.fused_mesh[0],
                              rng.uniform(0.0, 1.0, 200)))
     lam_plain = eigenvalue(q_plain, 0)
-    lam_cold = ex._ground(q_cold, 1e-10)
-    lam_warm = ex._ground(q_warm, 1e-10, lam_plain * (1.0 + 1e-4))
+    solved_cold = ex._ground(q_cold, 1e-10)
+    solved_warm = ex._ground(q_warm, 1e-10, lam_plain * (1.0 + 1e-4))
+    for solved in (solved_cold, solved_warm):
+        kept = [lam for lam, _ in solved.scans]
+        assert len(kept) == 2 and solved.lam in kept
     rescan, kept = {"_scan": 1, "cs_arrays": 2}, {"_scan": 0, "cs_arrays": 0}
-    cases = ((q_plain, lam_plain, rescan), (q_cold, lam_cold, kept),
-             (q_warm, lam_warm, kept))
+    cases = ((q_plain, lam_plain, rescan), (q_cold, solved_cold, kept),
+             (q_warm, solved_warm, kept))
     counts = {}
     got = []
     with warnings.catch_warnings():
@@ -509,12 +513,11 @@ def test_shooting_at_a_kept_eigenvalue_reads_its_scan(monkeypatch, nseg, top):
                     _counting(mp, name, counts)
                 sol = ShootingSolution(q, lam)
                 assert counts == scans
-            assert id(q.fused_mesh[1]) not in prop._SWEPT
-            got.append((sol.values(points), sol.cell_square_masses(q.edges())))
+            got.append((sol.lam, sol.values(points), sol.cell_square_masses(q.edges())))
         for name, ref in (("cs_arrays", cs_arrays_ref), ("sq_integrals", sq_integrals_ref),
                           ("_scan", scan_ref)):
             monkeypatch.setattr(prop, name, ref)
-        for (values, masses), (_, lam, _) in zip(got, cases):
+        for lam, values, masses in got:
             q = fresh()
             sol = ShootingSolution(q, lam)
             _assert_same_arrays([values, masses],
@@ -531,9 +534,9 @@ def test_a_gamma_gt1_solve_scans_once_per_sweep(monkeypatch):
         _counting(monkeypatch, name, counts)
     sweep = prop.phase
 
-    def long_sweep(lens, qs, masses, lam):
+    def long_sweep(lens, qs, masses, lam, scans=None):
         counts["long sweeps"] += len(lens) >= prop.SCAN_MIN_SEGMENTS
-        return sweep(lens, qs, masses, lam)
+        return sweep(lens, qs, masses, lam, scans)
 
     counts["long sweeps"] = 0
     monkeypatch.setattr(prop, "phase", long_sweep)
@@ -545,10 +548,10 @@ def test_a_gamma_gt1_solve_scans_once_per_sweep(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_directional_derivative_shoots_on_its_solve_s_scan(monkeypatch, gamma):
-    """directional_derivative solves through extremal._ground, so on a
-    1024-cell base its ShootingSolution reads the scan of the solve's last
-    sweep: one raw scan fewer than a solve that keeps none, and the same
-    derivative, bit for bit."""
+    """directional_derivative shoots on the record of its extremal._ground
+    solve, so on a 1024-cell base its ShootingSolution reads the scan of
+    the solve's last sweep: one raw scan fewer than a shooting on a record
+    whose scans are dropped, and the same derivative, bit for bit."""
     rng = np.random.default_rng(20)
     dens, direction = rng.uniform(0.5, 40.0, 1024), rng.uniform(0.0, 40.0, 1024)
 
@@ -563,72 +566,66 @@ def test_directional_derivative_shoots_on_its_solve_s_scan(monkeypatch, gamma):
     counts = {}
     _counting(monkeypatch, "_scan", counts)
     kept = derivative()
-    monkeypatch.setattr(ex, "keep_scans", lambda lens, qs, masses: None)
+    ground = ex._ground
+    monkeypatch.setattr(ex, "_ground", lambda pot, tol: ground(pot, tol)._replace(scans=[]))
     rescanned = derivative()
     assert kept[0] == rescanned[0] and kept[1] == rescanned[1] - 1
 
 
-def test_only_a_read_only_mesh_keeps_its_scans(monkeypatch):
-    """A mesh of read-only arrays that own their data, told to keep its
-    scans, is scanned once per lam; a new mesh of equal values is scanned
-    afresh, and a mesh not told to, a writeable mesh, a read-only view of
-    writeable memory or the kept lens with other densities at every call,
-    each giving the floats of a new scan."""
+def test_a_sweep_keeps_its_scan_in_the_list_it_is_given(monkeypatch):
+    """A long mesh swept with a list leaves its (lam, scan) there, the
+    last two kept, most recent last: phase scans once, and propagate given
+    the kept scan runs none.  Swept with no list, then propagated with no
+    scan, the mesh is scanned at every call.  Either way the floats are a
+    new scan's."""
     q = _kept_scans_potential(600, 1e3)
-    _, lens, qs, masses = q.fused_mesh
+    mesh = q.fused_mesh[1:]
     lam = 300.0
     counts = {}
     _counting(monkeypatch, "_scan", counts)
 
-    def sweep_twice(mesh, lam, keep=True):
-        if keep:
-            prop.keep_scans(*mesh)
+    def sweep(scans):
         counts["_scan"] = 0
-        theta = prop.phase(*mesh, lam)
-        return theta, prop.propagate(*mesh, lam), counts["_scan"]
+        theta = prop.phase(*mesh, lam, scans)
+        scan = None if scans is None else scans[-1][1]
+        return theta, prop.propagate(*mesh, lam, scan), counts["_scan"]
 
-    theta, states, scans = sweep_twice((lens, qs, masses), lam)
-    assert scans == 1
-    writeable = tuple(np.array(v) for v in (lens, qs, masses))
-    views = tuple(v.view() for v in writeable)
-    for v in views:
-        v.setflags(write=False)
-    new = Potential(q.grid_n, q.density, q.atoms).fused_mesh[1:]
-    for mesh, keep, want in ((new, True, 1),
-                             (Potential(q.grid_n, q.density, q.atoms).fused_mesh[1:],
-                              False, 2),
-                             (writeable, True, 2), (views, True, 2)):
-        got = sweep_twice(mesh, lam, keep)
-        assert got[0] == theta and got[2] == want
-        assert all(np.array_equal(g, w) for g, w in zip(got[1], states))
-    # other densities: changed in place between the sweeps, or the kept
-    # lens with other read-only densities; propagate sees them
-    writeable[1][100] += 50.0
-    other_qs = np.array(writeable[1])
-    other_qs.setflags(write=False)
-    want = prop._propagate_scan(*(np.array(v) for v in writeable), lam)
-    sweep_twice((lens, qs, masses), lam)
-    for mesh in (writeable, (lens, other_qs, masses)):
-        counts["_scan"] = 0
-        got = prop.propagate(*mesh, lam)
-        assert counts["_scan"] == 1
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # 0.0 and -0.0 are kept apart
-    assert sweep_twice((lens, qs, masses), 0.0)[2] == 1
-    counts["_scan"] = 0
-    prop.propagate(lens, qs, masses, -0.0)
-    assert counts["_scan"] == 1
+    scans = []
+    theta, states, n_scans = sweep(scans)
+    assert n_scans == 1 and [k for k, _ in scans] == [lam]
+    got = sweep(None)
+    assert got[0] == theta and got[2] == 2
+    assert all(np.array_equal(g, w) for g, w in zip(got[1], states))
+    for other in (400.0, 500.0):
+        prop.phase(*mesh, other, scans)
+    assert [k for k, _ in scans] == [400.0, 500.0]
+    # a short mesh is swept by the loop, and keeps nothing
+    prop.phase(*_kept_scans_potential(prop.SCAN_MIN_SEGMENTS - 1, 1e3).fused_mesh[1:],
+               lam, scans)
+    assert [k for k, _ in scans] == [400.0, 500.0]
 
 
-def test_no_kept_scan_outlives_its_mesh():
+def test_propagate_keeps_no_state_across_solves():
+    """A solve's scans live in its record alone: _propagate's globals are
+    the same objects before and after a solve and its shooting, none a
+    container or a writeable array that could hold a scan, and the mesh
+    and the scans go with the potential and the record."""
+    def globals_():
+        return {k: v for k, v in vars(prop).items() if not k.startswith("__")}
+
+    before = {k: id(v) for k, v in globals_().items()}
     q = _kept_scans_potential(1024, 1e3)
-    ex._ground(q, 1e-10)
+    solved = ex._ground(q, 1e-10)
+    ShootingSolution(q, solved).values([0.5])
+    assert {k: id(v) for k, v in globals_().items()} == before
+    for v in globals_().values():
+        assert not isinstance(v, (dict, list, set))
+        assert not isinstance(v, np.ndarray) or not v.flags.writeable
     lens = weakref.ref(q.fused_mesh[1])
-    assert id(lens()) in prop._SWEPT
-    del q
+    scan = weakref.ref(solved.scans[-1][1][0])
+    del q, solved
     gc.collect()
-    assert lens() is None
-    assert all(memo[2]() is not None for memo in prop._SWEPT.values())
+    assert lens() is None and scan() is None
 
 
 def _peak_bytes(fn, *args):

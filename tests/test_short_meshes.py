@@ -429,7 +429,7 @@ def test_atom_path_mesh_and_lambda_are_the_potential_s(draw, weight, offset):
     want = Potential.from_atoms(atoms).fused_mesh
     assert mesh == want == fused_mesh_ref(q)
     assert_fused_form(mesh)
-    assert got == ex._ground(Potential.from_atoms(atoms), 1e-10, lam * (1.0 + offset))
+    assert got == ex._ground(Potential.from_atoms(atoms), 1e-10, lam * (1.0 + offset)).lam
 
 
 @pytest.mark.parametrize("atom", [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0),

@@ -161,9 +161,9 @@ def _recorded_warm_solves(monkeypatch, run) -> list[tuple]:
     calls = []
     warm = es._eigenvalue_warm
 
-    def recorded(mesh, memo, n, tol, guess):
+    def recorded(mesh, memo, n, tol, guess, scans=None):
         calls.append((mesh, dict(memo), n, tol, guess))
-        return warm(mesh, memo, n, tol, guess)
+        return warm(mesh, memo, n, tol, guess, scans)
 
     with monkeypatch.context() as mp:
         mp.setattr(ex, "_eigenvalue_warm", recorded)
@@ -194,9 +194,9 @@ def test_gamma_gt1_saves_two_sweeps_per_solve(monkeypatch, sweep_counter):
     solves = []
 
     def counting(solve):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             solves.append(args[0])
-            return solve(*args)
+            return solve(*args, **kwargs)
         return wrapped
 
     def run():
@@ -241,11 +241,11 @@ def _paired_warm_sweeps(monkeypatch, run) -> list[tuple[int, int]]:
     the library, through extremal._ground (on a new potential's mesh and
     phase memo) or _atom_ground (on an atom solve's own), and by the
     one-sided step-by-step rule on the cell loop's mesh of the potential.
-    Both must give the same lambda; returns each solve's pair of sweep
-    counts (library, one-sided rule)."""
+    Both must give the same lambda (_ground's record holds it as lam);
+    returns each solve's pair of sweep counts (library, one-sided rule)."""
     pairs = []
 
-    def paired(solve, potential):
+    def paired(solve, potential, lam_of):
         def wrapped(arg, tol, guess=None):
             if guess is None:
                 return solve(arg, tol)
@@ -254,14 +254,15 @@ def _paired_warm_sweeps(monkeypatch, run) -> list[tuple[int, int]]:
             want, want_count = eigenvalue_warm_one_sided_ref(q, 0, tol, guess)
             with mock.patch.object(prop, "phase", side_effect=prop.phase) as sweeps:
                 got = solve(arg, tol, guess)
-            assert got == want, guess
+            assert lam_of(got) == want, guess
             pairs.append((sweeps.call_count, want_count))
             return got
         return wrapped
 
-    monkeypatch.setattr(ex, "_ground", paired(ex._ground, lambda pot: pot))
+    monkeypatch.setattr(ex, "_ground", paired(ex._ground, lambda pot: pot,
+                                              lambda solved: solved.lam))
     monkeypatch.setattr(ex, "_atom_ground",
-                        paired(ex._atom_ground, Potential.from_atoms))
+                        paired(ex._atom_ground, Potential.from_atoms, lambda lam: lam))
     run()
     return pairs
 
@@ -355,7 +356,7 @@ def test_a_phase_failing_at_the_free_particle_bound_violates_both_brackets(
     atoms = ((0.3, 5.0),)
     sweeps, runs = [], []
     for n in (0, 3):
-        monkeypatch.setattr(prop, "phase", lambda lens, qs, masses, lam, n=n:
+        monkeypatch.setattr(prop, "phase", lambda lens, qs, masses, lam, scans=None, n=n:
                             sweeps.append(lam) or (n + 1) * math.pi + excess)
         with pytest.raises(es.InternalSolverError) as cold:
             es.eigenvalue(Potential(16, np.zeros(16), atoms), n, 1e-10)
